@@ -22,6 +22,7 @@ from .conversion import (
     step,
 )
 from .datagen import (
+    DataError,
     EmptyInput,
     GenConfig,
     INSTRUCTION_TEXT,
@@ -48,9 +49,10 @@ from .evaluator import (
 from .gates import (
     EmptyCorpus,
     GateDecision,
+    GateError,
     GateEvent,
     GateParams,
-    GatePolicy,
+    GateTable,
     LossTrace,
     TrainConfig,
     agreement_table,
@@ -86,6 +88,6 @@ from .pipeline import (
     run,
 )
 from .render import NonFinite, render
-from .tokenizer import Op, Token, TokenStream, decode, embed, encode
+from .tokenizer import Op, encode
 
 __version__ = "0.1.0"

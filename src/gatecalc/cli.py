@@ -14,7 +14,7 @@ import sys
 
 from .conversion import ConversionError, convert
 from .datagen import (
-    EmptyInput,
+    DataError,
     GenConfig,
     Stage,
     gen_arith_qa,
@@ -30,7 +30,7 @@ from .datagen import (
 from .evaluator import EvalError, evaluate_with_trace
 from .gates import (
     AGREEMENT_FIELDS,
-    EmptyCorpus,
+    GateError,
     TrainConfig,
     agreement_table,
     events_from_lines,
@@ -45,18 +45,23 @@ from .pipeline import PayloadTooLong, PipelineConfig, run
 from .render import NonFinite, render
 from .tokenizer import encode
 
+
+class BadArgument(Exception):
+    """A command line value the verb cannot use."""
+
+
 _ERRORS = (
     ConversionError,
     EvalError,
     ParseError,
     NonFinite,
     PayloadTooLong,
-    EmptyCorpus,
-    EmptyInput,
+    GateError,
+    DataError,
+    BadArgument,
     OSError,
     json.JSONDecodeError,
-    ValueError,
-    KeyError,
+    UnicodeDecodeError,
 )
 
 
@@ -92,7 +97,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     try:
         value = float(args.value)
     except ValueError:
-        raise ValueError(f"not a number: {args.value!r}") from None
+        raise BadArgument(f"not a number: {args.value!r}") from None
     print(render(value))
     return 0
 

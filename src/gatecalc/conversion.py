@@ -1,29 +1,29 @@
-"""Gated conversion of token streams into dense numbers and operator slots.
+"""Gated conversion of token ids into dense numbers and operator slots.
 
-The converter walks the stream once, left to right, holding a position
+The converter walks the ids once, left to right, holding a position
 pointer into a fixed-capacity array of output slots. For each token a
-gate policy decides how the token participates: whether it is ignored,
+gate decision says how the token participates: whether it is ignored,
 whether it moves the position, whether it starts the decimal part of the
 current number, how a digit folds into the number under construction,
 and which operator an operator character carries. The machine itself
 only applies those decisions and keeps the slot bookkeeping honest.
 
-A policy is any callable (token, decimal_started) -> decision where the
-decision exposes the fields of gates.GateDecision. The hand-written
-reference policy lives in gates.rule_gates and a trainable drop-in
-behind gates.make_learned_policy.
+Decisions depend on nothing but the token id and the decimal flag, so a
+gate policy is a gates.GateTable read as table[token_id][decimal_flag].
+The hand-written reference table is gates.rule_gates; a trained one
+comes from gates.make_learned_policy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
-from .tokenizer import Op, TERMINATOR_ID, Token, TokenStream
+from .tokenizer import Op, TERMINATOR_ID
 
 if TYPE_CHECKING:
-    from .gates import GateDecision
+    from .gates import GateTable
 
 DEFAULT_CAPACITY = 64
 
@@ -37,7 +37,7 @@ class InvalidCapacity(ConversionError):
 
 
 class MalformedNumber(ConversionError):
-    """A second decimal dot arrived inside one number."""
+    """A decimal dot arrived with no number in progress, or twice in one number."""
 
 
 class CapacityExceeded(ConversionError):
@@ -71,17 +71,6 @@ class ConversionState:
     decimal_started: int = 0
     mult_base: float = 1.0
 
-    def clone(self) -> "ConversionState":
-        return ConversionState(
-            capacity=self.capacity,
-            pos=self.pos,
-            valid=list(self.valid),
-            dense=list(self.dense),
-            ops=list(self.ops),
-            decimal_started=self.decimal_started,
-            mult_base=self.mult_base,
-        )
-
 
 @dataclass
 class DenseProgram:
@@ -110,9 +99,6 @@ def op_json_name(op: Op) -> str:
     from .tokenizer import OP_TO_CHAR
 
     return "none" if op == Op.NONE else OP_TO_CHAR[op]
-
-
-GatePolicyLike = Callable[[Token, int], "GateDecision"]
 
 
 def init_state(capacity: int = DEFAULT_CAPACITY) -> ConversionState:
@@ -147,16 +133,16 @@ def _require_slot(state: ConversionState) -> None:
         )
 
 
-def step(state: ConversionState, token: Token, policy: GatePolicyLike) -> bool:
-    """Feed one token through the machine, mutating state in place.
+def step(state: ConversionState, token_id: int, table: GateTable) -> bool:
+    """Feed one token id through the machine, mutating state in place.
 
     Returns False when the token is the terminator, which stops the
     stream and leaves the state untouched; True otherwise.
     """
-    if token.id == TERMINATOR_ID:
+    if token_id == TERMINATOR_ID:
         return False
 
-    decision = policy(token, state.decimal_started)
+    decision = table[token_id][state.decimal_started]
 
     if decision.ignore:
         return True
@@ -164,6 +150,8 @@ def step(state: ConversionState, token: Token, policy: GatePolicyLike) -> bool:
     if decision.decimal_start:
         if state.decimal_started:
             raise MalformedNumber("second decimal dot inside one number")
+        if not _number_in_progress(state):
+            raise MalformedNumber("decimal dot with no number in progress")
         state.decimal_started = 1
         state.mult_base = 0.1
         return True
@@ -185,7 +173,7 @@ def step(state: ConversionState, token: Token, policy: GatePolicyLike) -> bool:
         return True
 
     # Digit path. The first digit of a slot always seeds it directly; the
-    # policy's mode only matters once an accumulation is under way.
+    # decision's mode only matters once an accumulation is under way.
     _require_slot(state)
     first_digit = state.valid[state.pos] == 0
     state.valid[state.pos] = 1
@@ -202,18 +190,18 @@ def step(state: ConversionState, token: Token, policy: GatePolicyLike) -> bool:
 
 
 def convert(
-    stream: TokenStream,
-    policy: GatePolicyLike,
+    ids: bytes,
+    table: GateTable,
     capacity: int = DEFAULT_CAPACITY,
 ) -> DenseProgram:
-    """Run the whole stream and freeze the populated slot prefix.
+    """Run every id through the machine and freeze the populated slot prefix.
 
     A trailing number with no closing space is finalized here, so
     "3 5 +" and "3 5" both come out with every slot accounted for.
     """
     state = init_state(capacity)
-    for token in stream:
-        if not step(state, token, policy):
+    for token_id in ids:
+        if not step(state, token_id, table):
             break
     if _number_in_progress(state):
         _close_number(state)

@@ -32,7 +32,11 @@ _OP_CHARS = "+-*/"
 _JUNK_CHARS = "abcxyz#?"
 
 
-class EmptyInput(ValueError):
+class DataError(ValueError):
+    """A mixing fraction out of range, or a record file of the wrong shape."""
+
+
+class EmptyInput(DataError):
     pass
 
 
@@ -222,7 +226,7 @@ def mix_datasets(
     then shuffles. Records pass through untouched.
     """
     if not 0.0 < arith_fraction < 1.0:
-        raise ValueError(f"fraction must be strictly between 0 and 1, got {arith_fraction}")
+        raise DataError(f"fraction must be strictly between 0 and 1, got {arith_fraction}")
     if not arith or not other:
         raise EmptyInput("both record lists must be non-empty")
     n_total = min(
@@ -267,13 +271,14 @@ def write_json_array(path: str | Path, records: Iterable[dict | QARecord]) -> No
 def read_records(path: str | Path) -> list[dict]:
     """Records from a JSONL file or a single JSON array file."""
     text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("["):
+    if text.lstrip().startswith("["):
         rows = json.loads(text)
-        if not isinstance(rows, list):
-            raise ValueError(f"{path}: expected a JSON array")
-        return rows
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+    else:
+        rows = [json.loads(line) for line in text.splitlines() if line.strip()]
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise DataError(f"{path}: record {i} is not a JSON object")
+    return rows
 
 
 def load_training_lines(path: str | Path) -> list[str]:
@@ -282,5 +287,9 @@ def load_training_lines(path: str | Path) -> list[str]:
     text = Path(path).read_text(encoding="utf-8")
     stripped = text.lstrip()
     if stripped.startswith("[") or stripped.startswith("{"):
-        return [r["swift_express"] for r in read_records(path)]
+        records = read_records(path)
+        for i, record in enumerate(records):
+            if not isinstance(record.get("swift_express"), str):
+                raise DataError(f"{path}: record {i} has no swift_express text")
+        return [r["swift_express"] for r in records]
     return text.splitlines()

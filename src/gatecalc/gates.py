@@ -1,11 +1,15 @@
 """Gate policies for the conversion machine, and the trainer behind them.
 
-Two interchangeable policies drive the converter. rule_gates is the
-exact hand-written reference. The learned policy carries one small
-linear head per gate over the one-hot token embedding; the decimal flag
-joins the input only for the dense-mode head, the one gate whose answer
-depends on it. Prediction always takes the argmax of a head's outputs,
-ties breaking toward the lowest class.
+A decision depends on nothing but the token id and the decimal flag,
+18 x 2 = 36 cases, so a policy is a GateTable indexed
+[token_id][decimal_flag]. Two interchangeable tables drive the
+converter. rule_gates is the exact hand-written reference. The learned
+table comes from one small linear head per gate over the one-hot token;
+the decimal flag joins the input only for the dense-mode head, the one
+gate whose answer depends on it. A one-hot input only selects a column,
+so a head's outputs are w[:, token_id] + b, plus the flag column for
+the dense-mode head. Prediction always takes the argmax of a head's
+outputs, ties breaking toward the lowest class.
 
 Training is plain per-event gradient descent. The two-way gates use a
 sigmoid unit per class with binary cross entropy; the wider heads use
@@ -30,14 +34,14 @@ import numpy as np
 from .conversion import DenseOpMode, init_state, step
 from .tokenizer import (
     DOT_ID,
+    ID_TO_CHAR,
     OP_ID_TO_OP,
     OTHER_ID,
+    OTHER_PLACEHOLDER,
     SPACE_ID,
     VOCAB_SIZE,
     Op,
-    Token,
     encode,
-    token_for_id,
 )
 
 FORMAT_VERSION = 1
@@ -55,7 +59,11 @@ HEAD_SHAPES: tuple[tuple[str, int, int], ...] = (
 BINARY_HEADS = ("ignore", "move", "decimal")
 
 
-class EmptyCorpus(ValueError):
+class GateError(ValueError):
+    """Bad training settings, an unusable corpus, or a bad gate file."""
+
+
+class EmptyCorpus(GateError):
     pass
 
 
@@ -71,111 +79,84 @@ class GateDecision:
     op: Op
 
 
-GatePolicy = Callable[[Token, int], GateDecision]
+# A gate policy: VOCAB_SIZE rows of (decision at flag 0, decision at flag 1).
+GateTable = tuple[tuple[GateDecision, GateDecision], ...]
 
-_QUIET = GateDecision(0, 0, 0, DenseOpMode.IGNORE, 0, Op.NONE)
+
+def _tabulate(decide: Callable[[int, int], GateDecision]) -> GateTable:
+    return tuple((decide(t, 0), decide(t, 1)) for t in range(VOCAB_SIZE))
 
 
-def rule_gates(token: Token, decimal_started: int) -> GateDecision:
-    """Reference decisions, a pure function of token id and the decimal flag."""
-    if token.id == OTHER_ID:
+def _rule_decision(token_id: int, decimal_started: int) -> GateDecision:
+    """Reference decision for one (token id, decimal flag) case."""
+    if token_id == OTHER_ID:
         return GateDecision(1, 0, 0, DenseOpMode.IGNORE, 0, Op.NONE)
-    if token.is_digit():
+    if token_id <= 9:
         mode = (
             DenseOpMode.BASE_MUL_ADD if decimal_started else DenseOpMode.TIMES_TEN_ADD
         )
-        return GateDecision(0, 0, 0, mode, token.id, Op.NONE)
-    if token.id == DOT_ID:
+        return GateDecision(0, 0, 0, mode, token_id, Op.NONE)
+    if token_id == DOT_ID:
         return GateDecision(0, 0, 1, DenseOpMode.IGNORE, 0, Op.NONE)
-    if token.id == SPACE_ID:
+    if token_id == SPACE_ID:
         return GateDecision(0, 1, 0, DenseOpMode.IGNORE, 0, Op.NONE)
-    if token.is_op():
-        return GateDecision(0, 1, 0, DenseOpMode.IGNORE, 0, OP_ID_TO_OP[token.id])
+    if token_id in OP_ID_TO_OP:
+        return GateDecision(0, 1, 0, DenseOpMode.IGNORE, 0, OP_ID_TO_OP[token_id])
     # Terminator: every gate stays quiet, the machine stops on the token itself.
-    return _QUIET
+    return GateDecision(0, 0, 0, DenseOpMode.IGNORE, 0, Op.NONE)
+
+
+rule_gates: GateTable = _tabulate(_rule_decision)
 
 
 @dataclass
 class GateParams:
-    """One weight matrix and bias vector per gate head."""
+    """One (weight matrix, bias vector) pair per gate head, by head name."""
 
-    ignore_w: np.ndarray
-    ignore_b: np.ndarray
-    move_w: np.ndarray
-    move_b: np.ndarray
-    decimal_w: np.ndarray
-    decimal_b: np.ndarray
-    denseop_w: np.ndarray
-    denseop_b: np.ndarray
-    digit_w: np.ndarray
-    digit_b: np.ndarray
-    op_w: np.ndarray
-    op_b: np.ndarray
+    heads: dict[str, tuple[np.ndarray, np.ndarray]]
 
     @classmethod
     def zeros(cls) -> "GateParams":
-        kwargs = {}
-        for name, n_out, n_in in HEAD_SHAPES:
-            kwargs[f"{name}_w"] = np.zeros((n_out, n_in))
-            kwargs[f"{name}_b"] = np.zeros(n_out)
-        return cls(**kwargs)
+        return cls({
+            name: (np.zeros((n_out, n_in)), np.zeros(n_out))
+            for name, n_out, n_in in HEAD_SHAPES
+        })
 
     def clone(self) -> "GateParams":
-        kwargs = {}
-        for name, _, _ in HEAD_SHAPES:
-            kwargs[f"{name}_w"] = getattr(self, f"{name}_w").copy()
-            kwargs[f"{name}_b"] = getattr(self, f"{name}_b").copy()
-        return GateParams(**kwargs)
+        return GateParams({name: (w.copy(), b.copy()) for name, (w, b) in self.heads.items()})
 
     def head(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        return getattr(self, f"{name}_w"), getattr(self, f"{name}_b")
+        return self.heads[name]
 
 
-def _head_input(name: str, token: Token, decimal_started: int) -> np.ndarray:
-    x = token.onehot
-    if name == "denseop":
-        return np.concatenate([x, [float(decimal_started)]])
-    return x
+def _logits(params: GateParams, name: str, token_id: int, decimal_started: int) -> np.ndarray:
+    """w @ x + b for the one-hot input x, read as column token_id of w."""
+    w, b = params.heads[name]
+    z = w[:, token_id]
+    if name == "denseop" and decimal_started:
+        z = z + w[:, VOCAB_SIZE]
+    return z + b
 
 
-def _head_argmax(
-    params: GateParams, name: str, token: Token, decimal_started: int
-) -> int:
-    w, b = params.head(name)
-    z = w @ _head_input(name, token, decimal_started) + b
-    return int(np.argmax(z))
-
-
-def learned_gates(
-    params: GateParams, token: Token, decimal_started: int
-) -> GateDecision:
+def learned_gates(params: GateParams, token_id: int, decimal_started: int) -> GateDecision:
     """Argmax of every head. All-zero params answer class 0 everywhere."""
+
+    def argmax(name: str) -> int:
+        return int(np.argmax(_logits(params, name, token_id, decimal_started)))
+
     return GateDecision(
-        ignore=_head_argmax(params, "ignore", token, decimal_started),
-        move=_head_argmax(params, "move", token, decimal_started),
-        decimal_start=_head_argmax(params, "decimal", token, decimal_started),
-        dense_mode=DenseOpMode(_head_argmax(params, "denseop", token, decimal_started)),
-        digit=_head_argmax(params, "digit", token, decimal_started),
-        op=Op(_head_argmax(params, "op", token, decimal_started)),
+        ignore=argmax("ignore"),
+        move=argmax("move"),
+        decimal_start=argmax("decimal"),
+        dense_mode=DenseOpMode(argmax("denseop")),
+        digit=argmax("digit"),
+        op=Op(argmax("op")),
     )
 
 
-def make_learned_policy(params: GateParams) -> GatePolicy:
-    """Freeze params behind a policy callable.
-
-    Decisions depend only on (token id, decimal flag), a domain of 36
-    cases, so the whole table is computed once up front.
-    """
-    table = {
-        (token_id, ds): learned_gates(params, token_for_id(token_id), ds)
-        for token_id in range(VOCAB_SIZE)
-        for ds in (0, 1)
-    }
-
-    def policy(token: Token, decimal_started: int) -> GateDecision:
-        return table[(token.id, 1 if decimal_started else 0)]
-
-    return policy
+def make_learned_policy(params: GateParams) -> GateTable:
+    """The 36-case table of learned decisions, computed once up front."""
+    return _tabulate(lambda token_id, ds: learned_gates(params, token_id, ds))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +168,7 @@ class GateEvent:
     """One token in context: the decimal flag it arrived under plus the
     reference decision for it."""
 
-    token: Token
+    token_id: int
     decimal_started: int
     target: GateDecision
 
@@ -199,14 +180,13 @@ def label_events(text: str) -> list[GateEvent]:
     the context a policy sees. A terminator is recorded and then stops
     the replay, the same way it stops the converter.
     """
-    stream = encode(text)
-    state = init_state(max(1, len(stream) + 1))
+    ids = encode(text)
+    state = init_state(max(1, len(ids) + 1))
     events: list[GateEvent] = []
-    for token in stream:
-        events.append(
-            GateEvent(token, state.decimal_started, rule_gates(token, state.decimal_started))
-        )
-        if not step(state, token, rule_gates):
+    for token_id in ids:
+        flag = state.decimal_started
+        events.append(GateEvent(token_id, flag, rule_gates[token_id][flag]))
+        if not step(state, token_id, rule_gates):
             break
     return events
 
@@ -249,9 +229,9 @@ class LossTrace:
 
 
 def _event_weight(event: GateEvent, config: TrainConfig) -> float:
-    if event.token.id == DOT_ID:
+    if event.token_id == DOT_ID:
         return config.dot_weight
-    if event.token.id in OP_ID_TO_OP:
+    if event.token_id in OP_ID_TO_OP:
         return config.op_weight
     return 1.0
 
@@ -289,41 +269,31 @@ def _softmax_loss_grad(z: np.ndarray, target: int) -> tuple[float, np.ndarray]:
     return loss, p
 
 
-def event_loss(params: GateParams, event: GateEvent) -> float:
-    """Unweighted loss of one event under current params, without updating."""
-    total = 0.0
-    targets = _event_targets(event)
-    for name, _, _ in HEAD_SHAPES:
-        w, b = params.head(name)
-        x = _head_input(name, event.token, event.decimal_started)
-        z = w @ x + b
-        if name in BINARY_HEADS:
-            loss, _ = _binary_loss_grad(z, targets[name])
-        else:
-            loss, _ = _softmax_loss_grad(z, targets[name])
-        total += loss
-    return total
-
-
 def _train_step(
     params: GateParams, event: GateEvent, config: TrainConfig
 ) -> tuple[float, float]:
     """One gradient step over all heads. Returns (raw, weighted) loss."""
     weight = _event_weight(event, config)
     targets = _event_targets(event)
+    token_id, flag = event.token_id, event.decimal_started
     raw = 0.0
     for name, _, _ in HEAD_SHAPES:
-        w, b = params.head(name)
-        x = _head_input(name, event.token, event.decimal_started)
-        z = w @ x + b
+        z = _logits(params, name, token_id, flag)
         if name in BINARY_HEADS:
             loss, dz = _binary_loss_grad(z, targets[name])
         else:
             loss, dz = _softmax_loss_grad(z, targets[name])
         raw += loss
         if not config.freeze:
-            w -= config.lr * weight * np.outer(dz, x)
-            b -= config.lr * weight * dz
+            # The outer product of dz with a one-hot input is dz in the
+            # token's column (and the flag column when the flag is on) and
+            # zero everywhere else, so only those columns move.
+            w, b = params.heads[name]
+            delta = config.lr * weight * dz
+            w[:, token_id] -= delta
+            if name == "denseop" and flag:
+                w[:, VOCAB_SIZE] -= delta
+            b -= delta
     return raw, weight * raw
 
 
@@ -345,9 +315,9 @@ def train_gates(
         raise EmptyCorpus("no training events")
     config = config or TrainConfig()
     if config.epoch_size < 1:
-        raise ValueError(f"epoch_size must be positive, got {config.epoch_size}")
+        raise GateError(f"epoch_size must be positive, got {config.epoch_size}")
     if config.repeats < 1:
-        raise ValueError(f"repeats must be positive, got {config.repeats}")
+        raise GateError(f"repeats must be positive, got {config.repeats}")
 
     params = init.clone() if init is not None else GateParams.zeros()
     trace = LossTrace()
@@ -364,7 +334,7 @@ def train_gates(
                     break
                 raw, weighted = _train_step(params, event, config)
                 trace.events.append(
-                    EventLoss(step_idx, event.token.id, _event_weight(event, config), raw, weighted)
+                    EventLoss(step_idx, event.token_id, _event_weight(event, config), raw, weighted)
                 )
                 pass_losses.append(weighted)
                 step_idx += 1
@@ -395,19 +365,16 @@ class AgreementRow:
 
 def agreement_table(params: GateParams) -> list[AgreementRow]:
     """Learned versus reference decisions across all 36 (token, flag) cases."""
-    policy = make_learned_policy(params)
+    learned = make_learned_policy(params)
     rows: list[AgreementRow] = []
     for token_id in range(VOCAB_SIZE):
-        token = token_for_id(token_id)
+        char = ID_TO_CHAR.get(token_id, OTHER_PLACEHOLDER)
         for ds in (0, 1):
-            want = rule_gates(token, ds)
-            got = policy(token, ds)
+            want, got = rule_gates[token_id][ds], learned[token_id][ds]
             matches = {
                 f: getattr(want, f) == getattr(got, f) for f in AGREEMENT_FIELDS
             }
-            rows.append(
-                AgreementRow(token_id, token.char, ds, matches, all(matches.values()))
-            )
+            rows.append(AgreementRow(token_id, char, ds, matches, all(matches.values())))
     return rows
 
 
@@ -431,17 +398,21 @@ def save_params(params: GateParams, path: str | Path) -> None:
 
 def load_params(path: str | Path) -> GateParams:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise GateError(f"{path}: expected a JSON object")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported gate file version {version!r}")
-    kwargs = {}
+        raise GateError(f"unsupported gate file version {version!r}")
+    heads = {}
     for name, n_out, n_in in HEAD_SHAPES:
-        w = np.asarray(payload[f"{name}_w"], dtype=float)
-        b = np.asarray(payload[f"{name}_b"], dtype=float)
+        try:
+            w = np.asarray(payload[f"{name}_w"], dtype=float)
+            b = np.asarray(payload[f"{name}_b"], dtype=float)
+        except (KeyError, TypeError, ValueError):
+            raise GateError(f"head {name!r} is missing or not numeric") from None
         if w.shape != (n_out, n_in) or b.shape != (n_out,):
-            raise ValueError(f"head {name!r} has wrong shape {w.shape} / {b.shape}")
+            raise GateError(f"head {name!r} has wrong shape {w.shape} / {b.shape}")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ValueError(f"head {name!r} contains non-finite values")
-        kwargs[f"{name}_w"] = w
-        kwargs[f"{name}_b"] = b
-    return GateParams(**kwargs)
+            raise GateError(f"head {name!r} contains non-finite values")
+        heads[name] = (w, b)
+    return GateParams(heads)

@@ -42,6 +42,10 @@ _NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?")
 
 _PRECEDENCE = {Op.ADD: 1, Op.SUB: 1, Op.MUL: 2, Op.DIV: 2}
 
+# Deepest parenthesis nesting the parser accepts. Each level costs three
+# Python frames, so this keeps any question well inside the recursion limit.
+MAX_NESTING = 100
+
 
 class _Parser:
     """Recursive descent over a question with the answer suffix removed."""
@@ -49,6 +53,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.pos)
@@ -82,11 +87,15 @@ class _Parser:
     def parse_factor(self) -> InfixAst:
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise self.error(f"parentheses nested deeper than {MAX_NESTING}")
+            self.depth += 1
             self.pos += 1
             node = self.parse_expr()
             if self.peek() != ")":
                 raise self.error("expected ')'")
             self.pos += 1
+            self.depth -= 1
             return node
         match = _NUMBER.match(self.text, self.pos)
         if not match:
@@ -109,18 +118,23 @@ def parse_infix(text: str) -> InfixAst:
 
 
 def to_postfix(ast: InfixAst) -> str:
-    """Space-separated postfix text, numbers rendered canonically."""
-    parts: list[str] = []
+    """Space-separated postfix text, numbers rendered canonically.
 
-    def walk(node: InfixAst) -> None:
-        if isinstance(node, Number):
+    The walk keeps its own stack, so a long operator chain cannot exhaust
+    Python's recursion limit.
+    """
+    parts: list[str] = []
+    # Nodes still to visit, and operator characters due once their
+    # operands are out; popping left before right gives postfix order.
+    todo: list[InfixAst | str] = [ast]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, BinOp):
+            todo += (OP_TO_CHAR[node.op], node.right, node.left)
+        elif isinstance(node, Number):
             parts.append(render(node.value))
         else:
-            walk(node.left)
-            walk(node.right)
-            parts.append(OP_TO_CHAR[node.op])
-
-    walk(ast)
+            parts.append(node)
     return " ".join(parts)
 
 

@@ -11,12 +11,12 @@ shape plugs in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .conversion import DEFAULT_CAPACITY, ConversionError, convert
 from .evaluator import EvalError, EvalTrace, evaluate_with_trace
-from .gates import GatePolicy, rule_gates
+from .gates import GateTable, rule_gates
 from .infix import ParseError, parse_infix, to_postfix
 from .render import NonFinite, render
 from .tokenizer import TERMINATOR_CHAR, encode
@@ -53,7 +53,7 @@ class PipelineConfig:
     draft_len: int = DEFAULT_DRAFT_LEN
     inject_len: int = DEFAULT_INJECT_LEN
     capacity: int = DEFAULT_CAPACITY
-    policy: GatePolicy = field(default=rule_gates)
+    policy: GateTable = rule_gates
 
 
 @dataclass

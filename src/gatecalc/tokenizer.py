@@ -3,15 +3,13 @@
 The machine reads text one character at a time over an 18 symbol
 alphabet: the ten digits, the decimal dot, the four operators, the
 space, and the '$' terminator. Any other character collapses onto a
-single OTHER id so the gates can treat all junk alike.
+single OTHER id so the gates can treat all junk alike. Encoded text is
+a bytes object holding one id per character.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
-
-import numpy as np
 
 VOCAB_SIZE = 18
 
@@ -62,60 +60,6 @@ OP_TO_CHAR: dict[Op, str] = {Op.ADD: "+", Op.SUB: "-", Op.MUL: "*", Op.DIV: "/"}
 CHAR_TO_OP: dict[str, Op] = {c: op for op, c in OP_TO_CHAR.items()}
 
 
-@dataclass(frozen=True)
-class Token:
-    """One character of input, carrying its vocabulary id and source char."""
-
-    id: int
-    char: str
-
-    @property
-    def onehot(self) -> np.ndarray:
-        """Unit vector of length VOCAB_SIZE with a one at the token id."""
-        v = np.zeros(VOCAB_SIZE)
-        v[self.id] = 1.0
-        return v
-
-    def is_digit(self) -> bool:
-        return 0 <= self.id <= 9
-
-    def is_op(self) -> bool:
-        return self.id in OP_ID_TO_OP
-
-
-@dataclass(frozen=True)
-class TokenStream:
-    tokens: tuple[Token, ...]
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __getitem__(self, index: int) -> Token:
-        return self.tokens[index]
-
-
-def token_for_id(token_id: int) -> Token:
-    """A representative token for a vocabulary id."""
-    if not 0 <= token_id < VOCAB_SIZE:
-        raise ValueError(f"token id {token_id} outside vocabulary")
-    return Token(token_id, ID_TO_CHAR.get(token_id, OTHER_PLACEHOLDER))
-
-
-def encode(text: str) -> TokenStream:
-    """One token per character; anything outside the alphabet becomes OTHER."""
-    return TokenStream(tuple(
-        Token(CHAR_TO_ID.get(ch, OTHER_ID), ch) for ch in text
-    ))
-
-
-def decode(stream: TokenStream) -> str:
-    """Inverse of encode, with a fixed placeholder for OTHER tokens."""
-    return "".join(ID_TO_CHAR.get(t.id, OTHER_PLACEHOLDER) for t in stream)
-
-
-def embed(token: Token) -> np.ndarray:
-    """One-hot embedding, the only input representation the gates ever see."""
-    return token.onehot
+def encode(text: str) -> bytes:
+    """One id per character; anything outside the alphabet becomes OTHER."""
+    return bytes([CHAR_TO_ID.get(ch, OTHER_ID) for ch in text])

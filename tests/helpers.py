@@ -9,9 +9,19 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from gatecalc.conversion import DenseProgram
+from gatecalc.gates import (
+    BINARY_HEADS,
+    HEAD_SHAPES,
+    _binary_loss_grad,
+    _event_targets,
+    _event_weight,
+    _softmax_loss_grad,
+)
 from gatecalc.infix import BinOp, Number
-from gatecalc.tokenizer import Op
+from gatecalc.tokenizer import VOCAB_SIZE, Op
 
 ALL_OPS = (Op.ADD, Op.SUB, Op.MUL, Op.DIV)
 
@@ -121,3 +131,32 @@ def _ast_value(node) -> float:
 def ast_value(node) -> float:
     """Tree value by direct recursion, independent of the package evaluator."""
     return _ast_value(node)
+
+
+def onehot(token_id: int, n_in: int = VOCAB_SIZE) -> np.ndarray:
+    """The one-hot input vector of a token id, padded to ``n_in``."""
+    x = np.zeros(n_in)
+    x[token_id] = 1.0
+    return x
+
+
+def onehot_train_step(params, event, config) -> tuple[float, float]:
+    """The trainer's gradient step written as matrix products over the
+    one-hot input, with the decimal flag appended for the dense-mode head.
+    A drop-in for gates._train_step, to check the column-indexed step."""
+    weight = _event_weight(event, config)
+    targets = _event_targets(event)
+    raw = 0.0
+    for name, _, n_in in HEAD_SHAPES:
+        w, b = params.head(name)
+        x = onehot(event.token_id, n_in)
+        if name == "denseop":
+            x[-1] = float(event.decimal_started)
+        z = w @ x + b
+        grad = _binary_loss_grad if name in BINARY_HEADS else _softmax_loss_grad
+        loss, dz = grad(z, targets[name])
+        raw += loss
+        if not config.freeze:
+            w -= config.lr * weight * np.outer(dz, x)
+            b -= config.lr * weight * dz
+    return raw, weight * raw

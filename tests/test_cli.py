@@ -4,6 +4,7 @@ import pytest
 
 from gatecalc.cli import main
 from gatecalc.datagen import read_records
+from gatecalc.gates import HEAD_SHAPES
 
 
 def run_cli(capsys, *argv):
@@ -271,3 +272,63 @@ def test_run_with_inject_len(capsys):
     payload = json.loads(out)
     assert payload["injected"] is True
     assert payload["answer"].startswith("0.00123")
+
+
+def _gates_json(**changes) -> str:
+    """A zero-parameter gate file, with fields replaced or (given None) dropped."""
+    payload = {"format_version": 1}
+    for name, n_out, n_in in HEAD_SHAPES:
+        payload[f"{name}_w"] = [[0.0] * n_in] * n_out
+        payload[f"{name}_b"] = [0.0] * n_out
+    payload.update(changes)
+    return json.dumps({k: v for k, v in payload.items() if v is not None})
+
+
+_NESTED = "(" * 400 + "1" + ")" * 400 + " = ?"
+_TRAIN = ["train-gates", "--data", "c.txt", "--out", "g.json"]
+_MIX = ["gen", "mix", "--arith", "a.jsonl", "--other", "a.jsonl", "--out", "m.jsonl"]
+_QA = json.dumps({"instruction": "q", "input": "1 + 1", "output": "2", "swift_express": "1 1 +"})
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({"g.json": _gates_json(format_version=2)}, ["convert", "1", "--gates", "g.json"]),
+    ({"g.json": "[1]"}, ["verify-gates", "--gates", "g.json"]),
+    ({"g.json": _gates_json(move_b=None)}, ["eval", "1", "--gates", "g.json"]),
+    ({"g.json": _gates_json(digit_w=[[0.0] * 3] * 10)}, ["verify-gates", "--gates", "g.json"]),
+    ({"g.json": _gates_json(op_w=[[0.0] * 18] * 4 + [[0.0]])}, ["verify-gates", "--gates", "g.json"]),
+    ({"g.json": _gates_json(op_b=[0.0, float("inf"), 0.0, 0.0, 0.0])},
+     ["run", "1 + 1 = ?", "--gates", "g.json"]),
+    ({"c.txt": "[1, 2]"}, _TRAIN),
+    ({"c.txt": '{"input": "1 + 1"}'}, _TRAIN),
+    ({"c.txt": b"1 2 +\xff\n"}, _TRAIN),
+    ({"c.txt": "1 2 +\n"}, _TRAIN + ["--epoch-size", "0"]),
+    ({"c.txt": "1 2 +\n"}, _TRAIN + ["--repeats", "0"]),
+    ({"a.jsonl": "[1]"}, _MIX),
+    ({"a.jsonl": _QA}, _MIX + ["--fraction", "1.5"]),
+    ({"a.jsonl": _QA}, _MIX + ["--fraction", "0"]),
+    ({}, ["render", "abc"]),
+    ({}, ["eval", ".5"]),
+    ({}, ["eval", "1 .5 +"]),
+    ({}, ["to-postfix", _NESTED]),
+], ids=[
+    "gates-version", "gates-not-object", "gates-missing-head", "gates-shape",
+    "gates-ragged", "gates-non-finite", "records-not-objects", "records-no-postfix",
+    "data-not-utf8", "epoch-size-0", "repeats-0", "mix-not-objects", "fraction-above-1",
+    "fraction-0", "render-junk", "leading-dot", "leading-dot-after-space", "deep-nesting",
+])
+def test_bad_input_prints_one_error_line(capsys, tmp_path, monkeypatch, files, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        path = tmp_path / name
+        path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_run_declines_deep_nesting(capsys):
+    code, out, _ = run_cli(capsys, "run", _NESTED)
+    assert code == 0
+    assert json.loads(out)["answer"] == _NESTED

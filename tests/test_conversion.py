@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -84,6 +86,19 @@ def test_double_dot_raises():
         convert_text("1.2.3")
 
 
+@pytest.mark.parametrize("text", [".5", "1 .5 +", "3 + .", " . "])
+def test_leading_dot_raises(text):
+    # A dot must follow a digit of the number it belongs to; the infix
+    # grammar rejects ".5" the same way.
+    with pytest.raises(MalformedNumber):
+        convert_text(text)
+
+
+def test_dot_after_digit_still_opens_the_fraction():
+    assert convert_text("5. 2 *").dense == [5.0, 2.0, 0.0]
+    assert convert_text("1x.5").dense == [1.5]
+
+
 def test_junk_characters_are_ignored():
     assert convert_text("3x 5 +") == convert_text("3 5 +")
     assert convert_text("abc") == convert_text("")
@@ -127,17 +142,17 @@ def test_capacity_exact_fit():
 
 def test_step_returns_false_on_terminator_and_leaves_state():
     state = init_state(4)
-    for token in encode("12"):
-        assert step(state, token, rule_gates)
-    before = state.clone()
+    for token_id in encode("12"):
+        assert step(state, token_id, rule_gates)
+    before = copy.deepcopy(state)
     assert not step(state, encode("$")[0], rule_gates)
     assert state == before
 
 
 def test_step_trace_matches_worked_example():
     state = init_state(4)
-    for token in encode("3 5 +"):
-        step(state, token, rule_gates)
+    for token_id in encode("3 5 +"):
+        step(state, token_id, rule_gates)
     assert state.pos == 3
     assert state.valid[:3] == [1, 1, 1]
     assert state.dense[:3] == [3.0, 5.0, 0.0]
@@ -147,8 +162,8 @@ def test_step_trace_matches_worked_example():
 def test_position_never_decreases():
     state = init_state(16)
     last = 0
-    for token in encode("12.5 + 3 * 4.75 /"):
-        step(state, token, rule_gates)
+    for token_id in encode("12.5 + 3 * 4.75 /"):
+        step(state, token_id, rule_gates)
         assert state.pos >= last
         last = state.pos
 
@@ -197,11 +212,11 @@ def test_literal_matches_float_oracle(literal):
 def test_ignored_tokens_change_nothing(text):
     state = init_state(32)
     try:
-        for token in encode(text):
-            step(state, token, rule_gates)
+        for token_id in encode(text):
+            step(state, token_id, rule_gates)
     except MalformedNumber:
         pass
-    before = state.clone()
+    before = copy.deepcopy(state)
     for junk in encode("axz#"):
         step(state, junk, rule_gates)
         assert state == before

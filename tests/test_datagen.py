@@ -92,7 +92,7 @@ def test_gen_numbers_ops_covers_gate_domain():
     seen = set()
     for line in gen_dot_place(100, 0) + gen_numbers_ops(500, 0):
         for event in label_events(line):
-            seen.add((event.token.id, event.decimal_started))
+            seen.add((event.token_id, event.decimal_started))
     for token_id in range(18):
         assert (token_id, 0) in seen
     for digit in range(10):

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gatecalc.conversion import DenseOpMode, MalformedNumber, convert
+from gatecalc import gates
+from gatecalc.conversion import ConversionError, DenseOpMode, MalformedNumber, convert
 from gatecalc.datagen import gen_dot_place, gen_numbers_ops
 from gatecalc.gates import (
+    HEAD_SHAPES,
     EmptyCorpus,
+    GateError,
     GateParams,
     TrainConfig,
     agreement_table,
-    event_loss,
     events_from_lines,
     full_agreement,
     label_events,
@@ -24,15 +28,19 @@ from gatecalc.tokenizer import (
     OP_ID_TO_OP,
     SPACE_ID,
     TERMINATOR_ID,
+    VOCAB_SIZE,
     Op,
-    Token,
     encode,
-    token_for_id,
 )
+from helpers import onehot_train_step
 
 
 def tok(ch):
     return encode(ch)[0]
+
+
+def rule(ch, ds):
+    return rule_gates[tok(ch)][ds]
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +48,7 @@ def tok(ch):
 
 
 def test_rule_digit_before_decimal():
-    d = rule_gates(tok("7"), 0)
+    d = rule("7", 0)
     assert (d.ignore, d.move, d.decimal_start) == (0, 0, 0)
     assert d.dense_mode == DenseOpMode.TIMES_TEN_ADD
     assert d.digit == 7
@@ -48,46 +56,47 @@ def test_rule_digit_before_decimal():
 
 
 def test_rule_digit_after_decimal():
-    d = rule_gates(tok("7"), 1)
+    d = rule("7", 1)
     assert d.dense_mode == DenseOpMode.BASE_MUL_ADD
     assert d.digit == 7
 
 
 def test_rule_dot():
-    d = rule_gates(tok("."), 0)
+    d = rule(".", 0)
     assert d.decimal_start == 1
     assert (d.ignore, d.move) == (0, 0)
 
 
 def test_rule_space():
-    d = rule_gates(tok(" "), 0)
+    d = rule(" ", 0)
     assert d.move == 1
     assert d.op == Op.NONE
 
 
 def test_rule_operators():
     for ch, op in (("+", Op.ADD), ("-", Op.SUB), ("*", Op.MUL), ("/", Op.DIV)):
-        d = rule_gates(tok(ch), 0)
+        d = rule(ch, 0)
         assert d.move == 1
         assert d.op == op
         assert d.ignore == 0
 
 
 def test_rule_junk_is_ignored():
-    d = rule_gates(tok("x"), 0)
+    d = rule("x", 0)
     assert d.ignore == 1
 
 
 def test_rule_terminator_is_quiet():
     for ds in (0, 1):
-        d = rule_gates(tok("$"), ds)
+        d = rule("$", ds)
         assert (d.ignore, d.move, d.decimal_start) == (0, 0, 0)
         assert d.op == Op.NONE
 
 
 def test_rule_depends_only_on_id_and_flag():
-    assert rule_gates(Token(3, "3"), 0) == rule_gates(Token(3, "3"), 0)
-    assert rule_gates(tok("a"), 0) == rule_gates(tok("z"), 0)
+    assert len(rule_gates) == VOCAB_SIZE
+    assert all(len(row) == 2 for row in rule_gates)
+    assert rule("a", 0) == rule("z", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +106,7 @@ def test_rule_depends_only_on_id_and_flag():
 def test_zero_params_answer_class_zero_everywhere():
     params = GateParams.zeros()
     for token_id in (0, 7, DOT_ID, SPACE_ID, TERMINATOR_ID):
-        d = learned_gates(params, token_for_id(token_id), 0)
+        d = learned_gates(params, token_id, 0)
         assert (d.ignore, d.move, d.decimal_start) == (0, 0, 0)
         assert d.dense_mode == DenseOpMode.IGNORE
         assert d.digit == 0
@@ -107,8 +116,28 @@ def test_zero_params_answer_class_zero_everywhere():
 def test_learned_policy_is_cached_and_consistent():
     params = GateParams.zeros()
     policy = make_learned_policy(params)
+    assert len(policy) == VOCAB_SIZE
     for ds in (0, 1):
-        assert policy(tok("5"), ds) == learned_gates(params, tok("5"), ds)
+        assert policy[5][ds] == learned_gates(params, 5, ds)
+
+
+def test_logits_read_the_one_hot_column():
+    # w @ onehot(token) + b, with the flag appended for the dense-mode
+    # head, is exactly the token's column of w plus b.
+    rng = np.random.default_rng(7)
+    params = GateParams({
+        name: (rng.normal(size=(n_out, n_in)), rng.normal(size=n_out))
+        for name, n_out, n_in in HEAD_SHAPES
+    })
+    for name, _, n_in in HEAD_SHAPES:
+        w, b = params.head(name)
+        for token_id in range(VOCAB_SIZE):
+            for ds in (0, 1):
+                x = np.zeros(n_in)
+                x[token_id] = 1.0
+                if name == "denseop":
+                    x[VOCAB_SIZE] = ds
+                assert np.array_equal(gates._logits(params, name, token_id, ds), w @ x + b)
 
 
 def test_agreement_table_covers_the_domain():
@@ -129,7 +158,7 @@ def test_zero_params_do_not_agree():
 
 def test_label_events_records_decimal_flag():
     events = label_events("1.1")
-    assert [e.token.char for e in events] == ["1", ".", "1"]
+    assert [e.token_id for e in events] == [1, DOT_ID, 1]
     assert [e.decimal_started for e in events] == [0, 0, 1]
     assert events[2].target.dense_mode == DenseOpMode.BASE_MUL_ADD
 
@@ -147,8 +176,7 @@ def test_label_events_operator_targets():
 
 def test_label_events_terminator_stops_the_replay():
     events = label_events("12$34")
-    assert [e.token.char for e in events] == ["1", "2", "$"]
-    assert events[2].token.id == TERMINATOR_ID
+    assert [e.token_id for e in events] == [1, 2, TERMINATOR_ID]
 
 
 def test_label_events_propagates_malformed_number():
@@ -171,10 +199,9 @@ def test_empty_corpus_rejected():
 
 def test_single_event_loss_decreases():
     events = label_events("7")
-    params, _ = train_gates(events, TrainConfig(steps_max=1))
-    before = event_loss(GateParams.zeros(), events[0])
-    after = event_loss(params, events[0])
-    assert after < before
+    params, before = train_gates(events, TrainConfig(steps_max=1))
+    _, after = train_gates(events, TrainConfig(freeze=True, repeats=1), init=params)
+    assert after.events[0].raw < before.events[0].raw
 
 
 def test_freeze_leaves_params_at_init():
@@ -210,7 +237,7 @@ def test_small_epochs_repeat_chunks():
     assert len(events) == 9
     _, trace = train_gates(events, TrainConfig(epoch_size=4, repeats=2))
     assert [e.token_id for e in trace.events[:8]] == [
-        e.token.id for e in (events[:4] + events[:4])
+        e.token_id for e in (events[:4] + events[:4])
     ]
     assert len(trace.events) == 2 * len(events)
     assert len(trace.epoch_mean) == 6
@@ -245,6 +272,21 @@ def trained_params():
     return params
 
 
+def test_train_gates_matches_one_hot_reference(monkeypatch):
+    # Column indexing must reproduce the one-hot matrix products bit for
+    # bit: the same params and the same loss trace.
+    events = events_from_lines(gen_dot_place(20, 5) + gen_numbers_ops(25, 5))
+    assert 300 <= len(events) <= 600
+    config = TrainConfig(epoch_size=40, repeats=2)
+    params, trace = train_gates(events, config)
+    monkeypatch.setattr(gates, "_train_step", onehot_train_step)
+    ref_params, ref_trace = train_gates(events, config)
+    for name, _, _ in HEAD_SHAPES:
+        for got, want in zip(params.head(name), ref_params.head(name)):
+            assert got.tobytes() == want.tobytes()
+    assert trace == ref_trace
+
+
 def test_trained_gates_reach_full_agreement(trained_params):
     table = agreement_table(trained_params)
     bad = [r for r in table if not r.ok]
@@ -265,11 +307,32 @@ def test_trained_policy_swaps_into_conversion(trained_params):
 def test_dot_place_alone_fixes_decimal_machinery():
     params, _ = train_gates(events_from_lines(gen_dot_place(100, 0)))
     policy = make_learned_policy(params)
-    for digit in "0123456789":
+    for digit in range(10):
         for ds in (0, 1):
-            assert policy(tok(digit), ds).digit == int(digit)
-            assert policy(tok(digit), ds).dense_mode == rule_gates(tok(digit), ds).dense_mode
-    assert policy(tok("."), 0).decimal_start == 1
+            assert policy[digit][ds].digit == digit
+            assert policy[digit][ds].dense_mode == rule_gates[digit][ds].dense_mode
+    assert policy[DOT_ID][0].decimal_start == 1
+
+
+def test_learned_policy_rejects_leading_dot(trained_params):
+    policy = make_learned_policy(trained_params)
+    for text in (".5", "1 .5 +"):
+        with pytest.raises(MalformedNumber):
+            convert(encode(text), policy)
+
+
+def _outcome(text, policy):
+    try:
+        return convert(encode(text), policy)
+    except ConversionError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet="0123456789. +-*/$x")))
+def test_learned_table_converts_like_rule_table(trained_params, text):
+    policy = make_learned_policy(trained_params)
+    assert _outcome(text, policy) == _outcome(text, rule_gates)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +355,7 @@ def test_load_rejects_bad_version(tmp_path):
     save_params(GateParams.zeros(), path)
     text = path.read_text().replace('"format_version": 1', '"format_version": 99')
     path.write_text(text)
-    with pytest.raises(ValueError):
+    with pytest.raises(GateError):
         load_params(path)
 
 
@@ -304,7 +367,7 @@ def test_load_rejects_bad_shape(tmp_path):
     payload = json.loads(path.read_text())
     payload["digit_w"] = [[0.0] * 3] * 10
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError):
+    with pytest.raises(GateError):
         load_params(path)
 
 
@@ -316,5 +379,5 @@ def test_load_rejects_non_finite(tmp_path):
     payload = json.loads(path.read_text())
     payload["op_b"] = [0.0, float("inf"), 0.0, 0.0, 0.0]
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError):
+    with pytest.raises(GateError):
         load_params(path)

@@ -6,6 +6,7 @@ from gatecalc.conversion import convert
 from gatecalc.evaluator import DivisionByZero, evaluate
 from gatecalc.gates import rule_gates
 from gatecalc.infix import (
+    MAX_NESTING,
     BinOp,
     Number,
     ParseError,
@@ -14,7 +15,8 @@ from gatecalc.infix import (
     to_infix,
     to_postfix,
 )
-from gatecalc.tokenizer import Op, encode
+from gatecalc.render import render
+from gatecalc.tokenizer import OP_TO_CHAR, Op, encode
 from helpers import ast_value, random_ast, rel_close
 
 
@@ -126,3 +128,29 @@ def test_postfix_pipeline_matches_eval_infix():
         ast = random_ast(rng, depth=3)
         machine = evaluate(convert(encode(to_postfix(ast)), rule_gates))
         assert rel_close(machine, eval_infix(ast))
+
+
+def _postfix_by_recursion(node) -> str:
+    if isinstance(node, Number):
+        return render(node.value)
+    left, right = _postfix_by_recursion(node.left), _postfix_by_recursion(node.right)
+    return f"{left} {right} {OP_TO_CHAR[node.op]}"
+
+
+def test_to_postfix_matches_recursive_walk():
+    rng = random.Random(4242)
+    for _ in range(500):
+        ast = random_ast(rng, depth=5)
+        assert to_postfix(ast) == _postfix_by_recursion(ast)
+
+
+def test_to_postfix_handles_long_chains():
+    ast = parse_infix(" + ".join(["1"] * 1000))
+    assert to_postfix(ast) == "1 1 +" + " 1 +" * 998
+
+
+def test_nesting_is_bounded():
+    at_bound = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
+    assert parse_infix(at_bound) == Number(1.0)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_infix("(" + at_bound + ")")

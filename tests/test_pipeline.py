@@ -214,3 +214,17 @@ def test_pipeline_result_defaults():
     result = PipelineResult(answer="x", injected=False, expression="")
     assert result.trace is None
     assert result.diagnostic is None
+
+
+def test_long_chain_is_answered():
+    question = " + ".join(["1"] * 1000) + " = ?"
+    result = run(question, config=PipelineConfig(capacity=1999))
+    assert result.injected is True
+    assert result.answer == "1000"
+
+
+def test_deeply_nested_prompt_is_declined():
+    question = "(" * 400 + "1" + ")" * 400 + " = ?"
+    result = run(question)
+    assert result.injected is False
+    assert result.answer == question

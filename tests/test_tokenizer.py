@@ -1,12 +1,13 @@
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gatecalc.tokenizer import (
     DOT_ID,
+    ID_TO_CHAR,
     MINUS_ID,
     OTHER_ID,
+    OTHER_PLACEHOLDER,
     PLUS_ID,
     SLASH_ID,
     SPACE_ID,
@@ -14,79 +15,61 @@ from gatecalc.tokenizer import (
     TERMINATOR_ID,
     VOCAB_SIZE,
     Op,
-    Token,
-    decode,
-    embed,
     encode,
-    token_for_id,
 )
+
+from helpers import onehot
 
 VOCAB_CHARS = "0123456789.+-*/ $"
 
 
+def chars(ids: bytes) -> str:
+    return "".join(ID_TO_CHAR.get(i, OTHER_PLACEHOLDER) for i in ids)
+
+
 def test_digit_ids_match_values():
     for d in range(10):
-        stream = encode(str(d))
-        assert stream[0].id == d
+        assert encode(str(d)) == bytes([d])
 
 
 def test_special_char_ids():
-    assert encode(".")[0].id == DOT_ID
-    assert encode("+")[0].id == PLUS_ID
-    assert encode("-")[0].id == MINUS_ID
-    assert encode("*")[0].id == STAR_ID
-    assert encode("/")[0].id == SLASH_ID
-    assert encode(" ")[0].id == SPACE_ID
-    assert encode("$")[0].id == TERMINATOR_ID
+    assert encode(".")[0] == DOT_ID
+    assert encode("+")[0] == PLUS_ID
+    assert encode("-")[0] == MINUS_ID
+    assert encode("*")[0] == STAR_ID
+    assert encode("/")[0] == SLASH_ID
+    assert encode(" ")[0] == SPACE_ID
+    assert encode("$")[0] == TERMINATOR_ID
 
 
 def test_unknown_chars_collapse_to_other():
     for ch in "abcXYZ#?!€\t\n":
-        assert encode(ch)[0].id == OTHER_ID
+        assert encode(ch) == bytes([OTHER_ID])
 
 
 def test_encode_simple_expression():
-    ids = [t.id for t in encode("3 5 +")]
-    assert ids == [3, SPACE_ID, 5, SPACE_ID, PLUS_ID]
+    assert list(encode("3 5 +")) == [3, SPACE_ID, 5, SPACE_ID, PLUS_ID]
 
 
 def test_encode_empty():
-    assert len(encode("")) == 0
-
-
-def test_tokens_keep_source_char():
-    stream = encode("a3")
-    assert stream[0].char == "a"
-    assert stream[0].id == OTHER_ID
-    assert stream[1].char == "3"
+    assert encode("") == b""
 
 
 def test_embed_is_one_hot_basis():
-    for token_id in range(VOCAB_SIZE):
-        v = embed(token_for_id(token_id))
+    # Every id encode produces selects one basis vector of the input space.
+    ids = set(encode(VOCAB_CHARS + "a"))
+    assert ids == set(range(VOCAB_SIZE))
+    for token_id in ids:
+        v = onehot(token_id)
         assert v.shape == (VOCAB_SIZE,)
         assert v[token_id] == 1.0
         assert np.sum(v) == 1.0
 
 
 def test_embeddings_are_orthonormal():
-    vectors = [embed(token_for_id(i)) for i in range(VOCAB_SIZE)]
+    vectors = [onehot(i) for i in range(VOCAB_SIZE)]
     gram = np.array([[float(a @ b) for b in vectors] for a in vectors])
     assert np.array_equal(gram, np.eye(VOCAB_SIZE))
-
-
-def test_token_predicates():
-    assert Token(7, "7").is_digit()
-    assert not Token(DOT_ID, ".").is_digit()
-    assert Token(PLUS_ID, "+").is_op()
-    assert not Token(SPACE_ID, " ").is_op()
-
-
-def test_token_for_id_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        token_for_id(VOCAB_SIZE)
-    with pytest.raises(ValueError):
-        token_for_id(-1)
 
 
 def test_op_enum_values():
@@ -95,10 +78,10 @@ def test_op_enum_values():
 
 @given(st.text(alphabet=VOCAB_CHARS))
 def test_round_trip_over_vocabulary(text):
-    assert decode(encode(text)) == text
+    assert chars(encode(text)) == text
 
 
 @given(st.text())
 def test_round_trip_canonicalizes_unknowns(text):
     canonical = "".join(ch if ch in VOCAB_CHARS else "?" for ch in text)
-    assert decode(encode(text)) == canonical
+    assert chars(encode(text)) == canonical
