@@ -43,7 +43,6 @@ from .evaluator import (
     ReductionStep,
     evaluate,
     evaluate_with_trace,
-    reduce_once,
     stack_oracle,
 )
 from .gates import (
@@ -72,7 +71,6 @@ from .infix import (
     ParseError,
     eval_infix,
     parse_infix,
-    to_infix,
     to_postfix,
 )
 from .pipeline import (

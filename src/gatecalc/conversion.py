@@ -84,9 +84,6 @@ class DenseProgram:
     def length(self) -> int:
         return len(self.valid)
 
-    def clone(self) -> "DenseProgram":
-        return DenseProgram(list(self.valid), list(self.dense), list(self.ops))
-
     def to_json_dict(self) -> dict:
         return {
             "valid": list(self.valid),

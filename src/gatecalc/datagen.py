@@ -229,9 +229,9 @@ def mix_datasets(
         raise DataError(f"fraction must be strictly between 0 and 1, got {arith_fraction}")
     if not arith or not other:
         raise EmptyInput("both record lists must be non-empty")
-    n_total = min(
-        int(len(arith) / arith_fraction + 1e-9),
-        int(len(other) / (1.0 - arith_fraction) + 1e-9),
+    # The minimum is taken before int(), as one quotient may be infinite.
+    n_total = int(
+        min(len(arith) / arith_fraction, len(other) / (1.0 - arith_fraction)) + 1e-9
     )
     n_arith = round(arith_fraction * n_total)
     n_other = n_total - n_arith
@@ -271,10 +271,13 @@ def write_json_array(path: str | Path, records: Iterable[dict | QARecord]) -> No
 def read_records(path: str | Path) -> list[dict]:
     """Records from a JSONL file or a single JSON array file."""
     text = Path(path).read_text(encoding="utf-8")
-    if text.lstrip().startswith("["):
-        rows = json.loads(text)
-    else:
-        rows = [json.loads(line) for line in text.splitlines() if line.strip()]
+    try:
+        if text.lstrip().startswith("["):
+            rows = json.loads(text)
+        else:
+            rows = [json.loads(line) for line in text.splitlines() if line.strip()]
+    except RecursionError:
+        raise DataError(f"{path}: JSON nested too deeply") from None
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise DataError(f"{path}: record {i} is not a JSON object")

@@ -1,13 +1,22 @@
 """Reduction machine for dense postfix programs.
 
-Evaluation repeatedly rewrites the program in place of a stack: scan the
-slots left to right, remember the last two live numbers, and at the
-first live operator fold those two into one. Each reduction stores the
-result in the later operand's slot and retires the earlier operand and
-the operator. A well-formed program ends with exactly one live number.
+The paper's rule reduces a program by rescanning it: walk the slots left
+to right, remember the last two live numbers, and at the first live
+operator fold those two into one. Each fold stores the result in the
+later operand's slot and retires the earlier operand and the operator. A
+well-formed program ends with exactly one live number.
+
+Every operator left of the first live one has already been folded away,
+so one left-to-right pass makes the same folds: keep a stack of the live
+number slots seen so far, and at each live operator pop the last two and
+push the later slot back holding the result. evaluate_with_trace does
+that in time linear in the program length and records the folds in the
+order, and with the slots, the rescanning rule would. The rescanning
+loop itself is kept in the tests as the reference the trace is checked
+against.
 
 stack_oracle is a deliberately independent textbook evaluator kept for
-cross-checking; it shares nothing with the reduction path but the
+cross-checking values; it shares nothing with the reduction path but the
 operator arithmetic.
 """
 
@@ -79,63 +88,37 @@ def apply_op(op: Op, a: float, b: float) -> float:
     raise MalformedPostfix(f"cannot apply op {op!r}")
 
 
-def _find_reduction(program: DenseProgram) -> tuple[int, int, int]:
-    """Indices (a, b, k): the two cached numbers and the first live operator."""
-    a = None
-    b = None
-    for i in range(program.length):
-        if not program.valid[i]:
-            continue
-        if program.ops[i] == Op.NONE:
-            a, b = b, i
-        else:
-            if a is None or b is None:
-                raise MalformedPostfix(
-                    f"operator at slot {i} has fewer than two numbers before it"
-                )
-            return a, b, i
-    raise MalformedPostfix("no live operator to reduce")
-
-
-def _reduce_in_place(program: DenseProgram) -> ReductionStep:
-    a, b, k = _find_reduction(program)
-    op = program.ops[k]
-    lhs = program.dense[a]
-    rhs = program.dense[b]
-    result = apply_op(op, lhs, rhs)
-    program.dense[b] = result
-    program.valid[a] = 0
-    program.valid[k] = 0
-    program.ops[k] = Op.NONE
-    return ReductionStep(a, b, k, op, (lhs, rhs), result)
-
-
-def reduce_once(program: DenseProgram) -> DenseProgram:
-    """One reduction on a copy; the input program is never touched."""
-    out = program.clone()
-    _reduce_in_place(out)
-    return out
-
-
-def _has_live_op(program: DenseProgram) -> bool:
-    return any(
-        program.valid[i] and program.ops[i] != Op.NONE
-        for i in range(program.length)
-    )
-
-
 def evaluate_with_trace(program: DenseProgram) -> EvalTrace:
-    """Reduce to a single number, recording every fold along the way."""
-    work = program.clone()
+    """Reduce to a single number, recording every fold along the way.
+
+    One pass over the slots; the program is only read, never copied.
+    """
+    valid, dense, ops = program.valid, program.dense, program.ops
     steps: list[ReductionStep] = []
-    while _has_live_op(work):
-        steps.append(_reduce_in_place(work))
-    survivors = [i for i in range(work.length) if work.valid[i]]
-    if len(survivors) != 1:
+    # (slot, value) of every live number left of the scan position; a
+    # fold's result stays live in the later operand's slot.
+    live: list[tuple[int, float]] = []
+    for i in range(program.length):
+        if not valid[i]:
+            continue
+        op = ops[i]
+        if op == Op.NONE:
+            live.append((i, dense[i]))
+            continue
+        if len(live) < 2:
+            raise MalformedPostfix(
+                f"operator at slot {i} has fewer than two numbers before it"
+            )
+        b, rhs = live.pop()
+        a, lhs = live.pop()
+        result = apply_op(op, lhs, rhs)
+        live.append((b, result))
+        steps.append(ReductionStep(a, b, i, op, (lhs, rhs), result))
+    if len(live) != 1:
         raise MalformedPostfix(
-            f"{len(survivors)} numbers remain after all reductions, expected 1"
+            f"{len(live)} numbers remain after all reductions, expected 1"
         )
-    return EvalTrace(steps=steps, final=work.dense[survivors[0]])
+    return EvalTrace(steps=steps, final=live[0][1])
 
 
 def evaluate(program: DenseProgram) -> float:

@@ -397,7 +397,11 @@ def save_params(params: GateParams, path: str | Path) -> None:
 
 
 def load_params(path: str | Path) -> GateParams:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise GateError(f"{path}: JSON nested too deeply") from None
     if not isinstance(payload, dict):
         raise GateError(f"{path}: expected a JSON object")
     version = payload.get("format_version")

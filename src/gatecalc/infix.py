@@ -1,4 +1,4 @@
-"""Infix question parsing and its bridges to postfix and back.
+"""Infix question parsing, its bridge to postfix, and tree evaluation.
 
 The grammar is deliberately small: non-negative decimal literals, the
 four binary operators with the usual precedence and left associativity,
@@ -39,8 +39,6 @@ InfixAst = Union[Number, BinOp]
 
 _ANSWER_SUFFIX = re.compile(r"\s*=\s*\?\s*$")
 _NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?")
-
-_PRECEDENCE = {Op.ADD: 1, Op.SUB: 1, Op.MUL: 2, Op.DIV: 2}
 
 # Deepest parenthesis nesting the parser accepts. Each level costs three
 # Python frames, so this keeps any question well inside the recursion limit.
@@ -138,25 +136,26 @@ def to_postfix(ast: InfixAst) -> str:
     return " ".join(parts)
 
 
-def to_infix(ast: InfixAst) -> str:
-    """Expression text with the fewest parentheses that preserve the tree."""
-    if isinstance(ast, Number):
-        return render(ast.value)
-    prec = _PRECEDENCE[ast.op]
-    left = to_infix(ast.left)
-    if isinstance(ast.left, BinOp) and _PRECEDENCE[ast.left.op] < prec:
-        left = f"({left})"
-    right = to_infix(ast.right)
-    if isinstance(ast.right, BinOp) and _PRECEDENCE[ast.right.op] <= prec:
-        right = f"({right})"
-    return f"{left} {OP_TO_CHAR[ast.op]} {right}"
-
-
 def eval_infix(ast: InfixAst) -> float:
-    """Reference tree evaluation; raises DivisionByZero like the machine."""
-    if isinstance(ast, Number):
-        return ast.value
-    return apply_op(ast.op, eval_infix(ast.left), eval_infix(ast.right))
+    """Reference tree evaluation; raises DivisionByZero like the machine.
+
+    Like to_postfix, the walk keeps its own stack, so a long operator
+    chain cannot exhaust Python's recursion limit.
+    """
+    values: list[float] = []
+    # Nodes still to visit, and operators due once both operand values
+    # are on the value stack.
+    todo: list[InfixAst | Op] = [ast]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, BinOp):
+            todo += (node.op, node.right, node.left)
+        elif isinstance(node, Number):
+            values.append(node.value)
+        else:
+            rhs = values.pop()
+            values.append(apply_op(node, values.pop(), rhs))
+    return values[0]
 
 
 __all__ = [
@@ -167,6 +166,5 @@ __all__ = [
     "ParseError",
     "eval_infix",
     "parse_infix",
-    "to_infix",
     "to_postfix",
 ]

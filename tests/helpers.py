@@ -1,8 +1,10 @@
-"""Shared generators for property and sweep tests.
+"""Shared generators and reference implementations for the tests.
 
 Random programs and expression trees are built with their expected
 values computed during construction, using plain Python arithmetic that
-shares nothing with the machinery under test.
+shares nothing with the machinery under test. The reference reduction
+is the paper's rescanning rule, which the evaluator's single pass must
+reproduce fold for fold.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import random
 import numpy as np
 
 from gatecalc.conversion import DenseProgram
+from gatecalc.evaluator import EvalTrace, MalformedPostfix, ReductionStep, apply_op
 from gatecalc.gates import (
     BINARY_HEADS,
     HEAD_SHAPES,
@@ -21,7 +24,8 @@ from gatecalc.gates import (
     _softmax_loss_grad,
 )
 from gatecalc.infix import BinOp, Number
-from gatecalc.tokenizer import VOCAB_SIZE, Op
+from gatecalc.render import render
+from gatecalc.tokenizer import OP_TO_CHAR, VOCAB_SIZE, Op
 
 ALL_OPS = (Op.ADD, Op.SUB, Op.MUL, Op.DIV)
 
@@ -104,6 +108,71 @@ def random_malformed(rng: random.Random, max_slots: int = 6) -> DenseProgram:
             return _program_from_slots(slots)
 
 
+def _copy_program(program: DenseProgram) -> DenseProgram:
+    return DenseProgram(list(program.valid), list(program.dense), list(program.ops))
+
+
+def _find_reduction(program: DenseProgram) -> tuple[int, int, int]:
+    """Indices (a, b, k): the two cached numbers and the first live operator."""
+    a = None
+    b = None
+    for i in range(program.length):
+        if not program.valid[i]:
+            continue
+        if program.ops[i] == Op.NONE:
+            a, b = b, i
+        else:
+            if a is None or b is None:
+                raise MalformedPostfix(
+                    f"operator at slot {i} has fewer than two numbers before it"
+                )
+            return a, b, i
+    raise MalformedPostfix("no live operator to reduce")
+
+
+def _reduce_in_place(program: DenseProgram) -> ReductionStep:
+    a, b, k = _find_reduction(program)
+    op = program.ops[k]
+    lhs = program.dense[a]
+    rhs = program.dense[b]
+    result = apply_op(op, lhs, rhs)
+    program.dense[b] = result
+    program.valid[a] = 0
+    program.valid[k] = 0
+    program.ops[k] = Op.NONE
+    return ReductionStep(a, b, k, op, (lhs, rhs), result)
+
+
+def reference_reduce_once(program: DenseProgram) -> DenseProgram:
+    """The paper's rule, one fold on a copy: rescan from slot 0, cache the
+    last two live numbers, fold them at the first live operator."""
+    out = _copy_program(program)
+    _reduce_in_place(out)
+    return out
+
+
+def _has_live_op(program: DenseProgram) -> bool:
+    return any(
+        program.valid[i] and program.ops[i] != Op.NONE
+        for i in range(program.length)
+    )
+
+
+def reference_evaluate_with_trace(program: DenseProgram) -> EvalTrace:
+    """The rescanning rule folded to the end, quadratic in the program
+    length; evaluate_with_trace must give the same trace and errors."""
+    work = _copy_program(program)
+    steps: list[ReductionStep] = []
+    while _has_live_op(work):
+        steps.append(_reduce_in_place(work))
+    survivors = [i for i in range(work.length) if work.valid[i]]
+    if len(survivors) != 1:
+        raise MalformedPostfix(
+            f"{len(survivors)} numbers remain after all reductions, expected 1"
+        )
+    return EvalTrace(steps=steps, final=work.dense[survivors[0]])
+
+
 def random_value(rng: random.Random, limit: int = 1000, decimals: int = 2) -> float:
     return rng.randrange(0, limit * 10**decimals + 1) / 10**decimals
 
@@ -131,6 +200,23 @@ def _ast_value(node) -> float:
 def ast_value(node) -> float:
     """Tree value by direct recursion, independent of the package evaluator."""
     return _ast_value(node)
+
+
+_PRECEDENCE = {Op.ADD: 1, Op.SUB: 1, Op.MUL: 2, Op.DIV: 2}
+
+
+def to_infix(ast) -> str:
+    """Expression text with the fewest parentheses that preserve the tree."""
+    if isinstance(ast, Number):
+        return render(ast.value)
+    prec = _PRECEDENCE[ast.op]
+    left = to_infix(ast.left)
+    if isinstance(ast.left, BinOp) and _PRECEDENCE[ast.left.op] < prec:
+        left = f"({left})"
+    right = to_infix(ast.right)
+    if isinstance(ast.right, BinOp) and _PRECEDENCE[ast.right.op] <= prec:
+        right = f"({right})"
+    return f"{left} {OP_TO_CHAR[ast.op]} {right}"
 
 
 def onehot(token_id: int, n_in: int = VOCAB_SIZE) -> np.ndarray:

@@ -287,6 +287,7 @@ def _gates_json(**changes) -> str:
 _NESTED = "(" * 400 + "1" + ")" * 400 + " = ?"
 _TRAIN = ["train-gates", "--data", "c.txt", "--out", "g.json"]
 _MIX = ["gen", "mix", "--arith", "a.jsonl", "--other", "a.jsonl", "--out", "m.jsonl"]
+_DEEP_JSON = "[" * 200_000
 _QA = json.dumps({"instruction": "q", "input": "1 + 1", "output": "2", "swift_express": "1 1 +"})
 
 
@@ -310,11 +311,15 @@ _QA = json.dumps({"instruction": "q", "input": "1 + 1", "output": "2", "swift_ex
     ({}, ["eval", ".5"]),
     ({}, ["eval", "1 .5 +"]),
     ({}, ["to-postfix", _NESTED]),
+    ({"g.json": _DEEP_JSON}, ["verify-gates", "--gates", "g.json"]),
+    ({"c.txt": _DEEP_JSON}, _TRAIN),
+    ({"a.jsonl": _DEEP_JSON}, _MIX),
 ], ids=[
     "gates-version", "gates-not-object", "gates-missing-head", "gates-shape",
     "gates-ragged", "gates-non-finite", "records-not-objects", "records-no-postfix",
     "data-not-utf8", "epoch-size-0", "repeats-0", "mix-not-objects", "fraction-above-1",
     "fraction-0", "render-junk", "leading-dot", "leading-dot-after-space", "deep-nesting",
+    "gates-deep-json", "records-deep-json", "mix-deep-json",
 ])
 def test_bad_input_prints_one_error_line(capsys, tmp_path, monkeypatch, files, argv):
     monkeypatch.chdir(tmp_path)

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -192,6 +193,26 @@ def test_mix_limited_by_scarcer_side():
     mixed = mix_datasets(arith, other_records(10), 0.6, seed=2)
     n_arith = sum(1 for r in mixed if "swift_express" in r)
     assert abs(n_arith / len(mixed) - 0.6) <= 1.0 / len(mixed)
+
+
+@pytest.mark.parametrize("fraction, n_arith, n_other", [(1e-320, 0, 4), (1 - 1e-16, 6, 0)])
+def test_mix_extreme_fractions(fraction, n_arith, n_other):
+    arith = [r.to_dict() for r in gen_arith_qa(GenConfig(count=6, seed=1))]
+    mixed = mix_datasets(arith, other_records(4), fraction, seed=2)
+    assert sum(1 for r in mixed if "swift_express" in r) == n_arith
+    assert len(mixed) == n_arith + n_other
+
+
+def test_mix_total_is_the_smaller_per_side_total():
+    rng = random.Random(11)
+    arith = [r.to_dict() for r in gen_arith_qa(GenConfig(count=50, seed=1))]
+    for _ in range(1000):
+        n_a, n_o = rng.randint(1, 50), rng.randint(1, 50)
+        fraction = rng.choice((rng.random(), rng.randint(1, 99) / 100))
+        if not 0.0 < fraction < 1.0:
+            continue
+        want = min(int(n_a / fraction + 1e-9), int(n_o / (1.0 - fraction) + 1e-9))
+        assert len(mix_datasets(arith[:n_a], other_records(n_o), fraction)) == want
 
 
 def test_mix_passes_records_through_untouched():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,15 +8,22 @@ from hypothesis import strategies as st
 from gatecalc.conversion import DenseProgram, convert
 from gatecalc.evaluator import (
     DivisionByZero,
+    EvalError,
     MalformedPostfix,
     evaluate,
     evaluate_with_trace,
-    reduce_once,
     stack_oracle,
 )
 from gatecalc.gates import rule_gates
 from gatecalc.tokenizer import Op, encode
-from helpers import random_malformed, random_program, rel_close
+from helpers import (
+    ALL_OPS,
+    random_malformed,
+    random_program,
+    reference_evaluate_with_trace,
+    reference_reduce_once,
+    rel_close,
+)
 
 
 def program(dense_ops):
@@ -29,7 +37,7 @@ def program(dense_ops):
 
 def test_reduce_once_folds_leftmost_operator():
     before = program([3.0, 5.0, Op.ADD])
-    after = reduce_once(before)
+    after = reference_reduce_once(before)
     assert after.valid == [0, 1, 0]
     assert after.dense[1] == 8.0
     assert after.ops == [Op.NONE] * 3
@@ -40,19 +48,19 @@ def test_reduce_once_folds_leftmost_operator():
 
 def test_reduce_once_uses_last_two_live_numbers():
     p = program([2.0, 3.0, 4.0, Op.MUL, Op.ADD])
-    step1 = reduce_once(p)
+    step1 = reference_reduce_once(p)
     assert step1.valid == [1, 0, 1, 0, 1]
     assert step1.dense[2] == 12.0
-    step2 = reduce_once(step1)
+    step2 = reference_reduce_once(step1)
     assert step2.dense[2] == 14.0
     assert step2.valid == [0, 0, 1, 0, 0]
 
 
 def test_reduce_once_underflow():
     with pytest.raises(MalformedPostfix):
-        reduce_once(program([Op.ADD]))
+        reference_reduce_once(program([Op.ADD]))
     with pytest.raises(MalformedPostfix):
-        reduce_once(program([5.0, Op.ADD]))
+        reference_reduce_once(program([5.0, Op.ADD]))
 
 
 # Expected values below are worked by hand from the postfix reading.
@@ -167,7 +175,7 @@ def test_each_reduction_retires_one_number_and_one_operator():
             ops = sum(1 for i in range(p.length) if p.valid[i] and p.ops[i] != Op.NONE)
             if ops == 0:
                 break
-            p = reduce_once(p)
+            p = reference_reduce_once(p)
             assert sum(p.valid) == live - 2
 
 
@@ -176,3 +184,115 @@ def test_each_reduction_retires_one_number_and_one_operator():
 def test_single_number_program_evaluates_to_itself(n):
     p = convert(encode(str(n)), rule_gates)
     assert evaluate(p) == float(n)
+
+
+def _outcome(evaluate_fn, p: DenseProgram) -> str:
+    """Trace JSON, or the error a caller would see in a diagnostic."""
+    try:
+        return json.dumps(evaluate_fn(p).to_json_dict())
+    except EvalError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_trace_matches_reference(p: DenseProgram) -> None:
+    before = (list(p.valid), list(p.dense), list(p.ops))
+    assert _outcome(evaluate_with_trace, p) == _outcome(reference_evaluate_with_trace, p)
+    assert (p.valid, p.dense, p.ops) == before
+
+
+def _retire_some(rng: random.Random, p: DenseProgram) -> DenseProgram:
+    for i in range(p.length):
+        if rng.random() < 0.2:
+            p.valid[i] = 0
+            p.dense[i] = rng.uniform(-10.0, 10.0)
+    return p
+
+
+def test_trace_matches_rescanning_rule_on_random_programs():
+    rng = random.Random(2023)
+    for _ in range(20000):
+        p, _ = random_program(rng, max_operands=30)
+        _assert_trace_matches_reference(p)
+
+
+def test_trace_matches_rescanning_rule_on_malformed_programs():
+    rng = random.Random(2024)
+    for _ in range(5000):
+        _assert_trace_matches_reference(_retire_some(rng, random_malformed(rng, max_slots=12)))
+
+
+def test_trace_matches_rescanning_rule_on_zero_divisors():
+    rng = random.Random(2025)
+    seen = set()
+    for _ in range(2000):
+        p, _ = random_program(rng, max_operands=12)
+        for i in range(p.length):
+            if p.ops[i] == Op.NONE:
+                p.dense[i] = float(rng.choice((0, 0, 1, 2)))
+            elif rng.random() < 0.5:
+                p.ops[i] = Op.DIV
+        _assert_trace_matches_reference(p)
+        seen.add(_outcome(evaluate_with_trace, p).split(":")[0])
+    assert "DivisionByZero" in seen
+
+
+class _CountingList(list):
+    """A list that counts its element reads, by index or by iteration."""
+
+    def __init__(self, items, reads: list[int]):
+        super().__init__(items)
+        self.reads = reads
+
+    def __getitem__(self, index):
+        self.reads[0] += 1
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads[0] += 1
+            yield item
+
+
+class _CountingFlag(int):
+    """A valid flag that counts its truth tests, which still happen when
+    the evaluator works on a copy of the list."""
+
+    def __new__(cls, value: int, tests: list[int]):
+        flag = super().__new__(cls, value)
+        flag.tests = tests
+        return flag
+
+    def __bool__(self):
+        self.tests[0] += 1
+        return int(self) != 0
+
+
+def _chain(rng: random.Random, n_operands: int, left_deep: bool) -> list:
+    """Left-deep: an operator after each number past the first. Right-deep:
+    every number first, then every operator (no division, as a divisor is
+    then a running result that may be zero)."""
+    numbers = [float(rng.randint(1, 9)) for _ in range(n_operands)]
+    if left_deep:
+        slots = numbers[:1]
+        for x in numbers[1:]:
+            slots += [x, rng.choice(ALL_OPS)]
+        return slots
+    return numbers + [rng.choice((Op.ADD, Op.SUB, Op.MUL)) for _ in numbers[1:]]
+
+
+@pytest.mark.parametrize("left_deep", [True, False], ids=["left-deep", "right-deep"])
+@pytest.mark.parametrize("n_operands", [512, 4096])
+def test_evaluation_reads_each_slot_a_bounded_number_of_times(n_operands, left_deep):
+    reads, tests = [0], [0]
+    p = program(_chain(random.Random(n_operands), n_operands, left_deep))
+    p = DenseProgram(
+        _CountingList([_CountingFlag(v, tests) for v in p.valid], reads),
+        _CountingList(p.dense, reads),
+        _CountingList(p.ops, reads),
+    )
+    trace = evaluate_with_trace(p)
+    assert len(trace.steps) == n_operands - 1
+    # Rescanning from slot 0 for every fold would make about length**2 / 2
+    # reads, or, on a copy, as many truth tests of the right-deep flags.
+    assert reads[0] <= 4 * p.length
+    assert tests[0] <= p.length

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -12,12 +13,11 @@ from gatecalc.infix import (
     ParseError,
     eval_infix,
     parse_infix,
-    to_infix,
     to_postfix,
 )
 from gatecalc.render import render
 from gatecalc.tokenizer import OP_TO_CHAR, Op, encode
-from helpers import ast_value, random_ast, rel_close
+from helpers import ast_value, random_ast, random_value, rel_close, to_infix
 
 
 def test_parse_simple_question():
@@ -120,6 +120,21 @@ def test_eval_matches_independent_recursion():
     for _ in range(400):
         ast = random_ast(rng, depth=4)
         assert rel_close(eval_infix(ast), ast_value(ast))
+
+
+def test_eval_infix_handles_long_chains():
+    rng = random.Random(1000)
+    terms = [str(random_value(rng, limit=100) + 1) for _ in range(1000)]
+    text = terms[0] + "".join(f" {rng.choice('+-*/')} {t}" for t in terms[1:])
+    ast = parse_infix(text)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2000)
+    try:
+        want = ast_value(ast)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert eval_infix(ast) == want
+    assert eval_infix(parse_infix(" + ".join(["1"] * 1000))) == 1000.0
 
 
 def test_postfix_pipeline_matches_eval_infix():

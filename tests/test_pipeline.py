@@ -1,6 +1,9 @@
 import random
 
+from gatecalc.conversion import convert
 from gatecalc.datagen import GenConfig, Stage, gen_questions
+from gatecalc.evaluator import stack_oracle
+from gatecalc.gates import rule_gates
 from gatecalc.infix import eval_infix, parse_infix
 from gatecalc.pipeline import (
     PayloadTooLong,
@@ -15,6 +18,7 @@ from gatecalc.pipeline import (
     run,
 )
 from gatecalc.render import render
+from gatecalc.tokenizer import encode
 
 import pytest
 
@@ -221,6 +225,18 @@ def test_long_chain_is_answered():
     result = run(question, config=PipelineConfig(capacity=1999))
     assert result.injected is True
     assert result.answer == "1000"
+
+
+def test_very_long_chain_matches_stack_oracle():
+    rng = random.Random(4096)
+    terms = [str(rng.randint(1, 9)) for _ in range(4096)]
+    question = terms[0] + "".join(f" {rng.choice('+-*')} {t}" for t in terms[1:]) + " = ?"
+    capacity = 2 * len(terms) - 1
+    result = run(question, config=PipelineConfig(capacity=capacity))
+    assert result.injected is True
+    want = stack_oracle(convert(encode(result.expression), rule_gates, capacity))
+    assert result.trace.final == want
+    assert result.answer == render(want)
 
 
 def test_deeply_nested_prompt_is_declined():
