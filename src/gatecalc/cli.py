@@ -29,7 +29,7 @@ from .datagen import (
 )
 from .evaluator import EvalError, evaluate_with_trace
 from .gates import (
-    AGREEMENT_FIELDS,
+    GateDecision,
     GateError,
     TrainConfig,
     agreement_table,
@@ -48,6 +48,11 @@ from .tokenizer import encode
 
 class BadArgument(Exception):
     """A command line value the verb cannot use."""
+
+
+# Longest injection segment `run --inject-len` accepts; the segment is
+# built as a string of that many characters.
+MAX_INJECT_LEN = 1024
 
 
 _ERRORS = (
@@ -157,11 +162,11 @@ def cmd_train_gates(args: argparse.Namespace) -> int:
 
 def cmd_verify_gates(args: argparse.Namespace) -> int:
     rows = agreement_table(load_params(args.gates))
-    header = ["token", "flag"] + list(AGREEMENT_FIELDS) + ["all"]
+    header = ["token", "flag"] + list(GateDecision.__slots__) + ["all"]
     print(" ".join(f"{h:>13}" for h in header))
     for row in rows:
         cells = [repr(row.char), str(row.decimal_started)]
-        cells += ["ok" if row.matches[f] else "MISMATCH" for f in AGREEMENT_FIELDS]
+        cells += ["ok" if row.matches[f] else "MISMATCH" for f in GateDecision.__slots__]
         cells.append("ok" if row.ok else "MISMATCH")
         print(" ".join(f"{c:>13}" for c in cells))
     good = sum(1 for r in rows if r.ok)
@@ -170,11 +175,9 @@ def cmd_verify_gates(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = PipelineConfig(
-        draft_len=args.draft_len,
-        inject_len=args.inject_len,
-        policy=_policy_from_args(args),
-    )
+    if args.inject_len > MAX_INJECT_LEN:
+        raise BadArgument(f"--inject-len must be at most {MAX_INJECT_LEN}, got {args.inject_len}")
+    config = PipelineConfig(inject_len=args.inject_len, policy=_policy_from_args(args))
     result = run(args.question, config=config)
     print(json.dumps(result.to_json_dict()))
     return 0
@@ -259,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="answer one prompt through the full pipeline")
     p.add_argument("question")
     p.add_argument("--gates", help="gate parameter file (default: rule policy)")
-    p.add_argument("--draft-len", type=int, default=32)
-    p.add_argument("--inject-len", type=int, default=16)
+    p.add_argument("--inject-len", type=int, default=16,
+                   help=f"injected segment length, at most {MAX_INJECT_LEN}")
     p.set_defaults(func=cmd_run)
 
     return parser

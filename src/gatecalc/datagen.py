@@ -45,7 +45,11 @@ class Stage(str, Enum):
     PRIORITY = "priority"
 
 
+# Fewest and most operators in a question of each stage.
 _STAGE_OPS = {Stage.EASY: (1, 2), Stage.PRIORITY: (2, 4)}
+# Question literals lie in [0, _MAX_VALUE) with up to _MAX_DECIMALS decimals.
+_MAX_VALUE = 100
+_MAX_DECIMALS = 2
 
 
 @dataclass
@@ -53,20 +57,6 @@ class GenConfig:
     count: int
     seed: int = 0
     stage: Stage = Stage.EASY
-    max_value: float = 100.0
-    max_decimals: int = 2
-    ops_min: int | None = None
-    ops_max: int | None = None
-
-    def ops_range(self) -> tuple[int, int]:
-        lo, hi = _STAGE_OPS[self.stage]
-        if self.ops_min is not None:
-            lo = self.ops_min
-        if self.ops_max is not None:
-            hi = self.ops_max
-        if not 1 <= lo <= hi:
-            raise ValueError(f"bad operator count range [{lo}, {hi}]")
-        return lo, hi
 
 
 @dataclass
@@ -174,17 +164,16 @@ def qa_record(question: str) -> QARecord:
     return QARecord(INSTRUCTION_TEXT, question, output, swift)
 
 
-def _qa_literal(config: GenConfig, rng: random.Random, nonzero: bool = False) -> str:
-    scale = 10 ** rng.randint(0, config.max_decimals)
+def _qa_literal(rng: random.Random, nonzero: bool = False) -> str:
+    scale = 10 ** rng.randint(0, _MAX_DECIMALS)
     while True:
-        value = rng.randrange(0, int(round(config.max_value * scale))) / scale
+        value = rng.randrange(0, _MAX_VALUE * scale) / scale
         if not nonzero or value != 0.0:
             return render(value)
 
 
 def _qa_question(config: GenConfig, rng: random.Random) -> str:
-    lo, hi = config.ops_range()
-    n_ops = rng.randint(lo, hi)
+    n_ops = rng.randint(*_STAGE_OPS[config.stage])
     ops = [rng.choice(_OP_CHARS) for _ in range(n_ops)]
     if config.stage == Stage.PRIORITY and n_ops >= 2:
         # Force a low-precedence operator somewhere before a high one, so
@@ -193,9 +182,9 @@ def _qa_question(config: GenConfig, rng: random.Random) -> str:
         i = rng.randrange(0, j)
         ops[i] = rng.choice("+-")
         ops[j] = rng.choice("*/")
-    text = _qa_literal(config, rng)
+    text = _qa_literal(rng)
     for op in ops:
-        text += f" {op} {_qa_literal(config, rng, nonzero=(op == '/'))}"
+        text += f" {op} {_qa_literal(rng, nonzero=(op == '/'))}"
     return text + " = ?"
 
 
@@ -250,10 +239,6 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
             fh.write(line + "\n")
 
 
-def read_lines(path: str | Path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
-
-
 def write_jsonl(path: str | Path, records: Iterable[dict | QARecord]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for record in records:
@@ -276,8 +261,12 @@ def read_records(path: str | Path) -> list[dict]:
             rows = json.loads(text)
         else:
             rows = [json.loads(line) for line in text.splitlines() if line.strip()]
+    except json.JSONDecodeError:
+        raise
     except RecursionError:
         raise DataError(f"{path}: JSON nested too deeply") from None
+    except ValueError:  # int() refuses a literal past Python's digit limit
+        raise DataError(f"{path}: JSON integer has too many digits") from None
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise DataError(f"{path}: record {i} is not a JSON object")

@@ -46,7 +46,9 @@ from .tokenizer import (
 
 FORMAT_VERSION = 1
 
-# name, classes, input width
+# name, classes, input width; one head per GateDecision field, in field
+# order. A two-class head is binary; the head one column wider than the
+# vocabulary also reads the decimal flag, in its last column.
 HEAD_SHAPES: tuple[tuple[str, int, int], ...] = (
     ("ignore", 2, VOCAB_SIZE),
     ("move", 2, VOCAB_SIZE),
@@ -55,8 +57,6 @@ HEAD_SHAPES: tuple[tuple[str, int, int], ...] = (
     ("digit", 10, VOCAB_SIZE),
     ("op", 5, VOCAB_SIZE),
 )
-
-BINARY_HEADS = ("ignore", "move", "decimal")
 
 
 class GateError(ValueError):
@@ -67,7 +67,7 @@ class EmptyCorpus(GateError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateDecision:
     """Everything the conversion machine needs to know about one token."""
 
@@ -77,6 +77,10 @@ class GateDecision:
     dense_mode: DenseOpMode
     digit: int
     op: Op
+
+    def __iter__(self):
+        """Field values in declaration order, which is HEAD_SHAPES order."""
+        return (getattr(self, name) for name in self.__slots__)
 
 
 # A gate policy: VOCAB_SIZE rows of (decision at flag 0, decision at flag 1).
@@ -125,15 +129,12 @@ class GateParams:
     def clone(self) -> "GateParams":
         return GateParams({name: (w.copy(), b.copy()) for name, (w, b) in self.heads.items()})
 
-    def head(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        return self.heads[name]
-
 
 def _logits(params: GateParams, name: str, token_id: int, decimal_started: int) -> np.ndarray:
     """w @ x + b for the one-hot input x, read as column token_id of w."""
     w, b = params.heads[name]
     z = w[:, token_id]
-    if name == "denseop" and decimal_started:
+    if decimal_started and w.shape[1] > VOCAB_SIZE:
         z = z + w[:, VOCAB_SIZE]
     return z + b
 
@@ -141,17 +142,11 @@ def _logits(params: GateParams, name: str, token_id: int, decimal_started: int) 
 def learned_gates(params: GateParams, token_id: int, decimal_started: int) -> GateDecision:
     """Argmax of every head. All-zero params answer class 0 everywhere."""
 
-    def argmax(name: str) -> int:
-        return int(np.argmax(_logits(params, name, token_id, decimal_started)))
-
-    return GateDecision(
-        ignore=argmax("ignore"),
-        move=argmax("move"),
-        decimal_start=argmax("decimal"),
-        dense_mode=DenseOpMode(argmax("denseop")),
-        digit=argmax("digit"),
-        op=Op(argmax("op")),
+    ignore, move, decimal_start, dense_mode, digit, op = (
+        int(np.argmax(_logits(params, name, token_id, decimal_started)))
+        for name, _, _ in HEAD_SHAPES
     )
+    return GateDecision(ignore, move, decimal_start, DenseOpMode(dense_mode), digit, Op(op))
 
 
 def make_learned_policy(params: GateParams) -> GateTable:
@@ -236,18 +231,6 @@ def _event_weight(event: GateEvent, config: TrainConfig) -> float:
     return 1.0
 
 
-def _event_targets(event: GateEvent) -> dict[str, int]:
-    t = event.target
-    return {
-        "ignore": t.ignore,
-        "move": t.move,
-        "decimal": t.decimal_start,
-        "denseop": int(t.dense_mode),
-        "digit": t.digit,
-        "op": int(t.op),
-    }
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
@@ -274,15 +257,14 @@ def _train_step(
 ) -> tuple[float, float]:
     """One gradient step over all heads. Returns (raw, weighted) loss."""
     weight = _event_weight(event, config)
-    targets = _event_targets(event)
     token_id, flag = event.token_id, event.decimal_started
     raw = 0.0
-    for name, _, _ in HEAD_SHAPES:
+    for (name, n_out, n_in), target in zip(HEAD_SHAPES, event.target):
         z = _logits(params, name, token_id, flag)
-        if name in BINARY_HEADS:
-            loss, dz = _binary_loss_grad(z, targets[name])
+        if n_out == 2:
+            loss, dz = _binary_loss_grad(z, target)
         else:
-            loss, dz = _softmax_loss_grad(z, targets[name])
+            loss, dz = _softmax_loss_grad(z, target)
         raw += loss
         if not config.freeze:
             # The outer product of dz with a one-hot input is dz in the
@@ -291,7 +273,7 @@ def _train_step(
             w, b = params.heads[name]
             delta = config.lr * weight * dz
             w[:, token_id] -= delta
-            if name == "denseop" and flag:
+            if flag and n_in > VOCAB_SIZE:
                 w[:, VOCAB_SIZE] -= delta
             b -= delta
     return raw, weight * raw
@@ -351,9 +333,6 @@ def train_gates(
 # Agreement with the reference
 
 
-AGREEMENT_FIELDS = ("ignore", "move", "decimal_start", "dense_mode", "digit", "op")
-
-
 @dataclass(frozen=True)
 class AgreementRow:
     token_id: int
@@ -371,15 +350,9 @@ def agreement_table(params: GateParams) -> list[AgreementRow]:
         char = ID_TO_CHAR.get(token_id, OTHER_PLACEHOLDER)
         for ds in (0, 1):
             want, got = rule_gates[token_id][ds], learned[token_id][ds]
-            matches = {
-                f: getattr(want, f) == getattr(got, f) for f in AGREEMENT_FIELDS
-            }
+            matches = {f: x == y for f, x, y in zip(GateDecision.__slots__, want, got)}
             rows.append(AgreementRow(token_id, char, ds, matches, all(matches.values())))
     return rows
-
-
-def full_agreement(params: GateParams) -> bool:
-    return all(row.ok for row in agreement_table(params))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +363,7 @@ def save_params(params: GateParams, path: str | Path) -> None:
     """Flat JSON, arrays as nested lists. Round trips bit exactly."""
     payload: dict = {"format_version": FORMAT_VERSION}
     for name, _, _ in HEAD_SHAPES:
-        w, b = params.head(name)
+        w, b = params.heads[name]
         payload[f"{name}_w"] = w.tolist()
         payload[f"{name}_b"] = b.tolist()
     Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
@@ -400,8 +373,12 @@ def load_params(path: str | Path) -> GateParams:
     text = Path(path).read_text(encoding="utf-8")
     try:
         payload = json.loads(text)
+    except json.JSONDecodeError:
+        raise
     except RecursionError:
         raise GateError(f"{path}: JSON nested too deeply") from None
+    except ValueError:  # int() refuses a literal past Python's digit limit
+        raise GateError(f"{path}: JSON integer has too many digits") from None
     if not isinstance(payload, dict):
         raise GateError(f"{path}: expected a JSON object")
     version = payload.get("format_version")

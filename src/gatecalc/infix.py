@@ -8,11 +8,12 @@ Unary minus does not exist; a leading dot does not start a number.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
 
-from .evaluator import DivisionByZero, apply_op
+from .evaluator import apply_op
 from .render import render
 from .tokenizer import CHAR_TO_OP, OP_TO_CHAR, Op
 
@@ -98,8 +99,11 @@ class _Parser:
         match = _NUMBER.match(self.text, self.pos)
         if not match:
             raise self.error("expected a number or '('")
+        value = float(match.group())
+        if math.isinf(value):
+            raise self.error("number too large")
         self.pos = match.end()
-        return Number(float(match.group()))
+        return Number(value)
 
     def expect_end(self) -> None:
         if self.peek() != "":
@@ -160,7 +164,6 @@ def eval_infix(ast: InfixAst) -> float:
 
 __all__ = [
     "BinOp",
-    "DivisionByZero",
     "InfixAst",
     "Number",
     "ParseError",

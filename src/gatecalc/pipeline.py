@@ -21,7 +21,6 @@ from .infix import ParseError, parse_infix, to_postfix
 from .render import NonFinite, render
 from .tokenizer import TERMINATOR_CHAR, encode
 
-DEFAULT_DRAFT_LEN = 32
 DEFAULT_INJECT_LEN = 16
 
 Predictor = Callable[[str], "PredictorOutput"]
@@ -34,12 +33,10 @@ class PayloadTooLong(ValueError):
 
 @dataclass(frozen=True)
 class PredictorOutput:
-    """Expression head output: an enable flag, the expression, and the raw
-    decoded text the flag and expression were carved from."""
+    """Expression head output: an enable flag and a postfix expression."""
 
     enable: int
     expression: str
-    raw: str
 
 
 @dataclass(frozen=True)
@@ -50,7 +47,6 @@ class InjectionSegment:
 
 @dataclass
 class PipelineConfig:
-    draft_len: int = DEFAULT_DRAFT_LEN
     inject_len: int = DEFAULT_INJECT_LEN
     capacity: int = DEFAULT_CAPACITY
     policy: GateTable = rule_gates
@@ -76,20 +72,17 @@ class PipelineResult:
         return out
 
 
-def reference_predictor(question: str, draft_len: int = DEFAULT_DRAFT_LEN) -> PredictorOutput:
+def reference_predictor(question: str) -> PredictorOutput:
     """Deterministic stand-in for a trained expression head.
 
     A prompt that parses as an infix question enables the machine and
-    carries its postfix translation after a fixed draft pad; anything
-    else disables it. The raw field mimics the decoded output layout:
-    one enable character, draft_len blanks, then the expression.
+    carries its postfix translation; anything else disables it.
     """
     try:
         ast = parse_infix(question)
     except ParseError:
-        return PredictorOutput(0, "", "0" + " " * draft_len)
-    expression = to_postfix(ast)
-    return PredictorOutput(1, expression, "1" + " " * draft_len + expression)
+        return PredictorOutput(0, "")
+    return PredictorOutput(1, to_postfix(ast))
 
 
 def make_segment(result: float, inject_len: int = DEFAULT_INJECT_LEN) -> InjectionSegment:
@@ -101,10 +94,6 @@ def make_segment(result: float, inject_len: int = DEFAULT_INJECT_LEN) -> Injecti
         )
     text = payload + TERMINATOR_CHAR + " " * (inject_len - len(payload) - 1)
     return InjectionSegment(payload=payload, text=text)
-
-
-def inject(prompt: str, result: float, inject_len: int = DEFAULT_INJECT_LEN) -> str:
-    return prompt + make_segment(result, inject_len).text
 
 
 def extract_segment_payload(prompt: str, inject_len: int = DEFAULT_INJECT_LEN) -> str | None:
@@ -148,7 +137,7 @@ def run(
     """
     config = config or PipelineConfig()
     if predictor is None:
-        predictor = lambda q: reference_predictor(q, config.draft_len)
+        predictor = reference_predictor
     if responder is None:
         responder = make_echo_responder(config.inject_len)
 
@@ -160,7 +149,7 @@ def run(
     try:
         program = convert(encode(predicted.expression), config.policy, config.capacity)
         trace = evaluate_with_trace(program)
-        prompt = inject(question, trace.final, config.inject_len)
+        prompt = question + make_segment(trace.final, config.inject_len).text
     except (ConversionError, EvalError, NonFinite, PayloadTooLong) as exc:
         return PipelineResult(
             answer=responder(question),

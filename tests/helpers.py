@@ -16,10 +16,8 @@ import numpy as np
 from gatecalc.conversion import DenseProgram
 from gatecalc.evaluator import EvalTrace, MalformedPostfix, ReductionStep, apply_op
 from gatecalc.gates import (
-    BINARY_HEADS,
     HEAD_SHAPES,
     _binary_loss_grad,
-    _event_targets,
     _event_weight,
     _softmax_loss_grad,
 )
@@ -231,16 +229,15 @@ def onehot_train_step(params, event, config) -> tuple[float, float]:
     one-hot input, with the decimal flag appended for the dense-mode head.
     A drop-in for gates._train_step, to check the column-indexed step."""
     weight = _event_weight(event, config)
-    targets = _event_targets(event)
     raw = 0.0
-    for name, _, n_in in HEAD_SHAPES:
-        w, b = params.head(name)
+    for (name, n_out, n_in), target in zip(HEAD_SHAPES, event.target):
+        w, b = params.heads[name]
         x = onehot(event.token_id, n_in)
-        if name == "denseop":
+        if n_in > VOCAB_SIZE:
             x[-1] = float(event.decimal_started)
         z = w @ x + b
-        grad = _binary_loss_grad if name in BINARY_HEADS else _softmax_loss_grad
-        loss, dz = grad(z, targets[name])
+        grad = _binary_loss_grad if n_out == 2 else _softmax_loss_grad
+        loss, dz = grad(z, target)
         raw += loss
         if not config.freeze:
             w -= config.lr * weight * np.outer(dz, x)

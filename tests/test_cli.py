@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gatecalc.cli import main
 from gatecalc.datagen import read_records
@@ -288,6 +292,8 @@ _NESTED = "(" * 400 + "1" + ")" * 400 + " = ?"
 _TRAIN = ["train-gates", "--data", "c.txt", "--out", "g.json"]
 _MIX = ["gen", "mix", "--arith", "a.jsonl", "--other", "a.jsonl", "--out", "m.jsonl"]
 _DEEP_JSON = "[" * 200_000
+# More digits than Python's int() accepts from a string.
+_LONG_INT = "1" * 5000
 _QA = json.dumps({"instruction": "q", "input": "1 + 1", "output": "2", "swift_express": "1 1 +"})
 
 
@@ -314,12 +320,17 @@ _QA = json.dumps({"instruction": "q", "input": "1 + 1", "output": "2", "swift_ex
     ({"g.json": _DEEP_JSON}, ["verify-gates", "--gates", "g.json"]),
     ({"c.txt": _DEEP_JSON}, _TRAIN),
     ({"a.jsonl": _DEEP_JSON}, _MIX),
+    ({"g.json": _LONG_INT}, ["verify-gates", "--gates", "g.json"]),
+    ({"c.txt": '{"swift_express": ' + _LONG_INT + "}"}, _TRAIN),
+    ({}, ["to-postfix", "1" * 400]),
+    ({}, ["run", "3 + 5 = ?", "--inject-len", str(10**30)]),
 ], ids=[
     "gates-version", "gates-not-object", "gates-missing-head", "gates-shape",
     "gates-ragged", "gates-non-finite", "records-not-objects", "records-no-postfix",
     "data-not-utf8", "epoch-size-0", "repeats-0", "mix-not-objects", "fraction-above-1",
     "fraction-0", "render-junk", "leading-dot", "leading-dot-after-space", "deep-nesting",
-    "gates-deep-json", "records-deep-json", "mix-deep-json",
+    "gates-deep-json", "records-deep-json", "mix-deep-json", "gates-long-int",
+    "records-long-int", "literal-past-float-range", "inject-len-huge",
 ])
 def test_bad_input_prints_one_error_line(capsys, tmp_path, monkeypatch, files, argv):
     monkeypatch.chdir(tmp_path)
@@ -337,3 +348,51 @@ def test_run_declines_deep_nesting(capsys):
     code, out, _ = run_cli(capsys, "run", _NESTED)
     assert code == 0
     assert json.loads(out)["answer"] == _NESTED
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-gates", "--gates", "bad.json"],
+    ["train-gates", "--data", "bad.json", "--out", "g.json"],
+])
+def test_malformed_json_keeps_the_decoder_message(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text("{1}")
+    with pytest.raises(json.JSONDecodeError) as info:
+        json.loads("{1}")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err == f"error: {info.value}\n"
+
+
+def test_run_has_no_draft_len_flag(capsys):
+    code, out, _ = run_cli(capsys, "run", "3 + 5 = ?", "--draft-len", "32")
+    assert code == 2
+    assert out == ""
+
+
+_ARGV_GROUPS = st.one_of(
+    st.sampled_from(["--trace", "--inject-len", "--draft-len", "-h"]).map(lambda f: [f]),
+    st.integers(-1000, 10**6).map(lambda n: [str(n)]),
+    st.text(max_size=30).map(lambda t: [t]),
+    # --gates only with a missing file: a drawn path could name a device.
+    st.just(["--gates", "no-such-file.json"]),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@example(["run", "3 + 5 = ?", "--inject-len", str(10**30)])
+@example(["run", "3 + 5 = ?", "--draft-len", "32"])
+@example(["to-postfix", "9" * 400 + " + 1 = ?"])
+@given(st.builds(
+    lambda verb, groups: [verb] + [token for group in groups for token in group],
+    st.sampled_from(["eval", "convert", "to-postfix", "render", "run"]),
+    st.lists(_ARGV_GROUPS, max_size=5),
+))
+def test_main_returns_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1

@@ -9,12 +9,12 @@ from gatecalc.datagen import gen_dot_place, gen_numbers_ops
 from gatecalc.gates import (
     HEAD_SHAPES,
     EmptyCorpus,
+    GateDecision,
     GateError,
     GateParams,
     TrainConfig,
     agreement_table,
     events_from_lines,
-    full_agreement,
     label_events,
     learned_gates,
     load_params,
@@ -130,7 +130,7 @@ def test_logits_read_the_one_hot_column():
         for name, n_out, n_in in HEAD_SHAPES
     })
     for name, _, n_in in HEAD_SHAPES:
-        w, b = params.head(name)
+        w, b = params.heads[name]
         for token_id in range(VOCAB_SIZE):
             for ds in (0, 1):
                 x = np.zeros(n_in)
@@ -148,8 +148,24 @@ def test_agreement_table_covers_the_domain():
     }
 
 
+def test_heads_follow_decision_fields():
+    # Training and agreement pair head i with decision field i, so every
+    # reference value must be a class of the head at its position, and
+    # only the dense-mode head may read the decimal flag.
+    assert len(HEAD_SHAPES) == len(GateDecision.__slots__)
+    for row in rule_gates:
+        for decision in row:
+            for (_, n_out, _), value in zip(HEAD_SHAPES, decision):
+                assert 0 <= value < n_out
+    flag_fields = [
+        field for field, (_, _, n_in) in zip(GateDecision.__slots__, HEAD_SHAPES)
+        if n_in > VOCAB_SIZE
+    ]
+    assert flag_fields == ["dense_mode"]
+
+
 def test_zero_params_do_not_agree():
-    assert not full_agreement(GateParams.zeros())
+    assert not all(row.ok for row in agreement_table(GateParams.zeros()))
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +225,8 @@ def test_freeze_leaves_params_at_init():
     params, trace = train_gates(events, TrainConfig(freeze=True, repeats=1))
     zeros = GateParams.zeros()
     for name in ("ignore", "move", "decimal", "denseop", "digit", "op"):
-        w, b = params.head(name)
-        zw, zb = zeros.head(name)
+        w, b = params.heads[name]
+        zw, zb = zeros.heads[name]
         assert np.array_equal(w, zw)
         assert np.array_equal(b, zb)
     assert len(trace.events) == len(events)
@@ -226,8 +242,8 @@ def test_training_resumes_from_init():
     events = events_from_lines(gen_dot_place(20, 1))
     params_a, _ = train_gates(events, TrainConfig(repeats=1))
     params_b, _ = train_gates(events, TrainConfig(repeats=1), init=params_a)
-    w_a, _ = params_a.head("digit")
-    w_b, _ = params_b.head("digit")
+    w_a, _ = params_a.heads["digit"]
+    w_b, _ = params_b.heads["digit"]
     assert not np.array_equal(w_a, w_b)
 
 
@@ -282,7 +298,7 @@ def test_train_gates_matches_one_hot_reference(monkeypatch):
     monkeypatch.setattr(gates, "_train_step", onehot_train_step)
     ref_params, ref_trace = train_gates(events, config)
     for name, _, _ in HEAD_SHAPES:
-        for got, want in zip(params.head(name), ref_params.head(name)):
+        for got, want in zip(params.heads[name], ref_params.heads[name]):
             assert got.tobytes() == want.tobytes()
     assert trace == ref_trace
 
@@ -291,7 +307,6 @@ def test_trained_gates_reach_full_agreement(trained_params):
     table = agreement_table(trained_params)
     bad = [r for r in table if not r.ok]
     assert bad == []
-    assert full_agreement(trained_params)
 
 
 def test_trained_policy_swaps_into_conversion(trained_params):
@@ -344,8 +359,8 @@ def test_params_round_trip_bit_exact(tmp_path, trained_params):
     save_params(trained_params, path)
     loaded = load_params(path)
     for name in ("ignore", "move", "decimal", "denseop", "digit", "op"):
-        w, b = trained_params.head(name)
-        lw, lb = loaded.head(name)
+        w, b = trained_params.heads[name]
+        lw, lb = loaded.heads[name]
         assert np.array_equal(w, lw)
         assert np.array_equal(b, lb)
 

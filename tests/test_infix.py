@@ -30,6 +30,12 @@ def test_parse_bare_number():
     assert parse_infix("12.5 = ?") == Number(12.5)
 
 
+def test_literal_past_float_range_is_a_parse_error():
+    with pytest.raises(ParseError, match=r"number too large \(at position 0\)"):
+        parse_infix("9" * 400 + " + 1 = ?")
+    assert parse_infix("1" + "0" * 300) == Number(1e300)
+
+
 def test_answer_suffix_is_optional_and_flexible():
     for text in ("3 + 5", "3 + 5 = ?", "3 + 5 =?", "3 + 5  =  ?  "):
         assert parse_infix(text) == BinOp(Op.ADD, Number(3.0), Number(5.0))

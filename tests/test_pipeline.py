@@ -11,7 +11,6 @@ from gatecalc.pipeline import (
     PipelineResult,
     PredictorOutput,
     extract_segment_payload,
-    inject,
     make_echo_responder,
     make_segment,
     reference_predictor,
@@ -21,6 +20,8 @@ from gatecalc.render import render
 from gatecalc.tokenizer import encode
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 
 # ---------------------------------------------------------------------------
@@ -31,19 +32,12 @@ def test_predictor_enables_on_arithmetic():
     out = reference_predictor("3 + 5 = ?")
     assert out.enable == 1
     assert out.expression == "3 5 +"
-    assert out.raw == "1" + " " * 32 + "3 5 +"
 
 
 def test_predictor_declines_general_text():
     out = reference_predictor("Design a logo for a food store.")
     assert out.enable == 0
     assert out.expression == ""
-    assert out.raw == "0" + " " * 32
-
-
-def test_predictor_draft_len_is_configurable():
-    out = reference_predictor("7", draft_len=4)
-    assert out.raw == "1    7"
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +66,15 @@ def test_segment_too_long():
 
 
 def test_inject_appends_only():
-    prompt = "What is 3 + 5 = ?"
-    injected = inject(prompt, 8.0, 16)
-    assert injected.startswith(prompt)
-    assert len(injected) == len(prompt) + 16
+    prompt = "3 + 5 = ?"
+    seen = []
+    run(prompt, responder=lambda p: seen.append(p) or p)
+    assert seen[0].startswith(prompt)
+    assert len(seen[0]) == len(prompt) + 16
 
 
 def test_extract_round_trip():
-    prompt = inject("3 + 5 = ?", 8.0, 16)
+    prompt = "3 + 5 = ?" + make_segment(8.0, 16).text
     assert extract_segment_payload(prompt, 16) == "8"
 
 
@@ -113,7 +108,7 @@ def test_segment_format_sweep():
 
 def test_echo_reads_injected_answer():
     respond = make_echo_responder(16)
-    assert respond(inject("3 + 5 = ?", 8.0, 16)) == "8"
+    assert respond("3 + 5 = ?" + make_segment(8.0, 16).text) == "8"
 
 
 def test_echo_passes_general_prompts_byte_identical():
@@ -153,7 +148,7 @@ def test_division_by_zero_is_contained():
 
 
 def test_malformed_expression_from_custom_predictor():
-    predictor = lambda q: PredictorOutput(1, "3 +", "1 3 +")
+    predictor = lambda q: PredictorOutput(1, "3 +")
     result = run("whatever", predictor=predictor)
     assert result.injected is False
     assert result.answer == "whatever"
@@ -244,3 +239,30 @@ def test_deeply_nested_prompt_is_declined():
     result = run(question)
     assert result.injected is False
     assert result.answer == question
+
+
+@pytest.mark.parametrize("question", ["1" * 400, "9" * 400 + " + 1 = ?"],
+                         ids=["400-ones", "400-nines-plus-one"])
+def test_literal_past_float_range_is_declined(question):
+    result = run(question)
+    assert result.injected is False
+    assert result.answer == question
+    assert result.expression == ""
+    assert result.diagnostic is None
+
+
+# Digits and the question alphabet, drawn more often than other characters.
+_PROMPT_CHARS = st.one_of(st.sampled_from("0123456789" * 2 + ".+-*/()=? "), st.characters())
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@example("1" * 400)
+@example("9" * 400 + " + 1 = ?")
+@given(st.text(_PROMPT_CHARS, max_size=60))
+def test_run_never_raises(text):
+    result = run(text)
+    assert isinstance(result.answer, str)
+    if result.injected:
+        assert result.diagnostic is None and result.trace is not None
+    else:
+        assert result.trace is None
