@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .conversion import ConversionError, convert
 from .datagen import (
@@ -41,18 +42,19 @@ from .gates import (
     train_gates,
 )
 from .infix import ParseError, parse_infix, to_postfix
-from .pipeline import PayloadTooLong, PipelineConfig, run
+from .pipeline import (
+    DEFAULT_INJECT_LEN,
+    MAX_INJECT_LEN,
+    PayloadTooLong,
+    PipelineConfig,
+    run,
+)
 from .render import NonFinite, render
 from .tokenizer import encode
 
 
 class BadArgument(Exception):
     """A command line value the verb cannot use."""
-
-
-# Longest injection segment `run --inject-len` accepts; the segment is
-# built as a string of that many characters.
-MAX_INJECT_LEN = 1024
 
 
 _ERRORS = (
@@ -143,15 +145,7 @@ def cmd_train_gates(args: argparse.Namespace) -> int:
     for path in args.data:
         lines.extend(load_training_lines(path))
     events = events_from_lines(lines)
-    config = TrainConfig(
-        epoch_size=args.epoch_size,
-        repeats=args.repeats,
-        lr=args.lr,
-        steps_max=args.steps_max,
-        dot_weight=args.dot_weight,
-        op_weight=args.op_weight,
-        freeze=args.freeze,
-    )
+    config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     params, trace = train_gates(events, config)
     save_params(params, args.out)
     for i, mean in enumerate(trace.epoch_mean):
@@ -175,8 +169,6 @@ def cmd_verify_gates(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.inject_len > MAX_INJECT_LEN:
-        raise BadArgument(f"--inject-len must be at most {MAX_INJECT_LEN}, got {args.inject_len}")
     config = PipelineConfig(inject_len=args.inject_len, policy=_policy_from_args(args))
     result = run(args.question, config=config)
     print(json.dumps(result.to_json_dict()))
@@ -245,12 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", nargs="+", required=True,
                    help="text or record files; records contribute their postfix field")
     p.add_argument("--out", required=True)
-    p.add_argument("--epoch-size", type=int, default=50)
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--steps-max", type=int, default=None)
-    p.add_argument("--dot-weight", type=float, default=5.0)
-    p.add_argument("--op-weight", type=float, default=5.0)
+    train = TrainConfig()
+    p.add_argument("--epoch-size", type=int, default=train.epoch_size)
+    p.add_argument("--repeats", type=int, default=train.repeats)
+    p.add_argument("--lr", type=float, default=train.lr)
+    p.add_argument("--steps-max", type=int, default=train.steps_max)
+    p.add_argument("--dot-weight", type=float, default=train.dot_weight)
+    p.add_argument("--op-weight", type=float, default=train.op_weight)
     p.add_argument("--freeze", action="store_true",
                    help="record losses without updating parameters")
     p.set_defaults(func=cmd_train_gates)
@@ -262,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="answer one prompt through the full pipeline")
     p.add_argument("question")
     p.add_argument("--gates", help="gate parameter file (default: rule policy)")
-    p.add_argument("--inject-len", type=int, default=16,
+    p.add_argument("--inject-len", type=int, default=DEFAULT_INJECT_LEN,
                    help=f"injected segment length, at most {MAX_INJECT_LEN}")
     p.set_defaults(func=cmd_run)
 

@@ -1,12 +1,12 @@
 """Gated conversion of token ids into dense numbers and operator slots.
 
-The converter walks the ids once, left to right, holding a position
-pointer into a fixed-capacity array of output slots. For each token a
-gate decision says how the token participates: whether it is ignored,
-whether it moves the position, whether it starts the decimal part of the
-current number, how a digit folds into the number under construction,
-and which operator an operator character carries. The machine itself
-only applies those decisions and keeps the slot bookkeeping honest.
+The converter walks the ids once, left to right, holding the number
+under construction and appending an output slot, up to a fixed
+capacity, each time a number closes or an operator arrives. For each
+token a gate decision says whether it is ignored, whether it moves on
+to the next slot, whether it starts the decimal part of the number, how
+a digit folds into the number, and which operator an operator character
+carries. The machine only applies those decisions and keeps the slots.
 
 Decisions depend on nothing but the token id and the decimal flag, so a
 gate policy is a gates.GateTable read as table[token_id][decimal_flag].
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import TYPE_CHECKING
 
-from .tokenizer import Op, TERMINATOR_ID
+from .tokenizer import OP_TO_CHAR, TERMINATOR_ID, Op
 
 if TYPE_CHECKING:
     from .gates import GateTable
@@ -41,7 +41,7 @@ class MalformedNumber(ConversionError):
 
 
 class CapacityExceeded(ConversionError):
-    """The stream needs more output slots than the state holds."""
+    """The stream needs more output slots than the capacity allows."""
 
 
 class DenseOpMode(IntEnum):
@@ -61,13 +61,18 @@ class DenseOpMode(IntEnum):
 
 @dataclass
 class ConversionState:
-    """Mutable machine state: slot arrays plus the number-building flags."""
+    """Mutable machine state: the closed slots plus the number under construction.
+
+    number is None between numbers. The slot lists grow together, one
+    entry when a number closes or an operator claims a slot, and never
+    past capacity.
+    """
 
     capacity: int
-    pos: int = 0
     valid: list[int] = field(default_factory=list)
     dense: list[float] = field(default_factory=list)
     ops: list[Op] = field(default_factory=list)
+    number: float | None = None
     decimal_started: int = 0
     mult_base: float = 1.0
 
@@ -93,41 +98,24 @@ class DenseProgram:
 
 
 def op_json_name(op: Op) -> str:
-    from .tokenizer import OP_TO_CHAR
-
     return "none" if op == Op.NONE else OP_TO_CHAR[op]
 
 
 def init_state(capacity: int = DEFAULT_CAPACITY) -> ConversionState:
     if capacity < 1:
         raise InvalidCapacity(f"capacity must be at least 1, got {capacity}")
-    return ConversionState(
-        capacity=capacity,
-        valid=[0] * capacity,
-        dense=[0.0] * capacity,
-        ops=[Op.NONE] * capacity,
-    )
-
-
-def _number_in_progress(state: ConversionState) -> bool:
-    return (
-        state.pos < state.capacity
-        and state.valid[state.pos] == 1
-        and state.ops[state.pos] == Op.NONE
-    )
+    return ConversionState(capacity)
 
 
 def _close_number(state: ConversionState) -> None:
-    state.pos += 1
+    if state.number is None:
+        return
+    state.valid.append(1)
+    state.dense.append(state.number)
+    state.ops.append(Op.NONE)
+    state.number = None
     state.decimal_started = 0
     state.mult_base = 1.0
-
-
-def _require_slot(state: ConversionState) -> None:
-    if state.pos >= state.capacity:
-        raise CapacityExceeded(
-            f"stream needs slot {state.pos} but capacity is {state.capacity}"
-        )
 
 
 def step(state: ConversionState, token_id: int, table: GateTable) -> bool:
@@ -147,42 +135,42 @@ def step(state: ConversionState, token_id: int, table: GateTable) -> bool:
     if decision.decimal_start:
         if state.decimal_started:
             raise MalformedNumber("second decimal dot inside one number")
-        if not _number_in_progress(state):
+        if state.number is None:
             raise MalformedNumber("decimal dot with no number in progress")
         state.decimal_started = 1
         state.mult_base = 0.1
         return True
 
     if decision.move:
-        if decision.op != Op.NONE:
-            # Operator: close any number in progress, then claim a slot.
-            if _number_in_progress(state):
-                _close_number(state)
-            _require_slot(state)
-            state.ops[state.pos] = decision.op
-            state.valid[state.pos] = 1
-            state.pos += 1
+        # Spacing and operators close the number in progress, so runs of
+        # spaces collapse; an operator then claims a slot of its own.
+        _close_number(state)
+        if decision.op == Op.NONE:
             return True
-        # Spacing: closes the number in progress, otherwise does nothing,
-        # so runs of spaces collapse.
-        if _number_in_progress(state):
-            _close_number(state)
+    elif state.number is not None:
+        # A later digit folds in by the decision's mode.
+        mode, d = decision.dense_mode, float(decision.digit)
+        if mode == DenseOpMode.DIRECT_ADD:
+            state.number += d
+        elif mode == DenseOpMode.TIMES_TEN_ADD:
+            state.number = state.number * 10.0 + d
+        elif mode == DenseOpMode.BASE_MUL_ADD:
+            state.number += d * state.mult_base
+            state.mult_base /= 10.0
         return True
 
-    # Digit path. The first digit of a slot always seeds it directly; the
-    # decision's mode only matters once an accumulation is under way.
-    _require_slot(state)
-    first_digit = state.valid[state.pos] == 0
-    state.valid[state.pos] = 1
-    mode = DenseOpMode.DIRECT_ADD if first_digit else decision.dense_mode
-    d = float(decision.digit)
-    if mode == DenseOpMode.DIRECT_ADD:
-        state.dense[state.pos] += d
-    elif mode == DenseOpMode.TIMES_TEN_ADD:
-        state.dense[state.pos] = state.dense[state.pos] * 10.0 + d
-    elif mode == DenseOpMode.BASE_MUL_ADD:
-        state.dense[state.pos] += d * state.mult_base
-        state.mult_base /= 10.0
+    # An operator, or the first digit of a number, claims the next slot.
+    if len(state.valid) >= state.capacity:
+        raise CapacityExceeded(
+            f"stream needs slot {len(state.valid)} but capacity is {state.capacity}"
+        )
+    if decision.move:
+        state.valid.append(1)
+        state.dense.append(0.0)
+        state.ops.append(decision.op)
+    else:
+        # The first digit always seeds the number, whatever its mode.
+        state.number = float(decision.digit)
     return True
 
 
@@ -191,7 +179,7 @@ def convert(
     table: GateTable,
     capacity: int = DEFAULT_CAPACITY,
 ) -> DenseProgram:
-    """Run every id through the machine and freeze the populated slot prefix.
+    """Run every id through the machine and freeze the slots it filled.
 
     A trailing number with no closing space is finalized here, so
     "3 5 +" and "3 5" both come out with every slot accounted for.
@@ -200,10 +188,5 @@ def convert(
     for token_id in ids:
         if not step(state, token_id, table):
             break
-    if _number_in_progress(state):
-        _close_number(state)
-    return DenseProgram(
-        valid=state.valid[: state.pos],
-        dense=state.dense[: state.pos],
-        ops=state.ops[: state.pos],
-    )
+    _close_number(state)
+    return DenseProgram(valid=state.valid, dense=state.dense, ops=state.ops)

@@ -33,7 +33,8 @@ _JUNK_CHARS = "abcxyz#?"
 
 
 class DataError(ValueError):
-    """A mixing fraction out of range, or a record file of the wrong shape."""
+    """A negative count, a mixing fraction out of range, or a record file
+    of the wrong shape."""
 
 
 class EmptyInput(DataError):
@@ -75,6 +76,13 @@ class QARecord:
         }
 
 
+def _rng(count: int, seed: int) -> random.Random:
+    """The seeded generator behind a corpus of count items."""
+    if count < 0:
+        raise DataError(f"count must be at least 0, got {count}")
+    return random.Random(seed)
+
+
 # ---------------------------------------------------------------------------
 # Dot place
 
@@ -90,7 +98,7 @@ def dot_place_line(digits: str, dot_pos: int) -> str:
 
 def gen_dot_place(count: int, seed: int = 0) -> list[str]:
     """Five-digit decimal literals, the dot cycling through positions 1 to 4."""
-    rng = random.Random(seed)
+    rng = _rng(count, seed)
     lines = []
     for i in range(count):
         digits = str(rng.randint(1, 9)) + "".join(
@@ -121,7 +129,7 @@ def gen_numbers_ops(count: int, seed: int = 0) -> list[str]:
     terminator, and operators occasionally glue straight onto a number.
     Every line converts cleanly under the reference policy.
     """
-    rng = random.Random(seed)
+    rng = _rng(count, seed)
     lines = []
     for i in range(count):
         if i % 10 == 3:
@@ -190,7 +198,7 @@ def _qa_question(config: GenConfig, rng: random.Random) -> str:
 
 def gen_questions(config: GenConfig) -> list[str]:
     """Question texts alone, for driving the pipeline directly."""
-    rng = random.Random(config.seed)
+    rng = _rng(config.count, config.seed)
     return [_qa_question(config, rng) for _ in range(config.count)]
 
 

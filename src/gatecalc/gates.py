@@ -176,7 +176,7 @@ def label_events(text: str) -> list[GateEvent]:
     the replay, the same way it stops the converter.
     """
     ids = encode(text)
-    state = init_state(max(1, len(ids) + 1))
+    state = init_state(len(ids) + 1)
     events: list[GateEvent] = []
     for token_id in ids:
         flag = state.decimal_started

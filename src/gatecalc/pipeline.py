@@ -22,6 +22,9 @@ from .render import NonFinite, render
 from .tokenizer import TERMINATOR_CHAR, encode
 
 DEFAULT_INJECT_LEN = 16
+# Longest injection segment a PipelineConfig accepts; the segment is built
+# as a string of that many characters.
+MAX_INJECT_LEN = 1024
 
 Predictor = Callable[[str], "PredictorOutput"]
 Responder = Callable[[str], str]
@@ -50,6 +53,12 @@ class PipelineConfig:
     inject_len: int = DEFAULT_INJECT_LEN
     capacity: int = DEFAULT_CAPACITY
     policy: GateTable = rule_gates
+
+    def __post_init__(self) -> None:
+        if self.inject_len > MAX_INJECT_LEN:
+            raise PayloadTooLong(
+                f"inject_len must be at most {MAX_INJECT_LEN}, got {self.inject_len}"
+            )
 
 
 @dataclass

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gatecalc import cli
 from gatecalc.cli import main
 from gatecalc.datagen import read_records
-from gatecalc.gates import HEAD_SHAPES
+from gatecalc.gates import HEAD_SHAPES, GateParams, LossTrace, TrainConfig
 
 
 def run_cli(capsys, *argv):
@@ -324,6 +325,9 @@ _QA = json.dumps({"instruction": "q", "input": "1 + 1", "output": "2", "swift_ex
     ({"c.txt": '{"swift_express": ' + _LONG_INT + "}"}, _TRAIN),
     ({}, ["to-postfix", "1" * 400]),
     ({}, ["run", "3 + 5 = ?", "--inject-len", str(10**30)]),
+    ({}, ["gen", "dot-place", "--count", "-5", "--out", "d.txt"]),
+    ({}, ["gen", "numbers-ops", "--count", "-5", "--out", "n.txt"]),
+    ({}, ["gen", "qa", "--count", "-5", "--out", "q.jsonl"]),
 ], ids=[
     "gates-version", "gates-not-object", "gates-missing-head", "gates-shape",
     "gates-ragged", "gates-non-finite", "records-not-objects", "records-no-postfix",
@@ -331,6 +335,7 @@ _QA = json.dumps({"instruction": "q", "input": "1 + 1", "output": "2", "swift_ex
     "fraction-0", "render-junk", "leading-dot", "leading-dot-after-space", "deep-nesting",
     "gates-deep-json", "records-deep-json", "mix-deep-json", "gates-long-int",
     "records-long-int", "literal-past-float-range", "inject-len-huge",
+    "dot-place-count-negative", "numbers-ops-count-negative", "qa-count-negative",
 ])
 def test_bad_input_prints_one_error_line(capsys, tmp_path, monkeypatch, files, argv):
     monkeypatch.chdir(tmp_path)
@@ -342,6 +347,21 @@ def test_bad_input_prints_one_error_line(capsys, tmp_path, monkeypatch, files, a
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_bare_train_gates_uses_the_library_defaults(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.txt").write_text("1 2 +\n")
+    configs = []
+
+    def record_config(events, config):
+        configs.append(config)
+        return GateParams.zeros(), LossTrace()
+
+    monkeypatch.setattr(cli, "train_gates", record_config)
+    code, _, _ = run_cli(capsys, *_TRAIN)
+    assert code == 0
+    assert configs == [TrainConfig()]
 
 
 def test_run_declines_deep_nesting(capsys):

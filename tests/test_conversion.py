@@ -1,11 +1,12 @@
 import copy
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatecalc.conversion import (
     CapacityExceeded,
+    ConversionError,
     DenseOpMode,
     InvalidCapacity,
     MalformedNumber,
@@ -13,8 +14,8 @@ from gatecalc.conversion import (
     init_state,
     step,
 )
-from gatecalc.gates import rule_gates
-from gatecalc.tokenizer import Op, encode
+from gatecalc.gates import GateDecision, rule_gates
+from gatecalc.tokenizer import VOCAB_SIZE, Op, encode
 
 # Mirrors how a decimal literal relates to its float value without any of
 # the conversion machinery: Python's own parser is the oracle.
@@ -26,11 +27,13 @@ def convert_text(text, capacity=64):
 
 
 def test_init_state_shape():
+    # No slot exists until a number closes or an operator claims one.
     state = init_state(8)
-    assert state.pos == 0
-    assert state.valid == [0] * 8
-    assert state.dense == [0.0] * 8
-    assert state.ops == [Op.NONE] * 8
+    assert state.capacity == 8
+    assert state.valid == []
+    assert state.dense == []
+    assert state.ops == []
+    assert state.number is None
     assert state.decimal_started == 0
     assert state.mult_base == 1.0
 
@@ -153,10 +156,10 @@ def test_step_trace_matches_worked_example():
     state = init_state(4)
     for token_id in encode("3 5 +"):
         step(state, token_id, rule_gates)
-    assert state.pos == 3
-    assert state.valid[:3] == [1, 1, 1]
-    assert state.dense[:3] == [3.0, 5.0, 0.0]
-    assert state.ops[:3] == [Op.NONE, Op.NONE, Op.ADD]
+    assert state.valid == [1, 1, 1]
+    assert state.dense == [3.0, 5.0, 0.0]
+    assert state.ops == [Op.NONE, Op.NONE, Op.ADD]
+    assert state.number is None
 
 
 def test_position_never_decreases():
@@ -164,8 +167,8 @@ def test_position_never_decreases():
     last = 0
     for token_id in encode("12.5 + 3 * 4.75 /"):
         step(state, token_id, rule_gates)
-        assert state.pos >= last
-        last = state.pos
+        assert len(state.valid) >= last
+        last = len(state.valid)
 
 
 def test_slot_count_is_numbers_plus_operators():
@@ -229,3 +232,33 @@ def test_valid_slots_form_a_prefix(text):
     except MalformedNumber:
         return
     assert program.valid == [1] * program.length
+
+
+_DECISIONS = st.builds(
+    GateDecision,
+    st.integers(0, 1),
+    st.integers(0, 1),
+    st.integers(0, 1),
+    st.sampled_from(DenseOpMode),
+    st.integers(0, 9),
+    st.sampled_from(Op),
+)
+_TABLES = st.lists(
+    st.tuples(_DECISIONS, _DECISIONS), min_size=VOCAB_SIZE, max_size=VOCAB_SIZE
+).map(tuple)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    _TABLES,
+    st.lists(st.integers(0, VOCAB_SIZE - 1), max_size=80).map(bytes),
+    st.integers(1, 64),
+)
+def test_any_table_fills_at_most_capacity_valid_slots(table, ids, capacity):
+    try:
+        program = convert(ids, table, capacity)
+    except ConversionError:
+        return
+    assert program.length <= capacity
+    assert program.valid == [1] * program.length
+    assert len(program.dense) == len(program.ops) == program.length

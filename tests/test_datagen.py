@@ -5,6 +5,7 @@ import pytest
 
 from gatecalc.conversion import convert
 from gatecalc.datagen import (
+    DataError,
     EmptyInput,
     GenConfig,
     INSTRUCTION_TEXT,
@@ -168,6 +169,17 @@ def test_generation_is_deterministic():
     assert gen_dot_place(50, 4) == gen_dot_place(50, 4)
     assert gen_numbers_ops(50, 4) == gen_numbers_ops(50, 4)
     assert gen_arith_qa(GenConfig(count=50, seed=8)) != a
+
+
+@pytest.mark.parametrize("generate", [
+    gen_dot_place,
+    gen_numbers_ops,
+    lambda count: gen_questions(GenConfig(count=count)),
+], ids=["dot-place", "numbers-ops", "questions"])
+def test_negative_count_is_rejected(generate):
+    assert generate(0) == []
+    with pytest.raises(DataError, match="count must be at least 0"):
+        generate(-5)
 
 
 # ---------------------------------------------------------------------------

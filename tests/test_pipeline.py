@@ -6,6 +6,7 @@ from gatecalc.evaluator import stack_oracle
 from gatecalc.gates import rule_gates
 from gatecalc.infix import eval_infix, parse_infix
 from gatecalc.pipeline import (
+    MAX_INJECT_LEN,
     PayloadTooLong,
     PipelineConfig,
     PipelineResult,
@@ -160,6 +161,22 @@ def test_payload_too_long_is_contained():
     result = run("123456 + 1 = ?", config=config)
     assert result.injected is False
     assert "PayloadTooLong" in result.diagnostic
+
+
+def test_inject_len_is_bounded_when_the_config_is_built():
+    # Tested with 10**30 only: a value below 2**63 that got past the
+    # bound would be allocated as that many bytes of padding.
+    with pytest.raises(PayloadTooLong, match="at most 1024"):
+        PipelineConfig(inject_len=10**30)
+    result = run("3 + 5 = ?", config=PipelineConfig(inject_len=MAX_INJECT_LEN))
+    assert result.answer == "8"
+
+
+def test_huge_capacity_is_answered():
+    # Capacity bounds the slot count; it sizes no allocation.
+    result = run("3 + 5 = ?", config=PipelineConfig(capacity=10**30))
+    assert result.injected is True
+    assert result.answer == "8"
 
 
 def test_custom_responder_sees_augmented_prompt():
