@@ -166,8 +166,7 @@ def qa_record(question: str) -> QARecord:
     the postfix expression, so every record is self-consistent by
     construction.
     """
-    ast = parse_infix(question)
-    swift = to_postfix(ast)
+    swift = to_postfix(parse_infix(question))
     output = render(evaluate(convert(encode(swift), rule_gates)))
     return QARecord(INSTRUCTION_TEXT, question, output, swift)
 

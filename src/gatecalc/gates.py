@@ -359,11 +359,21 @@ def agreement_table(params: GateParams) -> list[AgreementRow]:
 # Serialization
 
 
+def _check_finite(name: str, w: np.ndarray, b: np.ndarray) -> None:
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+        raise GateError(f"head {name!r} contains non-finite values")
+
+
 def save_params(params: GateParams, path: str | Path) -> None:
-    """Flat JSON, arrays as nested lists. Round trips bit exactly."""
+    """Flat JSON, arrays as nested lists. Round trips bit exactly.
+
+    Params that load_params would reject are refused before any file is
+    written.
+    """
     payload: dict = {"format_version": FORMAT_VERSION}
     for name, _, _ in HEAD_SHAPES:
         w, b = params.heads[name]
+        _check_finite(name, w, b)
         payload[f"{name}_w"] = w.tolist()
         payload[f"{name}_b"] = b.tolist()
     Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
@@ -393,7 +403,6 @@ def load_params(path: str | Path) -> GateParams:
             raise GateError(f"head {name!r} is missing or not numeric") from None
         if w.shape != (n_out, n_in) or b.shape != (n_out,):
             raise GateError(f"head {name!r} has wrong shape {w.shape} / {b.shape}")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise GateError(f"head {name!r} contains non-finite values")
+        _check_finite(name, w, b)
         heads[name] = (w, b)
     return GateParams(heads)

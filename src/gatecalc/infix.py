@@ -1,21 +1,27 @@
-"""Infix question parsing, its bridge to postfix, and tree evaluation.
+"""Infix questions translated to postfix in one pass, with no tree.
 
 The grammar is deliberately small: non-negative decimal literals, the
 four binary operators with the usual precedence and left associativity,
 parentheses, and an optional trailing "= ?" that questions carry.
 Unary minus does not exist; a leading dot does not start a number.
+
+parse_infix reads a question once, left to right, and emits its
+postfix sequence: floats for literals and operator characters, in the
+order the machine reads them. to_postfix renders that sequence as the
+text the expression head hands the machine, and eval_infix computes it
+with a plain value stack. A recursive-descent parser over an expression
+tree is kept in the tests as the reference that the sequence, every
+error message and every error position are checked against.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Union
 
 from .evaluator import apply_op
 from .render import render
-from .tokenizer import CHAR_TO_OP, OP_TO_CHAR, Op
+from .tokenizer import CHAR_TO_OP
 
 
 class ParseError(ValueError):
@@ -24,148 +30,90 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Number:
-    value: float
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: Op
-    left: "InfixAst"
-    right: "InfixAst"
-
-
-InfixAst = Union[Number, BinOp]
-
 _ANSWER_SUFFIX = re.compile(r"\s*=\s*\?\s*$")
 _NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?")
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
-# Deepest parenthesis nesting the parser accepts. Each level costs three
-# Python frames, so this keeps any question well inside the recursion limit.
+# Deepest parenthesis nesting the parser accepts. Open parentheses wait on
+# a list, not in Python frames, so this guards no recursion limit: it is a
+# bound of the grammar, kept so the same questions are declined.
 MAX_NESTING = 100
 
 
-class _Parser:
-    """Recursive descent over a question with the answer suffix removed."""
+def parse_infix(text: str) -> list[float | str]:
+    """Postfix sequence of a question: "3 + 5 * 2 = ?" gives [3.0, 5.0, 2.0, "*", "+"].
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.pos)
-
-    def skip_spaces(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] == " ":
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_spaces()
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
-
-    def parse_expr(self) -> InfixAst:
-        node = self.parse_term()
-        while self.peek() in ("+", "-"):
-            op = CHAR_TO_OP[self.text[self.pos]]
-            self.pos += 1
-            node = BinOp(op, node, self.parse_term())
-        return node
-
-    def parse_term(self) -> InfixAst:
-        node = self.parse_factor()
-        while self.peek() in ("*", "/"):
-            op = CHAR_TO_OP[self.text[self.pos]]
-            self.pos += 1
-            node = BinOp(op, node, self.parse_factor())
-        return node
-
-    def parse_factor(self) -> InfixAst:
-        ch = self.peek()
-        if ch == "(":
-            if self.depth == MAX_NESTING:
-                raise self.error(f"parentheses nested deeper than {MAX_NESTING}")
-            self.depth += 1
-            self.pos += 1
-            node = self.parse_expr()
-            if self.peek() != ")":
-                raise self.error("expected ')'")
-            self.pos += 1
-            self.depth -= 1
-            return node
-        match = _NUMBER.match(self.text, self.pos)
-        if not match:
-            raise self.error("expected a number or '('")
-        value = float(match.group())
-        if math.isinf(value):
-            raise self.error("number too large")
-        self.pos = match.end()
-        return Number(value)
-
-    def expect_end(self) -> None:
-        if self.peek() != "":
-            raise self.error(f"unexpected {self.text[self.pos]!r}")
-
-
-def parse_infix(text: str) -> InfixAst:
-    """Parse a question like "3 + 5 * 2 = ?" into an expression tree."""
+    Operator precedence in one pass. The reader alternates between
+    expecting an operand (a literal or "(") and expecting what may follow
+    one (")", an operator, or the end). Operators wait on a stack until
+    one of lower or equal precedence, a ")" or the end releases them.
+    """
     source = _ANSWER_SUFFIX.sub("", text)
-    parser = _Parser(source)
-    ast = parser.parse_expr()
-    parser.expect_end()
-    return ast
-
-
-def to_postfix(ast: InfixAst) -> str:
-    """Space-separated postfix text, numbers rendered canonically.
-
-    The walk keeps its own stack, so a long operator chain cannot exhaust
-    Python's recursion limit.
-    """
-    parts: list[str] = []
-    # Nodes still to visit, and operator characters due once their
-    # operands are out; popping left before right gives postfix order.
-    todo: list[InfixAst | str] = [ast]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, BinOp):
-            todo += (OP_TO_CHAR[node.op], node.right, node.left)
-        elif isinstance(node, Number):
-            parts.append(render(node.value))
+    out: list[float | str] = []
+    pending: list[str] = []  # operators and open parentheses not yet emitted
+    depth = 0
+    pos = 0
+    operand = True
+    while True:
+        while source[pos:pos + 1] == " ":
+            pos += 1
+        ch = source[pos:pos + 1]
+        if operand:
+            if ch == "(":
+                if depth == MAX_NESTING:
+                    raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+                depth += 1
+                pending.append(ch)
+                pos += 1
+                continue
+            match = _NUMBER.match(source, pos)
+            if not match:
+                raise ParseError("expected a number or '('", pos)
+            value = float(match.group())
+            if math.isinf(value):
+                raise ParseError("number too large", pos)
+            out.append(value)
+            pos = match.end()
+            operand = False
+        elif ch == ")" and depth:
+            while (top := pending.pop()) != "(":
+                out.append(top)
+            depth -= 1
+            pos += 1
+        elif ch in _PRECEDENCE:
+            # An open parenthesis ranks 0, below every operator: none pops it.
+            while pending and _PRECEDENCE.get(pending[-1], 0) >= _PRECEDENCE[ch]:
+                out.append(pending.pop())
+            pending.append(ch)
+            pos += 1
+            operand = True
+        elif depth:
+            raise ParseError("expected ')'", pos)
+        elif ch:
+            raise ParseError(f"unexpected {ch!r}", pos)
         else:
-            parts.append(node)
-    return " ".join(parts)
+            out.extend(reversed(pending))
+            return out
 
 
-def eval_infix(ast: InfixAst) -> float:
-    """Reference tree evaluation; raises DivisionByZero like the machine.
+def to_postfix(postfix: list[float | str]) -> str:
+    """Space-separated postfix text, numbers rendered canonically."""
+    return " ".join(t if isinstance(t, str) else render(t) for t in postfix)
 
-    Like to_postfix, the walk keeps its own stack, so a long operator
-    chain cannot exhaust Python's recursion limit.
-    """
+
+def eval_infix(postfix: list[float | str]) -> float:
+    """Value of a parsed question; raises DivisionByZero like the machine."""
     values: list[float] = []
-    # Nodes still to visit, and operators due once both operand values
-    # are on the value stack.
-    todo: list[InfixAst | Op] = [ast]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, BinOp):
-            todo += (node.op, node.right, node.left)
-        elif isinstance(node, Number):
-            values.append(node.value)
-        else:
+    for t in postfix:
+        if isinstance(t, str):
             rhs = values.pop()
-            values.append(apply_op(node, values.pop(), rhs))
+            values.append(apply_op(CHAR_TO_OP[t], values.pop(), rhs))
+        else:
+            values.append(t)
     return values[0]
 
 
 __all__ = [
-    "BinOp",
-    "InfixAst",
-    "Number",
     "ParseError",
     "eval_infix",
     "parse_infix",

@@ -22,8 +22,8 @@ from .render import NonFinite, render
 from .tokenizer import TERMINATOR_CHAR, encode
 
 DEFAULT_INJECT_LEN = 16
-# Longest injection segment a PipelineConfig accepts; the segment is built
-# as a string of that many characters.
+# Longest injection segment a PipelineConfig or make_segment accepts; the
+# segment is built as a string of that many characters.
 MAX_INJECT_LEN = 1024
 
 Predictor = Callable[[str], "PredictorOutput"]
@@ -48,17 +48,19 @@ class InjectionSegment:
     text: str
 
 
-@dataclass
+def _check_inject_len(inject_len: int) -> None:
+    if inject_len > MAX_INJECT_LEN:
+        raise PayloadTooLong(f"inject_len must be at most {MAX_INJECT_LEN}, got {inject_len}")
+
+
+@dataclass(frozen=True)
 class PipelineConfig:
     inject_len: int = DEFAULT_INJECT_LEN
     capacity: int = DEFAULT_CAPACITY
     policy: GateTable = rule_gates
 
     def __post_init__(self) -> None:
-        if self.inject_len > MAX_INJECT_LEN:
-            raise PayloadTooLong(
-                f"inject_len must be at most {MAX_INJECT_LEN}, got {self.inject_len}"
-            )
+        _check_inject_len(self.inject_len)
 
 
 @dataclass
@@ -88,14 +90,15 @@ def reference_predictor(question: str) -> PredictorOutput:
     carries its postfix translation; anything else disables it.
     """
     try:
-        ast = parse_infix(question)
+        postfix = parse_infix(question)
     except ParseError:
         return PredictorOutput(0, "")
-    return PredictorOutput(1, to_postfix(ast))
+    return PredictorOutput(1, to_postfix(postfix))
 
 
 def make_segment(result: float, inject_len: int = DEFAULT_INJECT_LEN) -> InjectionSegment:
     """Fixed-length segment: rendered payload, one terminator, space padding."""
+    _check_inject_len(inject_len)
     payload = render(result)
     if len(payload) + 1 > inject_len:
         raise PayloadTooLong(

@@ -311,6 +311,7 @@ _QA = json.dumps({"instruction": "q", "input": "1 + 1", "output": "2", "swift_ex
     ({"c.txt": b"1 2 +\xff\n"}, _TRAIN),
     ({"c.txt": "1 2 +\n"}, _TRAIN + ["--epoch-size", "0"]),
     ({"c.txt": "1 2 +\n"}, _TRAIN + ["--repeats", "0"]),
+    ({"c.txt": "1 2 +\n"}, _TRAIN + ["--lr", "nan"]),
     ({"a.jsonl": "[1]"}, _MIX),
     ({"a.jsonl": _QA}, _MIX + ["--fraction", "1.5"]),
     ({"a.jsonl": _QA}, _MIX + ["--fraction", "0"]),
@@ -331,8 +332,9 @@ _QA = json.dumps({"instruction": "q", "input": "1 + 1", "output": "2", "swift_ex
 ], ids=[
     "gates-version", "gates-not-object", "gates-missing-head", "gates-shape",
     "gates-ragged", "gates-non-finite", "records-not-objects", "records-no-postfix",
-    "data-not-utf8", "epoch-size-0", "repeats-0", "mix-not-objects", "fraction-above-1",
-    "fraction-0", "render-junk", "leading-dot", "leading-dot-after-space", "deep-nesting",
+    "data-not-utf8", "epoch-size-0", "repeats-0", "lr-nan", "mix-not-objects",
+    "fraction-above-1", "fraction-0", "render-junk", "leading-dot", "leading-dot-after-space",
+    "deep-nesting",
     "gates-deep-json", "records-deep-json", "mix-deep-json", "gates-long-int",
     "records-long-int", "literal-past-float-range", "inject-len-huge",
     "dot-place-count-negative", "numbers-ops-count-negative", "qa-count-negative",

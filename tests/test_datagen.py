@@ -123,11 +123,11 @@ def test_instruction_text_is_verbatim():
 def test_qa_records_are_self_consistent():
     for record in gen_arith_qa(GenConfig(count=200, seed=5)):
         assert record.instruction == INSTRUCTION_TEXT
-        ast = parse_infix(record.input)
-        assert to_postfix(ast) == record.swift_express
+        postfix = parse_infix(record.input)
+        assert to_postfix(postfix) == record.swift_express
         machine = evaluate(convert(encode(record.swift_express), rule_gates))
         assert render(machine) == record.output
-        assert rel_close(machine, eval_infix(ast))
+        assert rel_close(machine, eval_infix(postfix))
 
 
 def test_easy_stage_shape():

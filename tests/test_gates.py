@@ -396,3 +396,12 @@ def test_load_rejects_non_finite(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(GateError):
         load_params(path)
+
+
+def test_save_refuses_what_load_rejects(tmp_path):
+    path = tmp_path / "gates.json"
+    params = GateParams.zeros()
+    params.heads["op"][1][1] = float("nan")
+    with pytest.raises(GateError, match="head 'op' contains non-finite values"):
+        save_params(params, path)
+    assert not path.exists()

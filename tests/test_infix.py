@@ -4,52 +4,56 @@ import sys
 import pytest
 
 from gatecalc.conversion import convert
+from gatecalc.datagen import GenConfig, Stage, gen_questions
 from gatecalc.evaluator import DivisionByZero, evaluate
 from gatecalc.gates import rule_gates
-from gatecalc.infix import (
-    MAX_NESTING,
-    BinOp,
-    Number,
-    ParseError,
-    eval_infix,
-    parse_infix,
-    to_postfix,
-)
+from gatecalc.infix import MAX_NESTING, ParseError, eval_infix, parse_infix, to_postfix
 from gatecalc.render import render
-from gatecalc.tokenizer import OP_TO_CHAR, Op, encode
-from helpers import ast_value, random_ast, random_value, rel_close, to_infix
+from gatecalc.tokenizer import OP_TO_CHAR, encode
+from helpers import (
+    Number,
+    ast_value,
+    random_ast,
+    random_value,
+    reference_eval_infix,
+    reference_parse_infix,
+    reference_to_postfix,
+    rel_close,
+    to_infix,
+)
 
 
 def test_parse_simple_question():
-    ast = parse_infix("3 + 5 = ?")
-    assert ast == BinOp(Op.ADD, Number(3.0), Number(5.0))
+    assert parse_infix("3 + 5 = ?") == [3.0, 5.0, "+"]
 
 
 def test_parse_bare_number():
-    assert parse_infix("7") == Number(7.0)
-    assert parse_infix("12.5 = ?") == Number(12.5)
+    assert parse_infix("7") == [7.0]
+    assert parse_infix("12.5 = ?") == [12.5]
 
 
 def test_literal_past_float_range_is_a_parse_error():
     with pytest.raises(ParseError, match=r"number too large \(at position 0\)"):
         parse_infix("9" * 400 + " + 1 = ?")
-    assert parse_infix("1" + "0" * 300) == Number(1e300)
+    assert parse_infix("1" + "0" * 300) == [1e300]
 
 
 def test_answer_suffix_is_optional_and_flexible():
     for text in ("3 + 5", "3 + 5 = ?", "3 + 5 =?", "3 + 5  =  ?  "):
-        assert parse_infix(text) == BinOp(Op.ADD, Number(3.0), Number(5.0))
+        assert parse_infix(text) == [3.0, 5.0, "+"]
 
 
 def test_precedence():
-    ast = parse_infix("3 + 5 * 2")
-    assert ast == BinOp(Op.ADD, Number(3.0), BinOp(Op.MUL, Number(5.0), Number(2.0)))
+    assert parse_infix("3 + 5 * 2") == [3.0, 5.0, 2.0, "*", "+"]
+    assert parse_infix("3 * 5 + 2") == [3.0, 5.0, "*", 2.0, "+"]
+    assert parse_infix("1 - 6 / 3 * 2 + 4") == [1.0, 6.0, 3.0, "/", 2.0, "*", "-", 4.0, "+"]
 
 
 def test_left_associativity():
-    ast = parse_infix("10 - 4 - 3")
-    assert ast == BinOp(Op.SUB, BinOp(Op.SUB, Number(10.0), Number(4.0)), Number(3.0))
-    assert eval_infix(ast) == 3.0
+    postfix = parse_infix("10 - 4 - 3")
+    assert postfix == [10.0, 4.0, "-", 3.0, "-"]
+    assert eval_infix(postfix) == 3.0
+    assert parse_infix("8 / 4 * 2") == [8.0, 4.0, "/", 2.0, "*"]
 
 
 def test_parentheses_override_precedence():
@@ -95,10 +99,8 @@ def test_to_postfix_renders_numbers_canonically():
 
 
 def test_to_infix_minimal_parens():
-    assert to_infix(parse_infix("3 + 5 * 2")) == "3 + 5 * 2"
-    assert to_infix(parse_infix("(3 + 5) * 2")) == "(3 + 5) * 2"
-    assert to_infix(parse_infix("10 - (4 - 3)")) == "10 - (4 - 3)"
-    assert to_infix(parse_infix("10 - 4 - 3")) == "10 - 4 - 3"
+    for text in ("3 + 5 * 2", "(3 + 5) * 2", "10 - (4 - 3)", "10 - 4 - 3"):
+        assert to_infix(reference_parse_infix(text)) == text
 
 
 def test_eval_infix_division_by_zero():
@@ -114,55 +116,58 @@ def test_eval_infix_matches_hand_values():
         assert eval_infix(parse_infix(text)) == want
 
 
+def _postfix_by_recursion(node) -> list:
+    """The postfix sequence of a tree: left operand, right operand, operator."""
+    if isinstance(node, Number):
+        return [node.value]
+    return _postfix_by_recursion(node.left) + _postfix_by_recursion(node.right) + [
+        OP_TO_CHAR[node.op]
+    ]
+
+
 def test_infix_round_trip_preserves_tree():
     rng = random.Random(31337)
     for _ in range(400):
         ast = random_ast(rng, depth=4)
-        assert parse_infix(to_infix(ast)) == ast
+        text = to_infix(ast)
+        assert reference_parse_infix(text) == ast
+        assert parse_infix(text) == _postfix_by_recursion(ast)
 
 
 def test_eval_matches_independent_recursion():
     rng = random.Random(271828)
     for _ in range(400):
         ast = random_ast(rng, depth=4)
-        assert rel_close(eval_infix(ast), ast_value(ast))
+        assert rel_close(eval_infix(parse_infix(to_infix(ast))), ast_value(ast))
 
 
 def test_eval_infix_handles_long_chains():
     rng = random.Random(1000)
     terms = [str(random_value(rng, limit=100) + 1) for _ in range(1000)]
     text = terms[0] + "".join(f" {rng.choice('+-*/')} {t}" for t in terms[1:])
-    ast = parse_infix(text)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + 2000)
     try:
-        want = ast_value(ast)
+        want = ast_value(reference_parse_infix(text))
     finally:
         sys.setrecursionlimit(limit)
-    assert eval_infix(ast) == want
+    assert eval_infix(parse_infix(text)) == want
     assert eval_infix(parse_infix(" + ".join(["1"] * 1000))) == 1000.0
 
 
 def test_postfix_pipeline_matches_eval_infix():
     rng = random.Random(161803)
     for _ in range(1500):
-        ast = random_ast(rng, depth=3)
-        machine = evaluate(convert(encode(to_postfix(ast)), rule_gates))
-        assert rel_close(machine, eval_infix(ast))
-
-
-def _postfix_by_recursion(node) -> str:
-    if isinstance(node, Number):
-        return render(node.value)
-    left, right = _postfix_by_recursion(node.left), _postfix_by_recursion(node.right)
-    return f"{left} {right} {OP_TO_CHAR[node.op]}"
+        postfix = parse_infix(to_infix(random_ast(rng, depth=3)))
+        machine = evaluate(convert(encode(to_postfix(postfix)), rule_gates))
+        assert rel_close(machine, eval_infix(postfix))
 
 
 def test_to_postfix_matches_recursive_walk():
     rng = random.Random(4242)
     for _ in range(500):
         ast = random_ast(rng, depth=5)
-        assert to_postfix(ast) == _postfix_by_recursion(ast)
+        assert to_postfix(parse_infix(to_infix(ast))) == reference_to_postfix(ast)
 
 
 def test_to_postfix_handles_long_chains():
@@ -172,6 +177,101 @@ def test_to_postfix_handles_long_chains():
 
 def test_nesting_is_bounded():
     at_bound = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
-    assert parse_infix(at_bound) == Number(1.0)
+    assert parse_infix(at_bound) == [1.0]
     with pytest.raises(ParseError, match="nested deeper"):
         parse_infix("(" + at_bound + ")")
+
+
+_ALPHABET = "0123456789. +-*/()=?x"
+
+
+def _random_expression(rng: random.Random, depth: int) -> str:
+    """Well-formed question text with random spacing, literal spellings
+    ("3.", "03.50") and redundant parentheses."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        text = render(random_value(rng, limit=100) if rng.random() < 0.9 else 0.0)
+        if rng.random() < 0.2:
+            text = "0" + text + ("" if "." in text else ".") + "0" * rng.randint(0, 2)
+    elif roll < 0.45:
+        text = "(" + _random_expression(rng, depth - 1) + ")"
+    else:
+        op = rng.choice("+-*/")
+        left = _random_expression(rng, depth - 1)
+        right = _random_expression(rng, depth - 1)
+        text = left + " " * rng.randint(0, 2) + op + " " * rng.randint(0, 2) + right
+    return " " * rng.randint(0, 1) + text + " " * rng.randint(0, 1)
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """Delete, replace or insert one character, so most errors land deep
+    inside an otherwise valid question."""
+    i = rng.randint(0, len(text))
+    ch = rng.choice(_ALPHABET)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return text[:i] + text[i + 1:]
+    if kind == 1:
+        return text[:i] + ch + text[i + 1:]
+    return text[:i] + ch + text[i:]
+
+
+def _sweep_corpus() -> list[str]:
+    """Fixed-seed questions for the one-pass-versus-reference sweep."""
+    rng = random.Random(20260)
+    corpus = ["".join(rng.choices(_ALPHABET, k=rng.randint(0, 16))) for _ in range(20000)]
+    trees = [to_infix(random_ast(rng, depth=4)) for _ in range(5000)]
+    corpus += trees + [_mutate(rng, t) for t in trees]
+    shaped = [_random_expression(rng, depth=5) for _ in range(5000)]
+    corpus += shaped + [_mutate(rng, t) for t in shaped]
+    corpus += [t + " = ?" for t in shaped[:1000]]
+    for n in range(MAX_NESTING - 5, MAX_NESTING + 5):
+        corpus += [
+            "(" * n + "1" + ")" * n,
+            "(" * n + "1 + 2" + ")" * n + " * 3 = ?",
+            "2 * " + "(" * n + "1 - 2" + ")" * n,
+            "(" * n + "1" + ")" * (n - 1),
+        ]
+    corpus += ["1" * 400, "9" * 400 + " + 1 = ?"]
+    terms = [render(random_value(rng, limit=100) + 1) for _ in range(1000)]
+    corpus += [
+        " + ".join(["1"] * 1000),
+        terms[0] + "".join(f" {rng.choice('+-*/')} {t}" for t in terms[1:]) + " = ?",
+    ]
+    for stage in (Stage.EASY, Stage.PRIORITY):
+        corpus += gen_questions(GenConfig(count=2000, seed=6, stage=stage))
+    return corpus
+
+
+def _outcome(parse, postfix_text, value, text: str) -> tuple:
+    try:
+        parsed = parse(text)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.position)
+    try:
+        result = repr(value(parsed))
+    except DivisionByZero as exc:
+        result = f"DivisionByZero: {exc}"
+    return (postfix_text(parsed), result)
+
+
+def test_one_pass_matches_reference_parser():
+    kinds = set()
+    for text in _sweep_corpus():
+        got = _outcome(parse_infix, to_postfix, eval_infix, text)
+        want = _outcome(reference_parse_infix, reference_to_postfix, reference_eval_infix, text)
+        assert got == want, text
+        if got[0] == "ParseError":
+            kinds.add(got[1].rsplit(" (at", 1)[0])
+        elif got[1].startswith("DivisionByZero"):
+            kinds.add("DivisionByZero")
+    # The corpus reaches every error the grammar and the arithmetic can report.
+    assert {
+        "expected a number or '('",
+        "expected ')'",
+        "unexpected ')'",
+        "unexpected 'x'",
+        "number too large",
+        f"parentheses nested deeper than {MAX_NESTING}",
+        "DivisionByZero",
+    } <= kinds

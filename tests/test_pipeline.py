@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 from gatecalc.conversion import convert
@@ -170,6 +171,17 @@ def test_inject_len_is_bounded_when_the_config_is_built():
         PipelineConfig(inject_len=10**30)
     result = run("3 + 5 = ?", config=PipelineConfig(inject_len=MAX_INJECT_LEN))
     assert result.answer == "8"
+
+
+def test_inject_len_past_the_bound_never_builds_padding():
+    # 10**30 only, as above.
+    with pytest.raises(PayloadTooLong, match=f"at most 1024, got {10**30}$"):
+        make_segment(8.0, 10**30)
+    assert len(make_segment(8.0, MAX_INJECT_LEN).text) == MAX_INJECT_LEN
+    config = PipelineConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.inject_len = 10**30
+    assert run("3 + 5 = ?", config=config).answer == "8"
 
 
 def test_huge_capacity_is_answered():
