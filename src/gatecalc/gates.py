@@ -7,29 +7,32 @@ converter. rule_gates is the exact hand-written reference. The learned
 table comes from one small linear head per gate over the one-hot token;
 the decimal flag joins the input only for the dense-mode head, the one
 gate whose answer depends on it. A one-hot input only selects a column,
-so a head's outputs are w[:, token_id] + b, plus the flag column for
-the dense-mode head. Prediction always takes the argmax of a head's
-outputs, ties breaking toward the lowest class.
+so a head keeps its weights as a list of input columns, and its outputs
+are the token's column plus the flag column (dense-mode head, flag on)
+plus the bias. Prediction always takes the argmax of a head's outputs,
+ties breaking toward the lowest class.
 
-Training is plain per-event gradient descent. The two-way gates use a
-sigmoid unit per class with binary cross entropy; the wider heads use
-softmax cross entropy. Supervision comes from replaying the reference
-policy over corpus text, so the trainer needs nothing but lines of
-characters. Events step through the corpus in small chunks, each chunk
-repeated several times before the next one starts, which keeps early
-material fresh while later material arrives. Decimal dots and operator
-characters carry extra loss weight because a miss there corrupts a
-whole number rather than one digit.
+Training is plain per-event gradient descent in scalar Python: the
+heads are at most 10 x 19, too small for array calls to pay for
+themselves. The two-way gates use a sigmoid unit per class with binary
+cross entropy; the wider heads use softmax cross entropy. Supervision
+comes from replaying the reference policy over corpus text, so the
+trainer needs nothing but lines of characters. Events step through the
+corpus in small chunks, each chunk repeated several times before the
+next one starts, which keeps early material fresh while later material
+arrives. Decimal dots and operator characters carry extra loss weight
+because a miss there corrupts a whole number rather than one digit.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import add, sub
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .conversion import DenseOpMode, init_state, step
 from .tokenizer import (
@@ -115,35 +118,48 @@ rule_gates: GateTable = _tabulate(_rule_decision)
 
 @dataclass
 class GateParams:
-    """One (weight matrix, bias vector) pair per gate head, by head name."""
+    """One (weights, bias) pair per gate head, by head name.
 
-    heads: dict[str, tuple[np.ndarray, np.ndarray]]
+    The weights are a list of n_in input columns, each a list of n_out
+    floats, because a one-hot input reads and moves only whole columns;
+    the bias is a list of n_out floats.
+    """
+
+    heads: dict[str, tuple[list[list[float]], list[float]]]
 
     @classmethod
     def zeros(cls) -> "GateParams":
         return cls({
-            name: (np.zeros((n_out, n_in)), np.zeros(n_out))
+            name: ([[0.0] * n_out for _ in range(n_in)], [0.0] * n_out)
             for name, n_out, n_in in HEAD_SHAPES
         })
 
     def clone(self) -> "GateParams":
-        return GateParams({name: (w.copy(), b.copy()) for name, (w, b) in self.heads.items()})
+        return GateParams({
+            name: ([col[:] for col in w], b[:]) for name, (w, b) in self.heads.items()
+        })
 
 
-def _logits(params: GateParams, name: str, token_id: int, decimal_started: int) -> np.ndarray:
-    """w @ x + b for the one-hot input x, read as column token_id of w."""
+def _logits(params: GateParams, name: str, token_id: int, decimal_started: int) -> list[float]:
+    """w @ x + b for the one-hot input x: the token's column of w, plus the
+    flag column when the flag is on (dense-mode head only), plus b."""
     w, b = params.heads[name]
-    z = w[:, token_id]
-    if decimal_started and w.shape[1] > VOCAB_SIZE:
-        z = z + w[:, VOCAB_SIZE]
-    return z + b
+    column = w[token_id]
+    if decimal_started and len(w) > VOCAB_SIZE:
+        column = map(add, column, w[VOCAB_SIZE])
+    return list(map(add, column, b))
+
+
+def _argmax(z: list[float]) -> int:
+    """Index of the first maximum."""
+    return z.index(max(z))
 
 
 def learned_gates(params: GateParams, token_id: int, decimal_started: int) -> GateDecision:
     """Argmax of every head. All-zero params answer class 0 everywhere."""
 
     ignore, move, decimal_start, dense_mode, digit, op = (
-        int(np.argmax(_logits(params, name, token_id, decimal_started)))
+        _argmax(_logits(params, name, token_id, decimal_started))
         for name, _, _ in HEAD_SHAPES
     )
     return GateDecision(ignore, move, decimal_start, DenseOpMode(dense_mode), digit, Op(op))
@@ -207,6 +223,12 @@ class TrainConfig:
     op_weight: float = 5.0
     freeze: bool = False
 
+    def __post_init__(self) -> None:
+        for name in ("lr", "dot_weight", "op_weight"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise GateError(f"{name} must be finite, got {value}")
+
 
 @dataclass(frozen=True)
 class EventLoss:
@@ -231,25 +253,37 @@ def _event_weight(event: GateEvent, config: TrainConfig) -> float:
     return 1.0
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
+# Every exp below takes an argument of at most zero (or NaN), so none can
+# overflow and raise; a diverged logit gives an infinite or NaN loss.
 
 
-def _binary_loss_grad(z: np.ndarray, target: int) -> tuple[float, np.ndarray]:
-    """Summed BCE over one sigmoid unit per class, stable for any logit."""
-    y = np.zeros(len(z))
-    y[target] = 1.0
-    loss = float(np.sum(np.logaddexp(0.0, z) - y * z))
-    return loss, _sigmoid(z) - y
+def _binary_loss_grad(z: list[float], target: int) -> tuple[float, list[float]]:
+    """Summed BCE over one sigmoid unit per class, stable for any logit.
+
+    Per unit, softplus(x) = log(1 + e**x) and sigmoid(x) share one exp,
+    taken of -|x|.
+    """
+    loss = 0.0
+    grad = []
+    for j, x in enumerate(z):
+        y = 1.0 if j == target else 0.0
+        if x > 0:
+            e = math.exp(-x)
+            loss += x + math.log1p(e) - y * x
+            grad.append(1.0 / (1.0 + e) - y)
+        else:
+            e = math.exp(x)
+            loss += math.log1p(e) - y * x
+            grad.append(e / (1.0 + e) - y)
+    return loss, grad
 
 
-def _softmax_loss_grad(z: np.ndarray, target: int) -> tuple[float, np.ndarray]:
-    zmax = float(np.max(z))
-    lse = zmax + float(np.log(np.sum(np.exp(z - zmax))))
-    loss = lse - float(z[target])
-    p = np.exp(z - lse)
+def _softmax_loss_grad(z: list[float], target: int) -> tuple[float, list[float]]:
+    zmax = max(z)
+    lse = zmax + math.log(sum([math.exp(x - zmax) for x in z]))
+    p = [math.exp(x - lse) for x in z]
     p[target] -= 1.0
-    return loss, p
+    return lse - z[target], p
 
 
 def _train_step(
@@ -258,6 +292,7 @@ def _train_step(
     """One gradient step over all heads. Returns (raw, weighted) loss."""
     weight = _event_weight(event, config)
     token_id, flag = event.token_id, event.decimal_started
+    scale = config.lr * weight
     raw = 0.0
     for (name, n_out, n_in), target in zip(HEAD_SHAPES, event.target):
         z = _logits(params, name, token_id, flag)
@@ -271,11 +306,13 @@ def _train_step(
             # token's column (and the flag column when the flag is on) and
             # zero everywhere else, so only those columns move.
             w, b = params.heads[name]
-            delta = config.lr * weight * dz
-            w[:, token_id] -= delta
+            delta = [scale * g for g in dz]
             if flag and n_in > VOCAB_SIZE:
-                w[:, VOCAB_SIZE] -= delta
-            b -= delta
+                moved = (w[token_id], w[VOCAB_SIZE], b)
+            else:
+                moved = (w[token_id], b)
+            for v in moved:
+                v[:] = map(sub, v, delta)
     return raw, weight * raw
 
 
@@ -291,6 +328,9 @@ def train_gates(
     entry per gradient step plus the mean weighted loss of every chunk
     pass. With freeze set, losses are recorded but nothing updates,
     which is how a later corpus can be scored against frozen gates.
+    Training stops with a GateError at the first step whose weighted
+    loss is not finite, since every later step would run on diverged
+    params.
     """
     events = list(events)
     if not events:
@@ -315,6 +355,10 @@ def train_gates(
                     budget_spent = True
                     break
                 raw, weighted = _train_step(params, event, config)
+                if not math.isfinite(weighted):
+                    raise GateError(
+                        f"training diverged at step {step_idx}: weighted loss is {weighted}"
+                    )
                 trace.events.append(
                     EventLoss(step_idx, event.token_id, _event_weight(event, config), raw, weighted)
                 )
@@ -359,13 +403,15 @@ def agreement_table(params: GateParams) -> list[AgreementRow]:
 # Serialization
 
 
-def _check_finite(name: str, w: np.ndarray, b: np.ndarray) -> None:
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+def _check_finite(name: str, w: list[list[float]], b: list[float]) -> None:
+    if not all(map(math.isfinite, chain(b, *w))):
         raise GateError(f"head {name!r} contains non-finite values")
 
 
 def save_params(params: GateParams, path: str | Path) -> None:
-    """Flat JSON, arrays as nested lists. Round trips bit exactly.
+    """Flat JSON, each head's weights as n_out rows of n_in numbers (the
+    columns transposed back) and its bias as a list. Round trips bit
+    exactly.
 
     Params that load_params would reject are refused before any file is
     written.
@@ -374,8 +420,8 @@ def save_params(params: GateParams, path: str | Path) -> None:
     for name, _, _ in HEAD_SHAPES:
         w, b = params.heads[name]
         _check_finite(name, w, b)
-        payload[f"{name}_w"] = w.tolist()
-        payload[f"{name}_b"] = b.tolist()
+        payload[f"{name}_w"] = [list(row) for row in zip(*w)]
+        payload[f"{name}_b"] = list(b)
     Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
 
 
@@ -397,12 +443,32 @@ def load_params(path: str | Path) -> GateParams:
     heads = {}
     for name, n_out, n_in in HEAD_SHAPES:
         try:
-            w = np.asarray(payload[f"{name}_w"], dtype=float)
-            b = np.asarray(payload[f"{name}_b"], dtype=float)
-        except (KeyError, TypeError, ValueError):
+            w_flat, w_shape = _read_array(payload[f"{name}_w"])
+            b, b_shape = _read_array(payload[f"{name}_b"])
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise GateError(f"head {name!r} is missing or not numeric") from None
-        if w.shape != (n_out, n_in) or b.shape != (n_out,):
-            raise GateError(f"head {name!r} has wrong shape {w.shape} / {b.shape}")
+        if w_shape != (n_out, n_in) or b_shape != (n_out,):
+            raise GateError(f"head {name!r} has wrong shape {w_shape} / {b_shape}")
+        w = [w_flat[col::n_in] for col in range(n_in)]
         _check_finite(name, w, b)
         heads[name] = (w, b)
     return GateParams(heads)
+
+
+def _read_array(value) -> tuple[list[float], tuple[int, ...]]:
+    """A JSON value read as an array: its numbers in row-major order as
+    floats, and its shape (a number has shape ()).
+
+    Raises ValueError for ragged nesting, and TypeError, ValueError or
+    OverflowError for an element float() refuses (null, an object, a
+    non-numeric string, an int past float range).
+    """
+    shape = []
+    level = [value]
+    while level and all(isinstance(v, list) for v in level):
+        sizes = {len(v) for v in level}
+        if len(sizes) > 1:
+            raise ValueError("ragged array")
+        shape.append(sizes.pop())
+        level = [x for v in level for x in v]
+    return [float(x) for x in level], tuple(shape)

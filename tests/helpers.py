@@ -6,26 +6,40 @@ shares nothing with the machinery under test. The reference reduction
 is the paper's rescanning rule, which the evaluator's single pass must
 reproduce fold for fold. The reference question parser is recursive
 descent into a Number/BinOp tree, walked to postfix text and to a value;
-the one-pass parser must give the same postfix, values and errors.
+the one-pass parser must give the same postfix, values and errors. The
+numpy gate trainer and gate-file loader that the scalar ones replaced
+are kept here as references too, over (n_out, n_in) weight matrices.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
+from array import array
 from dataclasses import dataclass
+from itertools import chain
+from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from gatecalc.conversion import DenseProgram
+from gatecalc.conversion import DenseOpMode, DenseProgram
 from gatecalc.evaluator import EvalTrace, MalformedPostfix, ReductionStep, apply_op
 from gatecalc.gates import (
+    FORMAT_VERSION,
     HEAD_SHAPES,
+    GateDecision,
+    GateError,
+    GateEvent,
+    GateParams,
+    GateTable,
+    TrainConfig,
     _binary_loss_grad,
     _event_weight,
     _softmax_loss_grad,
+    _tabulate,
 )
 from gatecalc.infix import MAX_NESTING, ParseError
 from gatecalc.render import render
@@ -357,29 +371,188 @@ def to_infix(ast) -> str:
     return f"{left} {OP_TO_CHAR[ast.op]} {right}"
 
 
-def onehot(token_id: int, n_in: int = VOCAB_SIZE) -> np.ndarray:
+def onehot(token_id: int, n_in: int = VOCAB_SIZE) -> list[float]:
     """The one-hot input vector of a token id, padded to ``n_in``."""
-    x = np.zeros(n_in)
+    x = [0.0] * n_in
     x[token_id] = 1.0
     return x
 
 
+def onehot_logits(w: list[list[float]], b: list[float], x: list[float]) -> list[float]:
+    """w @ x + b over the input columns of w, each dot product summed in
+    input order."""
+    z = []
+    for j, bias in enumerate(b):
+        acc = 0.0
+        for column, xi in zip(w, x):
+            acc += column[j] * xi
+        z.append(acc + bias)
+    return z
+
+
+def param_bits(params: GateParams) -> list[bytes]:
+    """Every head's bias and weight columns as raw float64 bytes, so that
+    comparisons see signed zeros and NaNs bit for bit."""
+    return [array("d", chain(b, *w)).tobytes() for w, b in params.heads.values()]
+
+
 def onehot_train_step(params, event, config) -> tuple[float, float]:
-    """The trainer's gradient step written as matrix products over the
-    one-hot input, with the decimal flag appended for the dense-mode head.
-    A drop-in for gates._train_step, to check the column-indexed step."""
+    """The trainer's gradient step written as a full matrix product over
+    the one-hot input, with the decimal flag appended for the dense-mode
+    head, and as the full outer-product update. A drop-in for
+    gates._train_step, to check the column-indexed step."""
     weight = _event_weight(event, config)
+    scale = config.lr * weight
     raw = 0.0
     for (name, n_out, n_in), target in zip(HEAD_SHAPES, event.target):
         w, b = params.heads[name]
         x = onehot(event.token_id, n_in)
         if n_in > VOCAB_SIZE:
             x[-1] = float(event.decimal_started)
-        z = w @ x + b
+        z = onehot_logits(w, b, x)
         grad = _binary_loss_grad if n_out == 2 else _softmax_loss_grad
         loss, dz = grad(z, target)
         raw += loss
         if not config.freeze:
-            w -= config.lr * weight * np.outer(dz, x)
-            b -= config.lr * weight * dz
+            for i in range(n_in):
+                for j in range(n_out):
+                    w[i][j] -= scale * (dz[j] * x[i])
+            for j in range(n_out):
+                b[j] -= scale * dz[j]
     return raw, weight * raw
+
+
+# ---------------------------------------------------------------------------
+# The numpy gate trainer and loader, as they were before the scalar ones.
+# Weights are (n_out, n_in) matrices; numpy_params and column_params
+# convert exactly between that layout and GateParams' input columns.
+
+
+def numpy_params(params: GateParams) -> GateParams:
+    return GateParams({
+        name: (np.array(w, dtype=float).T.copy(), np.array(b, dtype=float))
+        for name, (w, b) in params.heads.items()
+    })
+
+
+def column_params(params: GateParams) -> GateParams:
+    return GateParams({
+        name: (w.T.tolist(), b.tolist()) for name, (w, b) in params.heads.items()
+    })
+
+
+def numpy_logits(params: GateParams, name: str, token_id: int, decimal_started: int) -> np.ndarray:
+    """w @ x + b for the one-hot input x, read as column token_id of w."""
+    w, b = params.heads[name]
+    z = w[:, token_id]
+    if decimal_started and w.shape[1] > VOCAB_SIZE:
+        z = z + w[:, VOCAB_SIZE]
+    return z + b
+
+
+def numpy_learned_gates(params: GateParams, token_id: int, decimal_started: int) -> GateDecision:
+    """Argmax of every head. All-zero params answer class 0 everywhere."""
+
+    ignore, move, decimal_start, dense_mode, digit, op = (
+        int(np.argmax(numpy_logits(params, name, token_id, decimal_started)))
+        for name, _, _ in HEAD_SHAPES
+    )
+    return GateDecision(ignore, move, decimal_start, DenseOpMode(dense_mode), digit, Op(op))
+
+
+def numpy_learned_policy(params: GateParams) -> GateTable:
+    """The 36-case table of learned decisions, computed once up front."""
+    return _tabulate(lambda token_id, ds: numpy_learned_gates(params, token_id, ds))
+
+
+def numpy_sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def numpy_binary_loss_grad(z: np.ndarray, target: int) -> tuple[float, np.ndarray]:
+    """Summed BCE over one sigmoid unit per class, stable for any logit."""
+    y = np.zeros(len(z))
+    y[target] = 1.0
+    loss = float(np.sum(np.logaddexp(0.0, z) - y * z))
+    return loss, numpy_sigmoid(z) - y
+
+
+def numpy_softmax_loss_grad(z: np.ndarray, target: int) -> tuple[float, np.ndarray]:
+    zmax = float(np.max(z))
+    lse = zmax + float(np.log(np.sum(np.exp(z - zmax))))
+    loss = lse - float(z[target])
+    p = np.exp(z - lse)
+    p[target] -= 1.0
+    return loss, p
+
+
+def numpy_train_step(
+    params: GateParams, event: GateEvent, config: TrainConfig
+) -> tuple[float, float]:
+    """One gradient step over all heads. Returns (raw, weighted) loss."""
+    weight = _event_weight(event, config)
+    token_id, flag = event.token_id, event.decimal_started
+    raw = 0.0
+    for (name, n_out, n_in), target in zip(HEAD_SHAPES, event.target):
+        z = numpy_logits(params, name, token_id, flag)
+        if n_out == 2:
+            loss, dz = numpy_binary_loss_grad(z, target)
+        else:
+            loss, dz = numpy_softmax_loss_grad(z, target)
+        raw += loss
+        if not config.freeze:
+            # The outer product of dz with a one-hot input is dz in the
+            # token's column (and the flag column when the flag is on) and
+            # zero everywhere else, so only those columns move.
+            w, b = params.heads[name]
+            delta = config.lr * weight * dz
+            w[:, token_id] -= delta
+            if flag and n_in > VOCAB_SIZE:
+                w[:, VOCAB_SIZE] -= delta
+            b -= delta
+    return raw, weight * raw
+
+
+def numpy_train_step_on_columns(
+    params: GateParams, event: GateEvent, config: TrainConfig
+) -> tuple[float, float]:
+    """A drop-in for gates._train_step that runs numpy_train_step. On its
+    first step it converts the GateParams that train_gates built, in
+    place, to numpy matrices; pass the result through column_params."""
+    if isinstance(params.heads["op"][1], list):
+        params.heads.update(numpy_params(params).heads)
+    return numpy_train_step(params, event, config)
+
+
+def numpy_check_finite(name: str, w: np.ndarray, b: np.ndarray) -> None:
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+        raise GateError(f"head {name!r} contains non-finite values")
+
+
+def numpy_load_params(path: str | Path) -> GateParams:
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except RecursionError:
+        raise GateError(f"{path}: JSON nested too deeply") from None
+    except ValueError:  # int() refuses a literal past Python's digit limit
+        raise GateError(f"{path}: JSON integer has too many digits") from None
+    if not isinstance(payload, dict):
+        raise GateError(f"{path}: expected a JSON object")
+    version = payload.get("format_version")
+    if version != FORMAT_VERSION:
+        raise GateError(f"unsupported gate file version {version!r}")
+    heads = {}
+    for name, n_out, n_in in HEAD_SHAPES:
+        try:
+            w = np.asarray(payload[f"{name}_w"], dtype=float)
+            b = np.asarray(payload[f"{name}_b"], dtype=float)
+        except (KeyError, TypeError, ValueError):
+            raise GateError(f"head {name!r} is missing or not numeric") from None
+        if w.shape != (n_out, n_in) or b.shape != (n_out,):
+            raise GateError(f"head {name!r} has wrong shape {w.shape} / {b.shape}")
+        numpy_check_finite(name, w, b)
+        heads[name] = (w, b)
+    return GateParams(heads)

@@ -1,6 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +13,7 @@ from hypothesis import strategies as st
 
 from gatecalc import cli
 from gatecalc.cli import main
-from gatecalc.datagen import read_records
+from gatecalc.datagen import gen_dot_place, read_records
 from gatecalc.gates import HEAD_SHAPES, GateParams, LossTrace, TrainConfig
 
 
@@ -291,6 +296,8 @@ def _gates_json(**changes) -> str:
 
 _NESTED = "(" * 400 + "1" + ")" * 400 + " = ?"
 _TRAIN = ["train-gates", "--data", "c.txt", "--out", "g.json"]
+# Each setting is finite, but their product overflows at the first dot.
+_DIVERGING = ["--lr", "1e308", "--dot-weight", "1e308"]
 _MIX = ["gen", "mix", "--arith", "a.jsonl", "--other", "a.jsonl", "--out", "m.jsonl"]
 _DEEP_JSON = "[" * 200_000
 # More digits than Python's int() accepts from a string.
@@ -312,6 +319,8 @@ _QA = json.dumps({"instruction": "q", "input": "1 + 1", "output": "2", "swift_ex
     ({"c.txt": "1 2 +\n"}, _TRAIN + ["--epoch-size", "0"]),
     ({"c.txt": "1 2 +\n"}, _TRAIN + ["--repeats", "0"]),
     ({"c.txt": "1 2 +\n"}, _TRAIN + ["--lr", "nan"]),
+    ({"c.txt": "1.5 2 +\n"}, _TRAIN + _DIVERGING),
+    ({"g.json": _gates_json(op_b=[10**400, 0, 0, 0, 0])}, ["verify-gates", "--gates", "g.json"]),
     ({"a.jsonl": "[1]"}, _MIX),
     ({"a.jsonl": _QA}, _MIX + ["--fraction", "1.5"]),
     ({"a.jsonl": _QA}, _MIX + ["--fraction", "0"]),
@@ -332,7 +341,8 @@ _QA = json.dumps({"instruction": "q", "input": "1 + 1", "output": "2", "swift_ex
 ], ids=[
     "gates-version", "gates-not-object", "gates-missing-head", "gates-shape",
     "gates-ragged", "gates-non-finite", "records-not-objects", "records-no-postfix",
-    "data-not-utf8", "epoch-size-0", "repeats-0", "lr-nan", "mix-not-objects",
+    "data-not-utf8", "epoch-size-0", "repeats-0", "lr-nan", "lr-weight-overflow",
+    "gates-int-past-float-range", "mix-not-objects",
     "fraction-above-1", "fraction-0", "render-junk", "leading-dot", "leading-dot-after-space",
     "deep-nesting",
     "gates-deep-json", "records-deep-json", "mix-deep-json", "gates-long-int",
@@ -349,6 +359,35 @@ def test_bad_input_prints_one_error_line(capsys, tmp_path, monkeypatch, files, a
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(*args, cwd=None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on the checkout's package, warnings shown."""
+    env = dict(os.environ, PYTHONWARNINGS="default")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [["--lr", "nan"], _DIVERGING], ids=["lr-nan", "lr-weight-overflow"])
+def test_diverging_training_prints_only_its_error_line(tmp_path, argv):
+    # In a fresh process nothing captures warnings, so a warning printed
+    # on the way to the error would show here.
+    (tmp_path / "c.txt").write_text("\n".join(gen_dot_place(20, 0)) + "\n")
+    proc = run_python("-m", "gatecalc.cli", *_TRAIN, *argv, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert re.fullmatch(r"error: [^\n]*\n", proc.stderr), proc.stderr
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_package_runs_without_numpy():
+    # gatecalc.cli imports every module of the package.
+    proc = run_python("-c", "import sys, gatecalc.cli; print('numpy' in sys.modules)")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_bare_train_gates_uses_the_library_defaults(capsys, tmp_path, monkeypatch):

@@ -1,4 +1,7 @@
-import numpy as np
+import json
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +35,17 @@ from gatecalc.tokenizer import (
     Op,
     encode,
 )
-from helpers import onehot_train_step
+from helpers import (
+    column_params,
+    numpy_learned_policy,
+    numpy_load_params,
+    numpy_params,
+    numpy_train_step_on_columns,
+    onehot,
+    onehot_logits,
+    onehot_train_step,
+    param_bits,
+)
 
 
 def tok(ch):
@@ -121,23 +134,42 @@ def test_learned_policy_is_cached_and_consistent():
         assert policy[5][ds] == learned_gates(params, 5, ds)
 
 
+def _random_params(rng: random.Random, draw) -> GateParams:
+    return GateParams({
+        name: ([[draw(rng) for _ in range(n_out)] for _ in range(n_in)],
+               [draw(rng) for _ in range(n_out)])
+        for name, n_out, n_in in HEAD_SHAPES
+    })
+
+
 def test_logits_read_the_one_hot_column():
     # w @ onehot(token) + b, with the flag appended for the dense-mode
     # head, is exactly the token's column of w plus b.
-    rng = np.random.default_rng(7)
-    params = GateParams({
-        name: (rng.normal(size=(n_out, n_in)), rng.normal(size=n_out))
-        for name, n_out, n_in in HEAD_SHAPES
-    })
+    params = _random_params(random.Random(7), lambda rng: rng.gauss(0.0, 1.0))
     for name, _, n_in in HEAD_SHAPES:
         w, b = params.heads[name]
         for token_id in range(VOCAB_SIZE):
             for ds in (0, 1):
-                x = np.zeros(n_in)
-                x[token_id] = 1.0
+                x = onehot(token_id, n_in)
                 if name == "denseop":
                     x[VOCAB_SIZE] = ds
-                assert np.array_equal(gates._logits(params, name, token_id, ds), w @ x + b)
+                assert gates._logits(params, name, token_id, ds) == onehot_logits(w, b, x)
+
+
+def test_learned_gates_match_numpy_argmax():
+    # Weights from a five-value grid (with both signed zeros) make exact
+    # ties common; both sides must answer the first maximum.
+    grid = (-1.0, -0.5, -0.0, 0.0, 0.5)
+    rng = random.Random(11)
+    ties = 0
+    for _ in range(500):
+        params = _random_params(rng, lambda rng: rng.choice(grid))
+        assert make_learned_policy(params) == numpy_learned_policy(numpy_params(params))
+        for name, _, _ in HEAD_SHAPES:
+            for token_id in range(VOCAB_SIZE):
+                z = gates._logits(params, name, token_id, 1)
+                ties += z.count(max(z)) > 1
+    assert ties > 10_000
 
 
 def test_agreement_table_covers_the_domain():
@@ -223,12 +255,7 @@ def test_single_event_loss_decreases():
 def test_freeze_leaves_params_at_init():
     events = events_from_lines(gen_dot_place(20, 1))
     params, trace = train_gates(events, TrainConfig(freeze=True, repeats=1))
-    zeros = GateParams.zeros()
-    for name in ("ignore", "move", "decimal", "denseop", "digit", "op"):
-        w, b = params.heads[name]
-        zw, zb = zeros.heads[name]
-        assert np.array_equal(w, zw)
-        assert np.array_equal(b, zb)
+    assert param_bits(params) == param_bits(GateParams.zeros())
     assert len(trace.events) == len(events)
 
 
@@ -244,7 +271,7 @@ def test_training_resumes_from_init():
     params_b, _ = train_gates(events, TrainConfig(repeats=1), init=params_a)
     w_a, _ = params_a.heads["digit"]
     w_b, _ = params_b.heads["digit"]
-    assert not np.array_equal(w_a, w_b)
+    assert w_a != w_b
 
 
 def test_small_epochs_repeat_chunks():
@@ -271,6 +298,35 @@ def test_weighted_loss_is_exact_multiple():
             assert e.weight == 1.0
 
 
+@pytest.mark.parametrize("field", ["lr", "dot_weight", "op_weight"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_settings(field, value):
+    with pytest.raises(GateError, match=f"{field} must be finite, got {value}"):
+        TrainConfig(**{field: value})
+
+
+def test_training_stops_at_the_first_non_finite_loss():
+    # Step 0, the digit (weight 1), has a finite loss but moves the biases
+    # by up to 5e307; the dot's weight of 1e308 times the loss that leaves
+    # at step 1 overflows.
+    events = label_events("1.5")
+    with pytest.raises(GateError, match="training diverged at step 1: weighted loss is inf"):
+        train_gates(events, TrainConfig(lr=1e308, dot_weight=1e308))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.floats(), st.floats(), st.floats())
+def test_any_float_settings_train_or_raise_gate_error(lr, dot_weight, op_weight):
+    events = label_events("1.5 + 20 3.25 /")
+    try:
+        config = TrainConfig(lr=lr, dot_weight=dot_weight, op_weight=op_weight,
+                             epoch_size=4, repeats=3)
+        _, trace = train_gates(events, config)
+    except GateError:
+        return
+    assert all(math.isfinite(e.weighted) for e in trace.events)
+
+
 def test_loss_trace_trends_down():
     events = events_from_lines(gen_dot_place(100, 0))
     _, trace = train_gates(events)
@@ -281,11 +337,17 @@ def test_loss_trace_trends_down():
 # Convergence and the swap property
 
 
+_TRAINING_LINES = gen_dot_place(100, 0) + gen_numbers_ops(500, 0)
+
+
 @pytest.fixture(scope="module")
-def trained_params():
-    lines = gen_dot_place(100, 0) + gen_numbers_ops(500, 0)
-    params, _ = train_gates(events_from_lines(lines))
-    return params
+def trained():
+    return train_gates(events_from_lines(_TRAINING_LINES))
+
+
+@pytest.fixture(scope="module")
+def trained_params(trained):
+    return trained[0]
 
 
 def test_train_gates_matches_one_hot_reference(monkeypatch):
@@ -297,10 +359,34 @@ def test_train_gates_matches_one_hot_reference(monkeypatch):
     params, trace = train_gates(events, config)
     monkeypatch.setattr(gates, "_train_step", onehot_train_step)
     ref_params, ref_trace = train_gates(events, config)
-    for name, _, _ in HEAD_SHAPES:
-        for got, want in zip(params.heads[name], ref_params.heads[name]):
-            assert got.tobytes() == want.tobytes()
+    assert param_bits(params) == param_bits(ref_params)
     assert trace == ref_trace
+
+
+# math.exp and numpy's vectorized exp may round differently in the last
+# bit (numpy's choice of kernel depends on the host's SIMD), and numpy
+# sums ten terms pairwise where the scalar trainer sums in order, so the
+# scalar trainer follows the numpy one to this bound, not bit for bit.
+NUMPY_TOLERANCE = 1e-12
+
+
+def test_scalar_trainer_tracks_numpy_trainer(monkeypatch, trained):
+    params, trace = trained
+    monkeypatch.setattr(gates, "_train_step", numpy_train_step_on_columns)
+    ref_matrices, ref_trace = train_gates(events_from_lines(_TRAINING_LINES))
+    ref_params = column_params(ref_matrices)
+    for (w, b), (ref_w, ref_b) in zip(params.heads.values(), ref_params.heads.values()):
+        for got, want in zip((b, *w), (ref_b, *ref_w)):
+            assert max(abs(x - y) for x, y in zip(got, want)) <= NUMPY_TOLERANCE
+    assert len(trace.events) == len(ref_trace.events)
+    for got, want in zip(trace.events, ref_trace.events):
+        assert (got.step, got.token_id, got.weight) == (want.step, want.token_id, want.weight)
+        assert abs(got.raw - want.raw) <= NUMPY_TOLERANCE
+        assert abs(got.weighted - want.weighted) <= NUMPY_TOLERANCE
+    policy, ref_policy = make_learned_policy(params), make_learned_policy(ref_params)
+    assert policy == ref_policy == numpy_learned_policy(ref_matrices)
+    for line in gen_numbers_ops(200, 123):
+        assert convert(encode(line), policy) == convert(encode(line), ref_policy)
 
 
 def test_trained_gates_reach_full_agreement(trained_params):
@@ -357,12 +443,7 @@ def test_learned_table_converts_like_rule_table(trained_params, text):
 def test_params_round_trip_bit_exact(tmp_path, trained_params):
     path = tmp_path / "gates.json"
     save_params(trained_params, path)
-    loaded = load_params(path)
-    for name in ("ignore", "move", "decimal", "denseop", "digit", "op"):
-        w, b = trained_params.heads[name]
-        lw, lb = loaded.heads[name]
-        assert np.array_equal(w, lw)
-        assert np.array_equal(b, lb)
+    assert param_bits(load_params(path)) == param_bits(trained_params)
 
 
 def test_load_rejects_bad_version(tmp_path):
@@ -375,8 +456,6 @@ def test_load_rejects_bad_version(tmp_path):
 
 
 def test_load_rejects_bad_shape(tmp_path):
-    import json
-
     path = tmp_path / "gates.json"
     save_params(GateParams.zeros(), path)
     payload = json.loads(path.read_text())
@@ -387,8 +466,6 @@ def test_load_rejects_bad_shape(tmp_path):
 
 
 def test_load_rejects_non_finite(tmp_path):
-    import json
-
     path = tmp_path / "gates.json"
     save_params(GateParams.zeros(), path)
     payload = json.loads(path.read_text())
@@ -405,3 +482,120 @@ def test_save_refuses_what_load_rejects(tmp_path):
     with pytest.raises(GateError, match="head 'op' contains non-finite values"):
         save_params(params, path)
     assert not path.exists()
+
+
+def test_saved_rows_are_the_transposed_columns(tmp_path):
+    params = _random_params(random.Random(3), lambda rng: rng.gauss(0.0, 1.0))
+    path = tmp_path / "gates.json"
+    save_params(params, path)
+    payload = json.loads(path.read_text())
+    for name, n_out, n_in in HEAD_SHAPES:
+        w, b = params.heads[name]
+        assert payload[f"{name}_w"] == [[w[i][j] for i in range(n_in)] for j in range(n_out)]
+        assert payload[f"{name}_b"] == b
+
+
+def _gate_file(**changes) -> str:
+    """A gate file of small distinct weights, with fields replaced or
+    (given None) dropped; entries are JSON text."""
+    fields = {"format_version": "1"}
+    for name, n_out, n_in in HEAD_SHAPES:
+        rows = [[(j * n_in + i) / 64 for i in range(n_in)] for j in range(n_out)]
+        fields[f"{name}_w"] = json.dumps(rows)
+        fields[f"{name}_b"] = json.dumps([j / 8 for j in range(n_out)])
+    fields.update(changes)
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items() if v is not None) + "}"
+
+
+_ZERO_ROWS = json.dumps([[0.0] * VOCAB_SIZE] * 10)
+_DEEP = "[" * 70 + "0.5" + "]" * 70
+
+# Gate files the numpy loader read, by case: each must load to the same
+# params or fail with the same GateError message through both loaders,
+# except where _LOADER_DIFFERENCES says otherwise.
+_LOADER_CORPUS = {
+    "valid": _gate_file(),
+    "integers": _gate_file(op_b="[1, 2, -3, 0, 4]"),
+    "signed-zero": _gate_file(op_b="[-0.0, 0, -0, 0.0, 1e-320]"),
+    "ragged-rows": _gate_file(digit_w=json.dumps([[0.0] * VOCAB_SIZE] * 9 + [[0.0] * 17])),
+    "ragged-depth": _gate_file(digit_w=json.dumps([[0.0] * VOCAB_SIZE] * 9 + [0.0])),
+    "ragged-bias": _gate_file(op_b="[0, [1], 2, 3, 4]"),
+    "scalar-w": _gate_file(digit_w="0.5"),
+    "scalar-b": _gate_file(op_b="1"),
+    "3d-w": _gate_file(digit_w=json.dumps([[[0.0] * VOCAB_SIZE] * 10])),
+    "3d-w-inner": _gate_file(digit_w=json.dumps([[[0.0]] * VOCAB_SIZE] * 10)),
+    "2d-b": _gate_file(op_b="[[0, 1, 2, 3, 4]]"),
+    "transposed-w": _gate_file(digit_w=json.dumps([[0.0] * 10] * VOCAB_SIZE)),
+    "narrow-w": _gate_file(digit_w=json.dumps([[0.0] * 3] * 10)),
+    "empty-w": _gate_file(digit_w="[]"),
+    "empty-rows": _gate_file(digit_w="[[]]"),
+    "short-b": _gate_file(op_b="[0, 1]"),
+    "numeric-strings": _gate_file(op_b='["1", "2.5", " 3 ", "1_0", "-4e-2"]'),
+    "string-nan": _gate_file(op_b='["nan", 0, 0, 0, 0]'),
+    "string-1e400": _gate_file(op_b='["1e400", 0, 0, 0, 0]'),
+    "string-junk": _gate_file(op_b='["abc", 0, 0, 0, 0]'),
+    "string-hex": _gate_file(op_b='["0x10", 0, 0, 0, 0]'),
+    "string-w": _gate_file(digit_w='"0.5"'),
+    "true": _gate_file(op_b="[true, false, true, false, true]"),
+    "bare-true": _gate_file(op_b="true"),
+    "null-element": _gate_file(op_b="[null, 0, 0, 0, 0]"),
+    "null-head": _gate_file(op_b="null"),
+    "nan": _gate_file(op_b="[NaN, 0, 0, 0, 0]"),
+    "nan-in-w": _gate_file(digit_w=_ZERO_ROWS.replace("0.0", "NaN", 1)),
+    "1e400": _gate_file(op_b="[1e400, 0, 0, 0, 0]"),
+    "minus-infinity": _gate_file(op_b="[-Infinity, 0, 0, 0, 0]"),
+    "int-past-float-range": _gate_file(op_b=f"[{10**400}, 0, 0, 0, 0]"),
+    "dict-head": _gate_file(op_b='{"a": 1}'),
+    "dict-element": _gate_file(op_w=json.dumps([[{}] * VOCAB_SIZE] * 5)),
+    "empty-dict-head": _gate_file(op_w="{}"),
+    "missing-w": _gate_file(move_w=None),
+    "missing-b": _gate_file(move_b=None),
+    "bad-version": _gate_file(format_version="2"),
+    "string-version": _gate_file(format_version='"1"'),
+    "not-object": "[1]",
+    "deep-nesting": _gate_file(op_b=_DEEP),
+}
+
+# Where the scalar loader deliberately answers otherwise: numpy read null
+# as NaN, let float()'s OverflowError for an int past float range escape
+# as a traceback, and refused arrays of more than 64 dimensions as not
+# numeric.
+_LOADER_DIFFERENCES = {
+    "null-element": (
+        ("GateError", "head 'op' contains non-finite values"),
+        ("GateError", "head 'op' is missing or not numeric"),
+    ),
+    "null-head": (
+        ("GateError", "head 'op' has wrong shape (5, 18) / ()"),
+        ("GateError", "head 'op' is missing or not numeric"),
+    ),
+    "int-past-float-range": (
+        ("OverflowError", "int too large to convert to float"),
+        ("GateError", "head 'op' is missing or not numeric"),
+    ),
+    "deep-nesting": (
+        ("GateError", "head 'op' is missing or not numeric"),
+        ("GateError", f"head 'op' has wrong shape (5, 18) / {(1,) * 70}"),
+    ),
+}
+
+
+def _load_outcome(load, path):
+    try:
+        params = load(path)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return "params", param_bits(params)
+
+
+@pytest.mark.parametrize("case", _LOADER_CORPUS)
+def test_load_params_matches_numpy_loader(tmp_path, case):
+    path = tmp_path / "gates.json"
+    path.write_text(_LOADER_CORPUS[case])
+    got = _load_outcome(load_params, path)
+    want = _load_outcome(lambda p: column_params(numpy_load_params(p)), path)
+    if case in _LOADER_DIFFERENCES:
+        assert (want, got) == _LOADER_DIFFERENCES[case]
+    else:
+        assert got == want
+        assert got[0] in ("params", "GateError")
