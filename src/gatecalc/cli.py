@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import fields
 
-from .conversion import ConversionError, convert
+from .conversion import ConversionError, convert, convert_with_trace
 from .datagen import (
     DataError,
     GenConfig,
@@ -90,8 +90,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    program = convert(encode(args.expression), _policy_from_args(args))
-    print(json.dumps(program.to_json_dict()))
+    table = _policy_from_args(args)
+    ids = encode(args.expression)
+    program, flags = convert_with_trace(ids, table)
+    if not args.trace:
+        print(json.dumps(program.to_json_dict()))
+        return 0
+    tokens = [
+        {"char": char, "flag": flag,
+         "decision": dict(zip(GateDecision.__slots__, map(int, table[token_id][flag])))}
+        for char, token_id, flag in zip(args.expression, ids, flags)
+    ]
+    print(json.dumps({"program": program.to_json_dict(), "tokens": tokens}))
     return 0
 
 
@@ -190,6 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="convert text to a dense program")
     p.add_argument("expression")
+    p.add_argument("--trace", action="store_true",
+                   help="also emit each token read, its decimal flag and its gate decision")
     p.add_argument("--gates", help="gate parameter file (default: rule policy)")
     p.set_defaults(func=cmd_convert)
 

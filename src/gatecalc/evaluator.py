@@ -10,10 +10,11 @@ Every operator left of the first live one has already been folded away,
 so one left-to-right pass makes the same folds: keep a stack of the live
 number slots seen so far, and at each live operator pop the last two and
 push the later slot back holding the result. evaluate_with_trace does
-that in time linear in the program length and records the folds in the
-order, and with the slots, the rescanning rule would. The rescanning
-loop itself is kept in the tests as the reference the trace is checked
-against.
+that in time linear in the program length, in one loop over local
+variables, and records each fold as a ReductionStep, an immutable named
+tuple, in the order, and with the slots, the rescanning rule would. The
+rescanning loop itself is kept in the tests as the reference the trace
+is checked against.
 
 stack_oracle is a deliberately independent textbook evaluator kept for
 cross-checking values; it shares nothing with the reduction path but the
@@ -23,6 +24,7 @@ operator arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .conversion import DenseProgram, op_json_name
 from .tokenizer import Op
@@ -40,8 +42,7 @@ class DivisionByZero(EvalError):
     pass
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One fold: slots index_a and index_b combined through the op at op_index."""
 
     index_a: int
@@ -74,14 +75,19 @@ class EvalTrace:
         }
 
 
+# Bound once, so the hot loops compare against module globals rather
+# than looking a member up on the Op class per slot and per fold.
+_NONE, _ADD, _SUB, _MUL, _DIV = Op.NONE, Op.ADD, Op.SUB, Op.MUL, Op.DIV
+
+
 def apply_op(op: Op, a: float, b: float) -> float:
-    if op == Op.ADD:
+    if op == _ADD:
         return a + b
-    if op == Op.SUB:
+    if op == _SUB:
         return a - b
-    if op == Op.MUL:
+    if op == _MUL:
         return a * b
-    if op == Op.DIV:
+    if op == _DIV:
         if b == 0.0:
             raise DivisionByZero(f"division of {a} by zero")
         return a / b
@@ -98,11 +104,11 @@ def evaluate_with_trace(program: DenseProgram) -> EvalTrace:
     # (slot, value) of every live number left of the scan position; a
     # fold's result stays live in the later operand's slot.
     live: list[tuple[int, float]] = []
-    for i in range(program.length):
+    for i in range(len(valid)):
         if not valid[i]:
             continue
         op = ops[i]
-        if op == Op.NONE:
+        if op == _NONE:
             live.append((i, dense[i]))
             continue
         if len(live) < 2:

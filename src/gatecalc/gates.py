@@ -16,12 +16,13 @@ Training is plain per-event gradient descent in scalar Python: the
 heads are at most 10 x 19, too small for array calls to pay for
 themselves. The two-way gates use a sigmoid unit per class with binary
 cross entropy; the wider heads use softmax cross entropy. Supervision
-comes from replaying the reference policy over corpus text, so the
-trainer needs nothing but lines of characters. Events step through the
-corpus in small chunks, each chunk repeated several times before the
-next one starts, which keeps early material fresh while later material
-arrives. Decimal dots and operator characters carry extra loss weight
-because a miss there corrupts a whole number rather than one digit.
+comes from the reference policy's conversion trace over corpus text, so
+the trainer needs nothing but lines of characters. Events step through
+the corpus in small chunks, each chunk repeated several times before
+the next one starts, which keeps early material fresh while later
+material arrives. Decimal dots and operator characters carry extra loss
+weight because a miss there corrupts a whole number rather than one
+digit.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from operator import add, sub
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .conversion import DenseOpMode, init_state, step
+from .conversion import DenseOpMode, convert_with_trace
 from .tokenizer import (
     DOT_ID,
     ID_TO_CHAR,
@@ -185,21 +186,16 @@ class GateEvent:
 
 
 def label_events(text: str) -> list[GateEvent]:
-    """Replay the reference conversion over one line, recording every token.
+    """The reference conversion of one line, as one event per token read.
 
-    The decimal flag is captured before the token acts, which is exactly
-    the context a policy sees. A terminator is recorded and then stops
-    the replay, the same way it stops the converter.
+    Each token is paired with the decimal flag it was read under, which
+    is exactly the context a policy sees. A terminator is recorded and
+    ends the line, the same way it stops the converter; a malformed
+    number raises as it does there.
     """
     ids = encode(text)
-    state = init_state(len(ids) + 1)
-    events: list[GateEvent] = []
-    for token_id in ids:
-        flag = state.decimal_started
-        events.append(GateEvent(token_id, flag, rule_gates[token_id][flag]))
-        if not step(state, token_id, rule_gates):
-            break
-    return events
+    flags = convert_with_trace(ids, rule_gates, len(ids) + 1)[1]
+    return [GateEvent(t, f, rule_gates[t][f]) for t, f in zip(ids, flags)]
 
 
 def events_from_lines(lines: Iterable[str]) -> list[GateEvent]:
@@ -228,6 +224,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise GateError(f"{name} must be finite, got {value}")
+        if self.steps_max is not None and self.steps_max < 1:
+            raise GateError(f"steps_max must be positive, got {self.steps_max}")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 Random programs and expression trees are built with their expected
 values computed during construction, using plain Python arithmetic that
-shares nothing with the machinery under test. The reference reduction
+shares nothing with the machinery under test. The reference conversion
+is the per-token step machine over a ConversionState, which the fused
+loop in convert_with_trace must reproduce program, flags and errors
+alike, and label_events its replay over step. The reference reduction
 is the paper's rescanning rule, which the evaluator's single pass must
 reproduce fold for fold. The reference question parser is recursive
 descent into a Number/BinOp tree, walked to postfix text and to a value;
@@ -18,14 +21,21 @@ import math
 import random
 import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from gatecalc.conversion import DenseOpMode, DenseProgram
+from gatecalc.conversion import (
+    DEFAULT_CAPACITY,
+    CapacityExceeded,
+    DenseOpMode,
+    DenseProgram,
+    InvalidCapacity,
+    MalformedNumber,
+)
 from gatecalc.evaluator import EvalTrace, MalformedPostfix, ReductionStep, apply_op
 from gatecalc.gates import (
     FORMAT_VERSION,
@@ -40,10 +50,11 @@ from gatecalc.gates import (
     _event_weight,
     _softmax_loss_grad,
     _tabulate,
+    rule_gates,
 )
 from gatecalc.infix import MAX_NESTING, ParseError
 from gatecalc.render import render
-from gatecalc.tokenizer import CHAR_TO_OP, OP_TO_CHAR, VOCAB_SIZE, Op
+from gatecalc.tokenizer import CHAR_TO_OP, OP_TO_CHAR, TERMINATOR_ID, VOCAB_SIZE, Op, encode
 
 ALL_OPS = (Op.ADD, Op.SUB, Op.MUL, Op.DIV)
 
@@ -189,6 +200,142 @@ def reference_evaluate_with_trace(program: DenseProgram) -> EvalTrace:
             f"{len(survivors)} numbers remain after all reductions, expected 1"
         )
     return EvalTrace(steps=steps, final=work.dense[survivors[0]])
+
+
+# ---------------------------------------------------------------------------
+# Conversion reference: the per-token step machine convert_with_trace fused
+
+
+@dataclass
+class ConversionState:
+    """Mutable machine state: the closed slots plus the number under construction.
+
+    number is None between numbers. The slot lists grow together, one
+    entry when a number closes or an operator claims a slot, and never
+    past capacity.
+    """
+
+    capacity: int
+    valid: list[int] = field(default_factory=list)
+    dense: list[float] = field(default_factory=list)
+    ops: list[Op] = field(default_factory=list)
+    number: float | None = None
+    decimal_started: int = 0
+    mult_base: float = 1.0
+
+
+def init_state(capacity: int = DEFAULT_CAPACITY) -> ConversionState:
+    if capacity < 1:
+        raise InvalidCapacity(f"capacity must be at least 1, got {capacity}")
+    return ConversionState(capacity)
+
+
+def _close_number(state: ConversionState) -> None:
+    if state.number is None:
+        return
+    state.valid.append(1)
+    state.dense.append(state.number)
+    state.ops.append(Op.NONE)
+    state.number = None
+    state.decimal_started = 0
+    state.mult_base = 1.0
+
+
+def step(state: ConversionState, token_id: int, table: GateTable) -> bool:
+    """Feed one token id through the machine, mutating state in place.
+
+    Returns False when the token is the terminator, which stops the
+    stream and leaves the state untouched; True otherwise.
+    """
+    if token_id == TERMINATOR_ID:
+        return False
+
+    decision = table[token_id][state.decimal_started]
+
+    if decision.ignore:
+        return True
+
+    if decision.decimal_start:
+        if state.decimal_started:
+            raise MalformedNumber("second decimal dot inside one number")
+        if state.number is None:
+            raise MalformedNumber("decimal dot with no number in progress")
+        state.decimal_started = 1
+        state.mult_base = 0.1
+        return True
+
+    if decision.move:
+        # Spacing and operators close the number in progress, so runs of
+        # spaces collapse; an operator then claims a slot of its own.
+        _close_number(state)
+        if decision.op == Op.NONE:
+            return True
+    elif state.number is not None:
+        # A later digit folds in by the decision's mode.
+        mode, d = decision.dense_mode, float(decision.digit)
+        if mode == DenseOpMode.DIRECT_ADD:
+            state.number += d
+        elif mode == DenseOpMode.TIMES_TEN_ADD:
+            state.number = state.number * 10.0 + d
+        elif mode == DenseOpMode.BASE_MUL_ADD:
+            state.number += d * state.mult_base
+            state.mult_base /= 10.0
+        return True
+
+    # An operator, or the first digit of a number, claims the next slot.
+    if len(state.valid) >= state.capacity:
+        raise CapacityExceeded(
+            f"stream needs slot {len(state.valid)} but capacity is {state.capacity}"
+        )
+    if decision.move:
+        state.valid.append(1)
+        state.dense.append(0.0)
+        state.ops.append(decision.op)
+    else:
+        # The first digit always seeds the number, whatever its mode.
+        state.number = float(decision.digit)
+    return True
+
+
+def random_gate_table(rng: random.Random) -> GateTable:
+    """A table of uniformly drawn decisions, reaching the cases the rule
+    table never makes. tests/test_digests.py pins outputs under tables
+    drawn by this, so changing its draws moves those digests."""
+
+    def decision() -> GateDecision:
+        return GateDecision(
+            rng.randint(0, 1), rng.randint(0, 1), rng.randint(0, 1),
+            DenseOpMode(rng.randint(0, 3)), rng.randint(0, 9), Op(rng.randint(0, 4)),
+        )
+
+    return tuple((decision(), decision()) for _ in range(VOCAB_SIZE))
+
+
+def reference_convert_with_trace(
+    ids: bytes, table: GateTable, capacity: int = DEFAULT_CAPACITY
+) -> tuple[DenseProgram, bytes]:
+    """step over every id, recording the flag each token is read under."""
+    state = init_state(capacity)
+    flags = []
+    for token_id in ids:
+        flags.append(state.decimal_started)
+        if not step(state, token_id, table):
+            break
+    _close_number(state)
+    return DenseProgram(state.valid, state.dense, state.ops), bytes(flags)
+
+
+def reference_label_events(text: str) -> list[GateEvent]:
+    """The replay label_events was before it read convert_with_trace's flags."""
+    ids = encode(text)
+    state = init_state(len(ids) + 1)
+    events: list[GateEvent] = []
+    for token_id in ids:
+        flag = state.decimal_started
+        events.append(GateEvent(token_id, flag, rule_gates[token_id][flag]))
+        if not step(state, token_id, rule_gates):
+            break
+    return events
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,33 @@ def test_convert_malformed_number(capsys):
     assert "error" in err
 
 
+def test_convert_trace_reports_the_flag_each_token_was_read_under(capsys):
+    code, out, _ = run_cli(capsys, "convert", "1.5 2", "--trace")
+    assert code == 0
+    payload = json.loads(out)
+    _, plain, _ = run_cli(capsys, "convert", "1.5 2")
+    assert plain == json.dumps(payload["program"]) + "\n"
+    assert [t["char"] for t in payload["tokens"]] == list("1.5 2")
+    assert [t["flag"] for t in payload["tokens"]] == [0, 0, 1, 1, 0]
+    assert payload["tokens"][1]["decision"] == {
+        "ignore": 0, "move": 0, "decimal_start": 1, "dense_mode": 0, "digit": 0, "op": 0,
+    }
+
+
+def test_convert_trace_shows_a_dropped_junk_character(capsys):
+    code, out, _ = run_cli(capsys, "convert", "1e3", "--trace")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["program"]["dense"] == [13.0]
+    assert payload["tokens"][1] == {
+        "char": "e",
+        "flag": 0,
+        "decision": {
+            "ignore": 1, "move": 0, "decimal_start": 0, "dense_mode": 0, "digit": 0, "op": 0,
+        },
+    }
+
+
 def test_to_postfix(capsys):
     code, out, _ = run_cli(capsys, "to-postfix", "3 + 5 * 2 = ?")
     assert code == 0
@@ -338,6 +365,8 @@ _QA = json.dumps({"instruction": "q", "input": "1 + 1", "output": "2", "swift_ex
     ({}, ["gen", "dot-place", "--count", "-5", "--out", "d.txt"]),
     ({}, ["gen", "numbers-ops", "--count", "-5", "--out", "n.txt"]),
     ({}, ["gen", "qa", "--count", "-5", "--out", "q.jsonl"]),
+    ({"c.txt": "1 2 +\n"}, _TRAIN + ["--steps-max", "-3"]),
+    ({"c.txt": "1 2 +\n"}, _TRAIN + ["--steps-max", "0"]),
 ], ids=[
     "gates-version", "gates-not-object", "gates-missing-head", "gates-shape",
     "gates-ragged", "gates-non-finite", "records-not-objects", "records-no-postfix",
@@ -348,6 +377,7 @@ _QA = json.dumps({"instruction": "q", "input": "1 + 1", "output": "2", "swift_ex
     "gates-deep-json", "records-deep-json", "mix-deep-json", "gates-long-int",
     "records-long-int", "literal-past-float-range", "inject-len-huge",
     "dot-place-count-negative", "numbers-ops-count-negative", "qa-count-negative",
+    "steps-max-negative", "steps-max-0",
 ])
 def test_bad_input_prints_one_error_line(capsys, tmp_path, monkeypatch, files, argv):
     monkeypatch.chdir(tmp_path)
@@ -359,6 +389,15 @@ def test_bad_input_prints_one_error_line(capsys, tmp_path, monkeypatch, files, a
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("steps_max", ["-3", "0"])
+def test_train_gates_with_no_step_budget_writes_no_gate_file(capsys, tmp_path, monkeypatch, steps_max):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.txt").write_text("1 2 +\n")
+    code, _, err = run_cli(capsys, *_TRAIN, "--steps-max", steps_max)
+    assert (code, err) == (1, f"error: steps_max must be positive, got {steps_max}\n")
+    assert not (tmp_path / "g.json").exists()
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -1,4 +1,6 @@
 import copy
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +13,18 @@ from gatecalc.conversion import (
     InvalidCapacity,
     MalformedNumber,
     convert,
+    convert_with_trace,
+)
+from gatecalc.datagen import gen_dot_place, gen_numbers_ops
+from gatecalc.gates import GateDecision, GateParams, label_events, make_learned_policy, rule_gates
+from gatecalc.tokenizer import DOT_ID, SLASH_ID, VOCAB_SIZE, Op, encode
+from helpers import (
     init_state,
+    random_gate_table,
+    reference_convert_with_trace,
+    reference_label_events,
     step,
 )
-from gatecalc.gates import GateDecision, rule_gates
-from gatecalc.tokenizer import VOCAB_SIZE, Op, encode
 
 # Mirrors how a decimal literal relates to its float value without any of
 # the conversion machinery: Python's own parser is the oracle.
@@ -262,3 +271,75 @@ def test_any_table_fills_at_most_capacity_valid_slots(table, ids, capacity):
     assert program.length <= capacity
     assert program.valid == [1] * program.length
     assert len(program.dense) == len(program.ops) == program.length
+
+
+# ---------------------------------------------------------------------------
+# convert_with_trace against the per-token step reference
+
+
+def test_trace_holds_one_flag_per_token_read():
+    program, flags = convert_with_trace(encode("1.5 2"), rule_gates)
+    assert program == convert_text("1.5 2")
+    assert list(flags) == [0, 0, 1, 1, 0]
+    # The terminator is read, under the flag of the number it closes, and
+    # nothing after it is.
+    assert list(convert_with_trace(encode("1.2$34"), rule_gates)[1]) == [0, 0, 1, 1]
+
+
+def test_convert_with_trace_rejects_bad_capacity():
+    for capacity in (0, -3):
+        with pytest.raises(InvalidCapacity, match=f"got {capacity}$"):
+            convert_with_trace(encode("1"), rule_gates, capacity)
+
+
+def _outcome(fn, ids, table, capacity):
+    try:
+        program, flags = fn(ids, table, capacity)
+    except ConversionError as exc:
+        return type(exc), str(exc)
+    return program.to_json_dict(), flags
+
+
+_SWEEP_ALPHABET = "0123456789. +-*/x$"
+
+
+@pytest.mark.parametrize("kind, count, seed", [
+    ("rule", 80_000, 1),
+    ("learned-zeros", 40_000, 2),
+    ("random", 80_000, 3),
+])
+def test_convert_with_trace_matches_step_reference(kind, count, seed):
+    rng = random.Random(seed)
+    if kind == "rule":
+        tables = [rule_gates]
+    elif kind == "learned-zeros":
+        tables = [make_learned_policy(GateParams.zeros())]
+    else:
+        tables = [random_gate_table(rng) for _ in range(50)]
+    reached = Counter()
+    for i in range(count):
+        table = tables[i % len(tables)]
+        text = "".join(rng.choice(_SWEEP_ALPHABET) for _ in range(rng.randint(0, 24)))
+        ids, capacity = encode(text), rng.randint(1, 20)
+        got = _outcome(convert_with_trace, ids, table, capacity)
+        assert got == _outcome(reference_convert_with_trace, ids, table, capacity), (text, capacity)
+        if isinstance(got[1], bytes):
+            for token_id, flag in zip(ids, got[1]):
+                d = table[token_id][flag]
+                if not (d.ignore or d.decimal_start or d.move):
+                    reached[f"digit in mode {d.dense_mode.name}"] += 1
+                reached["dot or op under flag 1"] += flag == 1 and DOT_ID <= token_id <= SLASH_ID
+        else:
+            reached[got[0].__name__] += 1
+    if kind == "random":
+        # The random tables reach the decisions the rule table never makes.
+        for case in ("digit in mode DIRECT_ADD", "digit in mode IGNORE",
+                     "dot or op under flag 1", "MalformedNumber", "CapacityExceeded"):
+            assert reached[case] > 0, case
+
+
+@pytest.mark.parametrize("lines", [gen_dot_place(2000, 21), gen_numbers_ops(2000, 22)],
+                         ids=["dot-place", "numbers-ops"])
+def test_label_events_match_the_step_replay(lines):
+    for line in lines:
+        assert label_events(line) == reference_label_events(line)

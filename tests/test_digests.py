@@ -1,0 +1,143 @@
+"""Golden sha256 digests of the machine's outputs on fixed seeded corpora.
+
+Each digest covers one output of the package, line by line, over inputs
+built here from fixed seeds: convert (program JSON or error class and
+message, under the rule table and seeded random tables), evaluate_with_trace
+JSON, run() JSON, and the (token, flag, target) triples of label_events.
+A change that moves any output byte fails here unless it updates the
+digest it moves and says so. `python tests/test_digests.py` prints the
+current digests.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from gatecalc.conversion import ConversionError, convert
+from gatecalc.datagen import GenConfig, Stage, gen_dot_place, gen_numbers_ops, gen_questions
+from gatecalc.evaluator import EvalError, evaluate_with_trace
+from gatecalc.gates import label_events, rule_gates
+from gatecalc.infix import parse_infix, to_postfix
+from gatecalc.pipeline import run
+from gatecalc.tokenizer import encode
+from helpers import random_gate_table
+
+ALPHABET = "0123456789. +-*/x$"
+
+EXPECTED = {
+    "convert": "18e71460a9f2b63ef1bc8ef39bfcde6b5f6a137ad4f3ffbcab187280afea3268",
+    "evaluate": "4c61c172ab3a54d2b761b3db1e63f0bb86e5c3e14a3d27d005fdee14f2ae804c",
+    "run": "863aa5fd22227467b9122f46859d7697be41a21e03325fa2a7011392cfadb27d",
+    "label": "bf95fbbc1773b25779136f4e04971defff12ee7f519f1b4a11e138dd7a0632c2",
+}
+
+
+def _digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _random_text(rng: random.Random, max_len: int = 24) -> str:
+    return "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, max_len)))
+
+
+def _texts() -> list[str]:
+    """Corpus lines, question postfix, and random strings over the alphabet."""
+    questions = gen_questions(GenConfig(150, 3, Stage.EASY))
+    questions += gen_questions(GenConfig(150, 4, Stage.PRIORITY))
+    rng = random.Random(5)
+    return (
+        gen_dot_place(200, 1)
+        + gen_numbers_ops(200, 2)
+        + [to_postfix(parse_infix(q)) for q in questions]
+        + [_random_text(rng) for _ in range(1200)]
+    )
+
+
+def _programs():
+    """(line, program or None) for every text under the rule table and 20
+    seeded random tables, each conversion at a seeded capacity of 1-40."""
+    rng = random.Random(6)
+    tables = [rule_gates] + [random_gate_table(rng) for _ in range(20)]
+    texts = _texts()
+    for k, table in enumerate(tables):
+        for text in texts:
+            capacity = rng.randint(1, 40)
+            try:
+                program = convert(encode(text), table, capacity)
+            except ConversionError as exc:
+                yield f"{k}\t{capacity}\t{text!r}\t{_error(exc)}", None
+            else:
+                yield f"{k}\t{capacity}\t{text!r}\t{json.dumps(program.to_json_dict())}", program
+
+
+def convert_lines():
+    return (line for line, _ in _programs())
+
+
+def evaluate_lines():
+    for line, program in _programs():
+        if program is None:
+            continue
+        try:
+            out = json.dumps(evaluate_with_trace(program).to_json_dict())
+        except EvalError as exc:
+            out = _error(exc)
+        yield f"{line}\t{out}"
+
+
+def run_lines():
+    rng = random.Random(7)
+    prompts = gen_questions(GenConfig(300, 8, Stage.EASY))
+    prompts += gen_questions(GenConfig(300, 9, Stage.PRIORITY))
+    prompts += [_random_text(rng).replace("$", "(") + " = ?" for _ in range(300)]
+    prompts += [
+        "1 / 0 = ?", "(2 - 2) / (3 - 3) = ?", "99999999999 * 99999999999 = ?",
+        "Design a logo for a food store.", "", "= ?", "1.5 + 2.25 = ?",
+    ]
+    return (f"{p!r}\t{json.dumps(run(p).to_json_dict())}" for p in prompts)
+
+
+def label_lines():
+    rng = random.Random(10)
+    texts = gen_dot_place(300, 11) + gen_numbers_ops(300, 12)
+    texts += [_random_text(rng) for _ in range(600)]
+    for text in texts:
+        try:
+            events = label_events(text)
+        except ConversionError as exc:
+            out = _error(exc)
+        else:
+            out = json.dumps([
+                [e.token_id, e.decimal_started, [int(x) for x in e.target]] for e in events
+            ])
+        yield f"{text!r}\t{out}"
+
+
+DIGESTS = {
+    "convert": convert_lines,
+    "evaluate": evaluate_lines,
+    "run": run_lines,
+    "label": label_lines,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_output_digest_is_pinned(name):
+    assert _digest(DIGESTS[name]()) == EXPECTED[name]
+
+
+if __name__ == "__main__":
+    for name, lines in DIGESTS.items():
+        print(f'    "{name}": "{_digest(lines())}",')

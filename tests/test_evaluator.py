@@ -124,6 +124,17 @@ def test_trace_json_shape():
     ]
 
 
+def test_reduction_steps_are_immutable_and_keep_the_worked_example_json():
+    trace = evaluate_with_trace(convert(encode("3 5 2 * +"), rule_gates))
+    with pytest.raises(AttributeError):
+        trace.steps[0].result = 0.0
+    assert json.dumps(trace.to_json_dict()) == (
+        '{"steps": [{"a": 1, "b": 2, "op_slot": 3, "op": "*", "operands": [5.0, 2.0], '
+        '"result": 10.0}, {"a": 0, "b": 2, "op_slot": 4, "op": "+", '
+        '"operands": [3.0, 10.0], "result": 13.0}], "final": 13.0}'
+    )
+
+
 def test_evaluate_ignores_retired_slots():
     p = program([9.0, 3.0, Op.SUB])
     p.valid[0] = 0

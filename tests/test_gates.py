@@ -305,6 +305,12 @@ def test_config_rejects_non_finite_settings(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("steps_max", [0, -3])
+def test_config_rejects_steps_max_below_one(steps_max):
+    with pytest.raises(GateError, match=f"^steps_max must be positive, got {steps_max}$"):
+        TrainConfig(steps_max=steps_max)
+
+
 def test_training_stops_at_the_first_non_finite_loss():
     # Step 0, the digit (weight 1), has a finite loss but moves the biases
     # by up to 5e307; the dot's weight of 1e308 times the loss that leaves
