@@ -5,13 +5,14 @@ four binary operators with the usual precedence and left associativity,
 parentheses, and an optional trailing "= ?" that questions carry.
 Unary minus does not exist; a leading dot does not start a number.
 
-parse_infix reads a question once, left to right, and emits its
-postfix sequence: floats for literals and operator characters, in the
-order the machine reads them. to_postfix renders that sequence as the
-text the expression head hands the machine, and eval_infix computes it
-with a plain value stack. A recursive-descent parser over an expression
-tree is kept in the tests as the reference that the sequence, every
-error message and every error position are checked against.
+parse_infix reads a question's tokens from one regex scan, left to
+right, and emits its postfix sequence: floats for literals and operator
+characters, in the order the machine reads them. to_postfix renders
+that sequence as the text the expression head hands the machine, and
+eval_infix computes it with a plain value stack. A recursive-descent
+parser over an expression tree is kept in the tests as the reference
+that the sequence, every error message and every error position are
+checked against.
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ class ParseError(ValueError):
 
 
 _ANSWER_SUFFIX = re.compile(r"\s*=\s*\?\s*$")
-_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?")
+# One token after any spaces: a literal (group 1) or any other single
+# character (group 2). "[^ ]" rather than "." so trailing spaces make no
+# token; "[0-9]" rather than "\d" so non-ASCII digits are not literals.
+_TOKEN = re.compile(r" *(?:([0-9]+(?:\.[0-9]*)?)|([^ ]))")
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 # Deepest parenthesis nesting the parser accepts. Open parentheses wait on
@@ -52,48 +56,43 @@ def parse_infix(text: str) -> list[float | str]:
     out: list[float | str] = []
     pending: list[str] = []  # operators and open parentheses not yet emitted
     depth = 0
-    pos = 0
     operand = True
-    while True:
-        while source[pos:pos + 1] == " ":
-            pos += 1
-        ch = source[pos:pos + 1]
+    for match in _TOKEN.finditer(source):
+        number, ch = match.groups()
         if operand:
-            if ch == "(":
-                if depth == MAX_NESTING:
-                    raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            if number is not None:
+                value = float(number)
+                if math.isinf(value):
+                    raise ParseError("number too large", match.start(1))
+                out.append(value)
+                operand = False
+            elif ch != "(":
+                raise ParseError("expected a number or '('", match.start(2))
+            elif depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", match.start(2))
+            else:
                 depth += 1
                 pending.append(ch)
-                pos += 1
-                continue
-            match = _NUMBER.match(source, pos)
-            if not match:
-                raise ParseError("expected a number or '('", pos)
-            value = float(match.group())
-            if math.isinf(value):
-                raise ParseError("number too large", pos)
-            out.append(value)
-            pos = match.end()
-            operand = False
         elif ch == ")" and depth:
             while (top := pending.pop()) != "(":
                 out.append(top)
             depth -= 1
-            pos += 1
         elif ch in _PRECEDENCE:
             # An open parenthesis ranks 0, below every operator: none pops it.
             while pending and _PRECEDENCE.get(pending[-1], 0) >= _PRECEDENCE[ch]:
                 out.append(pending.pop())
             pending.append(ch)
-            pos += 1
             operand = True
         elif depth:
-            raise ParseError("expected ')'", pos)
-        elif ch:
-            raise ParseError(f"unexpected {ch!r}", pos)
+            raise ParseError("expected ')'", match.start(match.lastindex))
         else:
-            out.extend(reversed(pending))
-            return out
+            raise ParseError(f"unexpected {(ch or number[0])!r}", match.start(match.lastindex))
+    if operand:
+        raise ParseError("expected a number or '('", len(source))
+    if depth:
+        raise ParseError("expected ')'", len(source))
+    out.extend(reversed(pending))
+    return out
 
 
 def to_postfix(postfix: list[float | str]) -> str:

@@ -49,6 +49,8 @@ class InjectionSegment:
 
 
 def _check_inject_len(inject_len: int) -> None:
+    if inject_len < 1:
+        raise PayloadTooLong(f"inject_len must be at least 1, got {inject_len}")
     if inject_len > MAX_INJECT_LEN:
         raise PayloadTooLong(f"inject_len must be at most {MAX_INJECT_LEN}, got {inject_len}")
 
@@ -61,6 +63,9 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         _check_inject_len(self.inject_len)
+
+
+_DEFAULT_CONFIG = PipelineConfig()
 
 
 @dataclass
@@ -126,6 +131,7 @@ def extract_segment_payload(prompt: str, inject_len: int = DEFAULT_INJECT_LEN) -
 def make_echo_responder(inject_len: int = DEFAULT_INJECT_LEN) -> Responder:
     """Reference responder: reads an injected answer back when one is
     present, otherwise echoes the prompt byte for byte."""
+    _check_inject_len(inject_len)
 
     def respond(prompt: str) -> str:
         payload = extract_segment_payload(prompt, inject_len)
@@ -147,7 +153,7 @@ def run(
     prompt falls through to the responder untouched and the failure is
     reported in the diagnostic field.
     """
-    config = config or PipelineConfig()
+    config = config or _DEFAULT_CONFIG
     if predictor is None:
         predictor = reference_predictor
     if responder is None:

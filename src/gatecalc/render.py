@@ -16,13 +16,15 @@ class NonFinite(ValueError):
 def render(x: float) -> str:
     """Shortest clean decimal text for a finite result.
 
-    A value within relative 1e-9 of an integer prints as that integer,
-    so accumulated float error never leaks a stray fraction into an
-    answer. Everything else prints positionally with at most 12
-    significant digits and no trailing zeros; scientific notation never
-    appears.
+    An integer-valued float prints as its integer at once, and any other
+    value within relative 1e-9 of an integer prints as that integer, so
+    accumulated float error never leaks a stray fraction into an answer.
+    Everything else prints positionally with at most 12 significant
+    digits and no trailing zeros; scientific notation never appears.
     """
     x = float(x)
+    if x.is_integer():
+        return str(int(x))
     if not math.isfinite(x):
         raise NonFinite(f"cannot render {x!r}")
     nearest = round(x)

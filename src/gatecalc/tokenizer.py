@@ -4,7 +4,8 @@ The machine reads text one character at a time over an 18 symbol
 alphabet: the ten digits, the decimal dot, the four operators, the
 space, and the '$' terminator. Any other character collapses onto a
 single OTHER id so the gates can treat all junk alike. Encoded text is
-a bytes object holding one id per character.
+a bytes object holding one id per character, made by one byte-table
+translate of the text's ASCII encoding.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ CHAR_TO_ID.update({
 
 ID_TO_CHAR: dict[int, str] = {i: c for c, i in CHAR_TO_ID.items()}
 
+# bytes.translate table: each byte's id, OTHER outside the alphabet.
+_IDS = bytes(CHAR_TO_ID.get(chr(b), OTHER_ID) for b in range(256))
+
 
 class Op(IntEnum):
     """Operator ids as stored in a program's op slots. NONE marks a number slot."""
@@ -61,5 +65,9 @@ CHAR_TO_OP: dict[str, Op] = {c: op for op, c in OP_TO_CHAR.items()}
 
 
 def encode(text: str) -> bytes:
-    """One id per character; anything outside the alphabet becomes OTHER."""
-    return bytes([CHAR_TO_ID.get(ch, OTHER_ID) for ch in text])
+    """One id per character; anything outside the alphabet becomes OTHER.
+
+    The ascii codec with "replace" gives one byte per code point, a "?"
+    for each non-ASCII one (lone surrogates included).
+    """
+    return text.encode("ascii", "replace").translate(_IDS)

@@ -9,13 +9,15 @@ alike, and label_events its replay over step. The reference reduction
 is the paper's rescanning rule, which the evaluator's single pass must
 reproduce fold for fold. The reference question parser is recursive
 descent into a Number/BinOp tree, walked to postfix text and to a value;
-the one-pass parser must give the same postfix, values and errors. The
-numpy gate trainer and gate-file loader that the scalar ones replaced
+the one-pass parser must give the same postfix, values and errors.
+encode and render are held equal to their character-by-character
+lookup and their snap-only body. The numpy gate trainer and gate-file loader that the scalar ones replaced
 are kept here as references too, over (n_out, n_in) weight matrices.
 """
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import random
@@ -53,8 +55,17 @@ from gatecalc.gates import (
     rule_gates,
 )
 from gatecalc.infix import MAX_NESTING, ParseError
-from gatecalc.render import render
-from gatecalc.tokenizer import CHAR_TO_OP, OP_TO_CHAR, TERMINATOR_ID, VOCAB_SIZE, Op, encode
+from gatecalc.render import INTEGER_SNAP_REL, MAX_SIG_DIGITS, NonFinite, render
+from gatecalc.tokenizer import (
+    CHAR_TO_ID,
+    CHAR_TO_OP,
+    OP_TO_CHAR,
+    OTHER_ID,
+    TERMINATOR_ID,
+    VOCAB_SIZE,
+    Op,
+    encode,
+)
 
 ALL_OPS = (Op.ADD, Op.SUB, Op.MUL, Op.DIV)
 
@@ -470,6 +481,25 @@ def reference_eval_infix(ast: InfixAst) -> float:
             rhs = values.pop()
             values.append(apply_op(node, values.pop(), rhs))
     return values[0]
+
+
+def reference_encode(text: str) -> bytes:
+    """One id per character, looked up character by character."""
+    return bytes([CHAR_TO_ID.get(ch, OTHER_ID) for ch in text])
+
+
+def reference_render(x: float) -> str:
+    """render with no integer shortcut: every value goes through the snap."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise NonFinite(f"cannot render {x!r}")
+    nearest = round(x)
+    if abs(x - nearest) <= INTEGER_SNAP_REL * max(1.0, abs(x)):
+        return str(int(nearest))
+    text = f"{x:.{MAX_SIG_DIGITS}g}"
+    if "e" in text or "E" in text:
+        text = format(decimal.Decimal(text), "f")
+    return text
 
 
 def random_value(rng: random.Random, limit: int = 1000, decimals: int = 2) -> float:

@@ -367,6 +367,8 @@ _QA = json.dumps({"instruction": "q", "input": "1 + 1", "output": "2", "swift_ex
     ({}, ["gen", "qa", "--count", "-5", "--out", "q.jsonl"]),
     ({"c.txt": "1 2 +\n"}, _TRAIN + ["--steps-max", "-3"]),
     ({"c.txt": "1 2 +\n"}, _TRAIN + ["--steps-max", "0"]),
+    ({}, ["run", "a$ ", "--inject-len", "0"]),
+    ({}, ["run", "3 + 5 = ?", "--inject-len", "-2"]),
 ], ids=[
     "gates-version", "gates-not-object", "gates-missing-head", "gates-shape",
     "gates-ragged", "gates-non-finite", "records-not-objects", "records-no-postfix",
@@ -377,7 +379,7 @@ _QA = json.dumps({"instruction": "q", "input": "1 + 1", "output": "2", "swift_ex
     "gates-deep-json", "records-deep-json", "mix-deep-json", "gates-long-int",
     "records-long-int", "literal-past-float-range", "inject-len-huge",
     "dot-place-count-negative", "numbers-ops-count-negative", "qa-count-negative",
-    "steps-max-negative", "steps-max-0",
+    "steps-max-negative", "steps-max-0", "inject-len-0", "inject-len-negative",
 ])
 def test_bad_input_prints_one_error_line(capsys, tmp_path, monkeypatch, files, argv):
     monkeypatch.chdir(tmp_path)

@@ -275,3 +275,30 @@ def test_one_pass_matches_reference_parser():
         f"parentheses nested deeper than {MAX_NESTING}",
         "DivisionByZero",
     } <= kinds
+
+
+# Characters the token scanner must treat exactly as the reference does:
+# whitespace other than the space (which only the answer suffix strips),
+# digits outside ASCII, and a NUL.
+_SCANNER_ALPHABET = "0123456789. +-*/()=?" + "\t\n\r\u00a0\u0663\uff11\x00"
+
+
+def test_token_scanner_matches_reference_parser():
+    rng = random.Random(90210)
+    kinds = set()
+    for _ in range(30000):
+        body = "".join(rng.choices(_SCANNER_ALPHABET, k=rng.randint(0, 12)))
+        text = " " * rng.randint(0, 2) + body + " " * rng.randint(0, 2)
+        got = _outcome(parse_infix, to_postfix, lambda _: None, text)
+        want = _outcome(reference_parse_infix, reference_to_postfix, lambda _: None, text)
+        assert got == want, repr(text)
+        kinds.add(got[1].rsplit(" (at", 1)[0] if got[0] == "ParseError" else "parsed")
+    assert {
+        "parsed",
+        "expected a number or '('",
+        "expected ')'",
+        "unexpected '\\t'",
+        "unexpected '\u0663'",
+        "unexpected '\uff11'",
+        "unexpected '\\x00'",
+    } <= kinds

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 
+from gatecalc import pipeline
 from gatecalc.conversion import convert
 from gatecalc.datagen import GenConfig, Stage, gen_questions
 from gatecalc.evaluator import stack_oracle
@@ -182,6 +183,30 @@ def test_inject_len_past_the_bound_never_builds_padding():
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.inject_len = 10**30
     assert run("3 + 5 = ?", config=config).answer == "8"
+
+
+@pytest.mark.parametrize("inject_len", [0, -2])
+def test_inject_len_below_one_is_rejected(inject_len):
+    # A zero length would read prompt[-0:], the whole prompt, as a segment,
+    # and a negative one would slice the prompt from the front.
+    message = f"at least 1, got {inject_len}$"
+    with pytest.raises(PayloadTooLong, match=message):
+        PipelineConfig(inject_len=inject_len)
+    with pytest.raises(PayloadTooLong, match=message):
+        make_segment(8.0, inject_len)
+    with pytest.raises(PayloadTooLong, match=message):
+        make_echo_responder(inject_len)
+    assert run("a$ ").answer == "a$ "
+
+
+def test_run_without_config_builds_none(monkeypatch):
+    # The frozen default is built once, at import, and shared by every call.
+    def no_config(*args, **kwargs):
+        raise AssertionError("run() built a PipelineConfig")
+
+    monkeypatch.setattr(pipeline, "PipelineConfig", no_config)
+    assert run("3 + 5 = ?").answer == "8"
+    assert run("Hello").answer == "Hello"
 
 
 def test_huge_capacity_is_answered():

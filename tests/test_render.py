@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from gatecalc.render import NonFinite, render
 
+from helpers import reference_render
+
 
 def test_whole_numbers_have_no_fraction():
     assert render(8.0) == "8"
@@ -56,6 +58,19 @@ def test_non_finite_rejected():
             render(bad)
 
 
+def test_matches_reference_render():
+    integers = [0.0, -0.0, 1e308, -1e308]
+    for n in (2**53 - 1, 2**53, 2**53 + 1):
+        integers += [float(n), float(-n)]
+    integers += [float(10**k) for k in range(309)] + [-float(10**k) for k in range(309)]
+    near = [1.0000000001, 0.9999999999, -1.0000000001, 1e6 + 1e-4, 2.0**60 + 0.5]
+    decimals = [1 / 7, -1 / 7, 2 / 3, 0.1 + 0.2, 1.5e-6, 123.456, 5e-324, 1e-300]
+    for x in integers + near + decimals:
+        assert render(x) == reference_render(x), repr(x)
+    assert render(-0.0) == "0"
+    assert render(1.0000000001) == "1"
+
+
 def test_accepts_ints():
     assert render(8) == "8"
 
@@ -83,6 +98,11 @@ def test_round_trip_within_tolerance(x):
 def test_idempotent(x):
     text = render(x)
     assert render(float(text)) == text
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_matches_reference_render_on_any_finite_float(x):
+    assert render(x) == reference_render(x)
 
 
 @given(st.integers(min_value=-(10**12), max_value=10**12))

@@ -17,7 +17,7 @@ from gatecalc.tokenizer import (
     encode,
 )
 
-from helpers import onehot
+from helpers import onehot, reference_encode
 
 VOCAB_CHARS = "0123456789.+-*/ $"
 
@@ -48,6 +48,14 @@ def test_unknown_chars_collapse_to_other():
 
 def test_encode_simple_expression():
     assert list(encode("3 5 +")) == [3, SPACE_ID, 5, SPACE_ID, PLUS_ID]
+
+
+def test_encode_matches_reference_on_every_code_point():
+    # Lone surrogates included: the ascii codec still gives one byte each.
+    text = "".join(map(chr, range(0x110000)))
+    ids = encode(text)
+    assert len(ids) == 0x110000
+    assert ids == reference_encode(text)
 
 
 def test_encode_empty():
