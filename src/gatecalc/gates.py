@@ -23,6 +23,16 @@ the next one starts, which keeps early material fresh while later
 material arrives. Decimal dots and operator characters carry extra loss
 weight because a miss there corrupts a whole number rather than one
 digit.
+
+The trainer runs head-major over blocks: a block is one chunk's
+repeated passes, clipped to the step budget, and each of the six heads
+takes all of the block's steps before the next head starts. This is
+exact, not an approximation: a head's weights and bias move only under
+its own loss, so it sees the same sequence of updates as it would one
+event at a time, and each step's raw loss still sums the heads' losses
+in HEAD_SHAPES order. Params and loss trace match the event-major loop
+bit for bit. The block boundary is where the trace is recorded and a
+non-finite loss is reported.
 """
 
 from __future__ import annotations
@@ -31,9 +41,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import add, sub
+from math import exp, log, log1p
+from operator import add, attrgetter, mul, sub
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .conversion import DenseOpMode, convert_with_trace
 from .tokenizer import (
@@ -185,17 +196,24 @@ class GateEvent:
     target: GateDecision
 
 
+# The 36 possible events, indexed [token_id][decimal_flag] like a GateTable.
+_EVENTS = tuple(
+    tuple(GateEvent(t, f, rule_gates[t][f]) for f in (0, 1)) for t in range(VOCAB_SIZE)
+)
+
+
 def label_events(text: str) -> list[GateEvent]:
     """The reference conversion of one line, as one event per token read.
 
     Each token is paired with the decimal flag it was read under, which
     is exactly the context a policy sees. A terminator is recorded and
     ends the line, the same way it stops the converter; a malformed
-    number raises as it does there.
+    number raises as it does there. Events are frozen and shared: the
+    same (token, flag) case is the same object.
     """
     ids = encode(text)
     flags = convert_with_trace(ids, rule_gates, len(ids) + 1)[1]
-    return [GateEvent(t, f, rule_gates[t][f]) for t, f in zip(ids, flags)]
+    return [_EVENTS[t][f] for t, f in zip(ids, flags)]
 
 
 def events_from_lines(lines: Iterable[str]) -> list[GateEvent]:
@@ -224,12 +242,15 @@ class TrainConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise GateError(f"{name} must be finite, got {value}")
+        for name in ("epoch_size", "repeats", "steps_max"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "steps_max" and value is None):
+                raise GateError(f"{name} must be an int, got {value!r}")
         if self.steps_max is not None and self.steps_max < 1:
             raise GateError(f"steps_max must be positive, got {self.steps_max}")
 
 
-@dataclass(frozen=True)
-class EventLoss:
+class EventLoss(NamedTuple):
     step: int
     token_id: int
     weight: float
@@ -251,67 +272,114 @@ def _event_weight(event: GateEvent, config: TrainConfig) -> float:
     return 1.0
 
 
-# Every exp below takes an argument of at most zero (or NaN), so none can
-# overflow and raise; a diverged logit gives an infinite or NaN loss.
+# Each head below runs over a whole block of steps and returns its loss at
+# every step. Every exp takes an argument of at most zero (or NaN), so
+# none can overflow and raise; a diverged logit gives an infinite or NaN
+# loss, and training goes on to the end of the block on whatever the
+# params hold.
+#
+# The gradient of a loss with respect to a one-hot input's weights is dz
+# in the token's column (and the flag column when the flag is on) and zero
+# everywhere else, so a step moves only those columns and the bias, each
+# by delta = scale * dz.
 
 
-def _binary_loss_grad(z: list[float], target: int) -> tuple[float, list[float]]:
-    """Summed BCE over one sigmoid unit per class, stable for any logit.
-
-    Per unit, softplus(x) = log(1 + e**x) and sigmoid(x) share one exp,
-    taken of -|x|.
-    """
-    loss = 0.0
-    grad = []
-    for j, x in enumerate(z):
-        y = 1.0 if j == target else 0.0
-        if x > 0:
-            e = math.exp(-x)
-            loss += x + math.log1p(e) - y * x
-            grad.append(1.0 / (1.0 + e) - y)
+def _train_binary_head(w, b, tokens, targets, scales, freeze) -> list[float]:
+    """Summed BCE over one sigmoid unit per class, stable for any logit:
+    per unit, softplus(x) = log(1 + e**x) and sigmoid(x) share one exp,
+    taken of -|x|. The two units are unrolled and the bias is held in
+    locals."""
+    b0, b1 = b
+    losses = []
+    for t, target, scale in zip(tokens, targets, scales):
+        column = w[t]
+        x0 = column[0] + b0
+        x1 = column[1] + b1
+        y0 = 1.0 if target == 0 else 0.0
+        y1 = 1.0 if target == 1 else 0.0
+        if x0 > 0:
+            e = exp(-x0)
+            loss0 = x0 + log1p(e) - y0 * x0
+            g0 = 1.0 / (1.0 + e) - y0
         else:
-            e = math.exp(x)
-            loss += math.log1p(e) - y * x
-            grad.append(e / (1.0 + e) - y)
-    return loss, grad
+            e = exp(x0)
+            loss0 = log1p(e) - y0 * x0
+            g0 = e / (1.0 + e) - y0
+        if x1 > 0:
+            e = exp(-x1)
+            loss1 = x1 + log1p(e) - y1 * x1
+            g1 = 1.0 / (1.0 + e) - y1
+        else:
+            e = exp(x1)
+            loss1 = log1p(e) - y1 * x1
+            g1 = e / (1.0 + e) - y1
+        losses.append(0.0 + loss0 + loss1)
+        if not freeze:
+            d0 = scale * g0
+            d1 = scale * g1
+            column[0] -= d0
+            column[1] -= d1
+            b0 -= d0
+            b1 -= d1
+    b[:] = b0, b1
+    return losses
 
 
-def _softmax_loss_grad(z: list[float], target: int) -> tuple[float, list[float]]:
-    zmax = max(z)
-    lse = zmax + math.log(sum([math.exp(x - zmax) for x in z]))
-    p = [math.exp(x - lse) for x in z]
-    p[target] -= 1.0
-    return lse - z[target], p
+def _train_softmax_head(w, b, tokens, flags, targets, scales, freeze) -> list[float]:
+    """Softmax cross entropy. A head one column wider than the vocabulary
+    reads and moves its flag column too at steps whose flag is on.
+
+    dz is the softmax minus the one-hot target, so delta is built from
+    the probabilities directly and the target's entry is set apart."""
+    flag_column = w[VOCAB_SIZE] if len(w) > VOCAB_SIZE else None
+    losses = []
+    for t, flag, target, scale in zip(tokens, flags, targets, scales):
+        column = w[t]
+        if flag and flag_column is not None:
+            z = list(map(add, map(add, column, flag_column), b))
+        else:
+            z = list(map(add, column, b))
+        zmax = max(z)
+        lse = zmax + log(sum([exp(x - zmax) for x in z]))
+        x = z[target]
+        losses.append(lse - x)
+        if not freeze:
+            delta = [scale * exp(x - lse) for x in z]
+            delta[target] = scale * (exp(x - lse) - 1.0)
+            column[:] = map(sub, column, delta)
+            if flag and flag_column is not None:
+                flag_column[:] = map(sub, flag_column, delta)
+            b[:] = map(sub, b, delta)
+    return losses
 
 
-def _train_step(
-    params: GateParams, event: GateEvent, config: TrainConfig
-) -> tuple[float, float]:
-    """One gradient step over all heads. Returns (raw, weighted) loss."""
-    weight = _event_weight(event, config)
-    token_id, flag = event.token_id, event.decimal_started
-    scale = config.lr * weight
-    raw = 0.0
-    for (name, n_out, n_in), target in zip(HEAD_SHAPES, event.target):
-        z = _logits(params, name, token_id, flag)
+_decision_fields = attrgetter(*GateDecision.__slots__)
+
+
+def _train_block(
+    params: GateParams,
+    block: list[GateEvent],
+    tokens: list[int],
+    weights: list[float],
+    config: TrainConfig,
+) -> list[float]:
+    """One gradient step per event of the block, taken one head at a time.
+    Returns every step's raw loss: its heads' losses summed in HEAD_SHAPES
+    order, the order one event-major step added them in."""
+    flags = [e.decimal_started for e in block]
+    scales = [config.lr * weight for weight in weights]
+    targets = zip(*[_decision_fields(e.target) for e in block])
+    raws = [0.0] * len(block)
+    for (name, n_out, _), head_targets in zip(HEAD_SHAPES, targets):
+        w, b = params.heads[name]
         if n_out == 2:
-            loss, dz = _binary_loss_grad(z, target)
+            losses = _train_binary_head(w, b, tokens, head_targets, scales, config.freeze)
         else:
-            loss, dz = _softmax_loss_grad(z, target)
-        raw += loss
-        if not config.freeze:
-            # The outer product of dz with a one-hot input is dz in the
-            # token's column (and the flag column when the flag is on) and
-            # zero everywhere else, so only those columns move.
-            w, b = params.heads[name]
-            delta = [scale * g for g in dz]
-            if flag and n_in > VOCAB_SIZE:
-                moved = (w[token_id], w[VOCAB_SIZE], b)
-            else:
-                moved = (w[token_id], b)
-            for v in moved:
-                v[:] = map(sub, v, delta)
-    return raw, weight * raw
+            losses = _train_softmax_head(
+                w, b, tokens, flags, head_targets, scales, config.freeze
+            )
+        raws = list(map(add, raws, losses))
+    return raws
 
 
 def train_gates(
@@ -322,13 +390,16 @@ def train_gates(
     """Fit the gate heads to a labeled event stream.
 
     The stream is cut into chunks of epoch_size events; each chunk runs
-    repeats times before the next chunk starts. The trace keeps one
-    entry per gradient step plus the mean weighted loss of every chunk
-    pass. With freeze set, losses are recorded but nothing updates,
-    which is how a later corpus can be scored against frozen gates.
-    Training stops with a GateError at the first step whose weighted
-    loss is not finite, since every later step would run on diverged
-    params.
+    repeats times before the next chunk starts, one gradient step per
+    event. The trace keeps one entry per gradient step plus the mean
+    weighted loss of every chunk pass. With freeze set, losses are
+    recorded but nothing updates, which is how a later corpus can be
+    scored against frozen gates. Training stops with a GateError at the
+    first step whose weighted loss is not finite, since every later step
+    would run on diverged params.
+
+    Each chunk's block of steps runs one head at a time, which gives the
+    same params and trace bit for bit (see the module docstring).
     """
     events = list(events)
     if not events:
@@ -341,32 +412,27 @@ def train_gates(
 
     params = init.clone() if init is not None else GateParams.zeros()
     trace = LossTrace()
-    step_idx = 0
-    budget_spent = False
-
+    step = 0
     for start in range(0, len(events), config.epoch_size):
         chunk = events[start : start + config.epoch_size]
-        for _ in range(config.repeats):
-            pass_losses: list[float] = []
-            for event in chunk:
-                if config.steps_max is not None and step_idx >= config.steps_max:
-                    budget_spent = True
-                    break
-                raw, weighted = _train_step(params, event, config)
-                if not math.isfinite(weighted):
-                    raise GateError(
-                        f"training diverged at step {step_idx}: weighted loss is {weighted}"
-                    )
-                trace.events.append(
-                    EventLoss(step_idx, event.token_id, _event_weight(event, config), raw, weighted)
-                )
-                pass_losses.append(weighted)
-                step_idx += 1
-            if pass_losses:
-                trace.epoch_mean.append(sum(pass_losses) / len(pass_losses))
-            if budget_spent:
-                break
-        if budget_spent:
+        block = chunk * config.repeats
+        if config.steps_max is not None:
+            del block[config.steps_max - step :]
+        tokens = [e.token_id for e in block]
+        weights = [_event_weight(e, config) for e in block]
+        raws = _train_block(params, block, tokens, weights, config)
+        weighted = list(map(mul, weights, raws))
+        for i, loss in enumerate(weighted):
+            if not math.isfinite(loss):
+                raise GateError(f"training diverged at step {step + i}: weighted loss is {loss}")
+        trace.events += map(
+            EventLoss, range(step, step + len(block)), tokens, weights, raws, weighted
+        )
+        for p in range(0, len(block), len(chunk)):
+            pass_losses = weighted[p : p + len(chunk)]
+            trace.epoch_mean.append(sum(pass_losses) / len(pass_losses))
+        step += len(block)
+        if step == config.steps_max:
             break
     return params, trace
 

@@ -49,6 +49,10 @@ class InjectionSegment:
 
 
 def _check_inject_len(inject_len: int) -> None:
+    if type(inject_len) is not int:
+        raise PayloadTooLong(
+            f"inject_len must be an int, got {type(inject_len).__name__} {inject_len!r}"
+        )
     if inject_len < 1:
         raise PayloadTooLong(f"inject_len must be at least 1, got {inject_len}")
     if inject_len > MAX_INJECT_LEN:
@@ -115,6 +119,7 @@ def make_segment(result: float, inject_len: int = DEFAULT_INJECT_LEN) -> Injecti
 
 def extract_segment_payload(prompt: str, inject_len: int = DEFAULT_INJECT_LEN) -> str | None:
     """Payload of a trailing injected segment, or None if the tail is not one."""
+    _check_inject_len(inject_len)
     if len(prompt) < inject_len:
         return None
     tail = prompt[-inject_len:]

@@ -11,7 +11,11 @@ reproduce fold for fold. The reference question parser is recursive
 descent into a Number/BinOp tree, walked to postfix text and to a value;
 the one-pass parser must give the same postfix, values and errors.
 encode and render are held equal to their character-by-character
-lookup and their snap-only body. The numpy gate trainer and gate-file loader that the scalar ones replaced
+lookup and their snap-only body. The reference trainer is the
+event-major loop, one gradient step over all six heads per event, which
+the head-major train_gates must match bit for bit; its step can be
+swapped for the one-hot matrix product or for the numpy trainer. The
+numpy gate trainer and gate-file loader that the scalar ones replaced
 are kept here as references too, over (n_out, n_in) weight matrices.
 """
 
@@ -25,6 +29,7 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import sub
 from pathlib import Path
 from typing import Union
 
@@ -47,10 +52,12 @@ from gatecalc.gates import (
     GateEvent,
     GateParams,
     GateTable,
+    EmptyCorpus,
+    EventLoss,
+    LossTrace,
     TrainConfig,
-    _binary_loss_grad,
     _event_weight,
-    _softmax_loss_grad,
+    _logits,
     _tabulate,
     rule_gates,
 )
@@ -573,11 +580,130 @@ def param_bits(params: GateParams) -> list[bytes]:
     return [array("d", chain(b, *w)).tobytes() for w, b in params.heads.values()]
 
 
+# ---------------------------------------------------------------------------
+# The event-major trainer: one gradient step over all six heads per event,
+# in stream order. train_gates runs the same arithmetic head-major over
+# each chunk's block of steps and must match it bit for bit.
+
+
+# Every exp below takes an argument of at most zero (or NaN), so none can
+# overflow and raise; a diverged logit gives an infinite or NaN loss.
+
+
+def binary_loss_grad(z: list[float], target: int) -> tuple[float, list[float]]:
+    """Summed BCE over one sigmoid unit per class, stable for any logit.
+
+    Per unit, softplus(x) = log(1 + e**x) and sigmoid(x) share one exp,
+    taken of -|x|.
+    """
+    loss = 0.0
+    grad = []
+    for j, x in enumerate(z):
+        y = 1.0 if j == target else 0.0
+        if x > 0:
+            e = math.exp(-x)
+            loss += x + math.log1p(e) - y * x
+            grad.append(1.0 / (1.0 + e) - y)
+        else:
+            e = math.exp(x)
+            loss += math.log1p(e) - y * x
+            grad.append(e / (1.0 + e) - y)
+    return loss, grad
+
+
+def softmax_loss_grad(z: list[float], target: int) -> tuple[float, list[float]]:
+    zmax = max(z)
+    lse = zmax + math.log(sum([math.exp(x - zmax) for x in z]))
+    p = [math.exp(x - lse) for x in z]
+    p[target] -= 1.0
+    return lse - z[target], p
+
+
+def train_step(params: GateParams, event: GateEvent, config: TrainConfig) -> tuple[float, float]:
+    """One gradient step over all heads. Returns (raw, weighted) loss."""
+    weight = _event_weight(event, config)
+    token_id, flag = event.token_id, event.decimal_started
+    scale = config.lr * weight
+    raw = 0.0
+    for (name, n_out, n_in), target in zip(HEAD_SHAPES, event.target):
+        z = _logits(params, name, token_id, flag)
+        if n_out == 2:
+            loss, dz = binary_loss_grad(z, target)
+        else:
+            loss, dz = softmax_loss_grad(z, target)
+        raw += loss
+        if not config.freeze:
+            # The outer product of dz with a one-hot input is dz in the
+            # token's column (and the flag column when the flag is on) and
+            # zero everywhere else, so only those columns move.
+            w, b = params.heads[name]
+            delta = [scale * g for g in dz]
+            if flag and n_in > VOCAB_SIZE:
+                moved = (w[token_id], w[VOCAB_SIZE], b)
+            else:
+                moved = (w[token_id], b)
+            for v in moved:
+                v[:] = map(sub, v, delta)
+    return raw, weight * raw
+
+
+def reference_train_gates(
+    events,
+    config: TrainConfig | None = None,
+    init: GateParams | None = None,
+    step=train_step,
+) -> tuple[GateParams, LossTrace]:
+    """train_gates as one gradient step per event in stream order: each
+    chunk of epoch_size events runs repeats times, stopping at steps_max
+    or with a GateError at the first non-finite weighted loss. step(params,
+    event, config) -> (raw, weighted) takes the step and may be swapped
+    for another formulation of it."""
+    events = list(events)
+    if not events:
+        raise EmptyCorpus("no training events")
+    config = config or TrainConfig()
+    if config.epoch_size < 1:
+        raise GateError(f"epoch_size must be positive, got {config.epoch_size}")
+    if config.repeats < 1:
+        raise GateError(f"repeats must be positive, got {config.repeats}")
+
+    params = init.clone() if init is not None else GateParams.zeros()
+    trace = LossTrace()
+    step_idx = 0
+    budget_spent = False
+
+    for start in range(0, len(events), config.epoch_size):
+        chunk = events[start : start + config.epoch_size]
+        for _ in range(config.repeats):
+            pass_losses: list[float] = []
+            for event in chunk:
+                if config.steps_max is not None and step_idx >= config.steps_max:
+                    budget_spent = True
+                    break
+                raw, weighted = step(params, event, config)
+                if not math.isfinite(weighted):
+                    raise GateError(
+                        f"training diverged at step {step_idx}: weighted loss is {weighted}"
+                    )
+                trace.events.append(
+                    EventLoss(step_idx, event.token_id, _event_weight(event, config), raw, weighted)
+                )
+                pass_losses.append(weighted)
+                step_idx += 1
+            if pass_losses:
+                trace.epoch_mean.append(sum(pass_losses) / len(pass_losses))
+            if budget_spent:
+                break
+        if budget_spent:
+            break
+    return params, trace
+
+
 def onehot_train_step(params, event, config) -> tuple[float, float]:
     """The trainer's gradient step written as a full matrix product over
     the one-hot input, with the decimal flag appended for the dense-mode
-    head, and as the full outer-product update. A drop-in for
-    gates._train_step, to check the column-indexed step."""
+    head, and as the full outer-product update. A drop-in for train_step,
+    to check the column-indexed step."""
     weight = _event_weight(event, config)
     scale = config.lr * weight
     raw = 0.0
@@ -587,7 +713,7 @@ def onehot_train_step(params, event, config) -> tuple[float, float]:
         if n_in > VOCAB_SIZE:
             x[-1] = float(event.decimal_started)
         z = onehot_logits(w, b, x)
-        grad = _binary_loss_grad if n_out == 2 else _softmax_loss_grad
+        grad = binary_loss_grad if n_out == 2 else softmax_loss_grad
         loss, dz = grad(z, target)
         raw += loss
         if not config.freeze:
@@ -693,8 +819,8 @@ def numpy_train_step(
 def numpy_train_step_on_columns(
     params: GateParams, event: GateEvent, config: TrainConfig
 ) -> tuple[float, float]:
-    """A drop-in for gates._train_step that runs numpy_train_step. On its
-    first step it converts the GateParams that train_gates built, in
+    """A drop-in for train_step that runs numpy_train_step. On its first
+    step it converts the GateParams that reference_train_gates built, in
     place, to numpy matrices; pass the result through column_params."""
     if isinstance(params.heads["op"][1], list):
         params.heads.update(numpy_params(params).heads)

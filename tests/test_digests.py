@@ -3,7 +3,8 @@
 Each digest covers one output of the package, line by line, over inputs
 built here from fixed seeds: convert (program JSON or error class and
 message, under the rule table and seeded random tables), evaluate_with_trace
-JSON, run() JSON, and the (token, flag, target) triples of label_events.
+JSON, run() JSON, the (token, flag, target) triples of label_events, and
+the trained params and loss trace of a seeded two-stage train_gates run.
 A change that moves any output byte fails here unless it updates the
 digest it moves and says so. `python tests/test_digests.py` prints the
 current digests.
@@ -20,11 +21,11 @@ import pytest
 from gatecalc.conversion import ConversionError, convert
 from gatecalc.datagen import GenConfig, Stage, gen_dot_place, gen_numbers_ops, gen_questions
 from gatecalc.evaluator import EvalError, evaluate_with_trace
-from gatecalc.gates import label_events, rule_gates
+from gatecalc.gates import TrainConfig, events_from_lines, label_events, rule_gates, train_gates
 from gatecalc.infix import parse_infix, to_postfix
 from gatecalc.pipeline import run
 from gatecalc.tokenizer import encode
-from helpers import random_gate_table
+from helpers import param_bits, random_gate_table
 
 ALPHABET = "0123456789. +-*/x$"
 
@@ -33,6 +34,7 @@ EXPECTED = {
     "evaluate": "4c61c172ab3a54d2b761b3db1e63f0bb86e5c3e14a3d27d005fdee14f2ae804c",
     "run": "863aa5fd22227467b9122f46859d7697be41a21e03325fa2a7011392cfadb27d",
     "label": "bf95fbbc1773b25779136f4e04971defff12ee7f519f1b4a11e138dd7a0632c2",
+    "train": "888ea275e46fa4822fdf9c9253c92aa803965ec8074335288c165fdb501fc48e",
 }
 
 
@@ -125,11 +127,29 @@ def label_lines():
         yield f"{text!r}\t{out}"
 
 
+def train_lines():
+    """Both stages' trace entries and pass means, then the final params,
+    every float in hex so that a one-ulp move shows. The second stage
+    starts from the first stage's params and cuts uneven chunks."""
+    stages = [
+        (gen_dot_place(80, 13), TrainConfig()),
+        (gen_numbers_ops(150, 14), TrainConfig(epoch_size=37, repeats=3, lr=0.05)),
+    ]
+    params = None
+    for k, (lines, config) in enumerate(stages):
+        params, trace = train_gates(events_from_lines(lines), config, init=params)
+        for e in trace.events:
+            yield f"{k}\t{e.step}\t{e.token_id}\t{e.weight.hex()}\t{e.raw.hex()}\t{e.weighted.hex()}"
+        yield f"{k}\t" + " ".join(m.hex() for m in trace.epoch_mean)
+    yield from (bits.hex() for bits in param_bits(params))
+
+
 DIGESTS = {
     "convert": convert_lines,
     "evaluate": evaluate_lines,
     "run": run_lines,
     "label": label_lines,
+    "train": train_lines,
 }
 
 

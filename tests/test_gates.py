@@ -45,6 +45,7 @@ from helpers import (
     onehot_logits,
     onehot_train_step,
     param_bits,
+    reference_train_gates,
 )
 
 
@@ -232,6 +233,16 @@ def test_label_events_propagates_malformed_number():
         label_events("1.2.3")
 
 
+def test_label_events_share_one_event_per_case():
+    events = label_events("1.1 1")
+    assert [(e.token_id, e.decimal_started) for e in events] == [
+        (1, 0), (DOT_ID, 0), (1, 1), (SPACE_ID, 1), (1, 0)
+    ]
+    assert events[4] is events[0]
+    assert events[2] is not events[0]
+    assert events[2].target is rule_gates[1][1]
+
+
 def test_events_from_lines_concatenates():
     assert len(events_from_lines(["12", "3 4"])) == 2 + 3
 
@@ -311,6 +322,15 @@ def test_config_rejects_steps_max_below_one(steps_max):
         TrainConfig(steps_max=steps_max)
 
 
+@pytest.mark.parametrize("field", ["epoch_size", "repeats", "steps_max"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+def test_config_rejects_non_int_counts(field, value):
+    # A float count used to end in a TypeError from range() or a slice,
+    # or, for steps_max, to stop at the next whole step.
+    with pytest.raises(GateError, match=rf"^{field} must be an int, got {value!r}$"):
+        TrainConfig(**{field: value})
+
+
 def test_training_stops_at_the_first_non_finite_loss():
     # Step 0, the digit (weight 1), has a finite loss but moves the biases
     # by up to 5e307; the dot's weight of 1e308 times the loss that leaves
@@ -356,15 +376,14 @@ def trained_params(trained):
     return trained[0]
 
 
-def test_train_gates_matches_one_hot_reference(monkeypatch):
+def test_train_gates_matches_one_hot_reference():
     # Column indexing must reproduce the one-hot matrix products bit for
     # bit: the same params and the same loss trace.
     events = events_from_lines(gen_dot_place(20, 5) + gen_numbers_ops(25, 5))
     assert 300 <= len(events) <= 600
     config = TrainConfig(epoch_size=40, repeats=2)
     params, trace = train_gates(events, config)
-    monkeypatch.setattr(gates, "_train_step", onehot_train_step)
-    ref_params, ref_trace = train_gates(events, config)
+    ref_params, ref_trace = reference_train_gates(events, config, step=onehot_train_step)
     assert param_bits(params) == param_bits(ref_params)
     assert trace == ref_trace
 
@@ -376,10 +395,11 @@ def test_train_gates_matches_one_hot_reference(monkeypatch):
 NUMPY_TOLERANCE = 1e-12
 
 
-def test_scalar_trainer_tracks_numpy_trainer(monkeypatch, trained):
+def test_scalar_trainer_tracks_numpy_trainer(trained):
     params, trace = trained
-    monkeypatch.setattr(gates, "_train_step", numpy_train_step_on_columns)
-    ref_matrices, ref_trace = train_gates(events_from_lines(_TRAINING_LINES))
+    ref_matrices, ref_trace = reference_train_gates(
+        events_from_lines(_TRAINING_LINES), step=numpy_train_step_on_columns
+    )
     ref_params = column_params(ref_matrices)
     for (w, b), (ref_w, ref_b) in zip(params.heads.values(), ref_params.heads.values()):
         for got, want in zip((b, *w), (ref_b, *ref_w)):
@@ -393,6 +413,78 @@ def test_scalar_trainer_tracks_numpy_trainer(monkeypatch, trained):
     assert policy == ref_policy == numpy_learned_policy(ref_matrices)
     for line in gen_numbers_ops(200, 123):
         assert convert(encode(line), policy) == convert(encode(line), ref_policy)
+
+
+def _train_outcome(train, events, config, init=None):
+    """Params as raw bits and the trace with every float in hex, so NaNs
+    and signed zeros compare too; or the GateError's text."""
+    try:
+        params, trace = train(events, config, init)
+    except GateError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    steps = [(e.step, e.token_id, e.weight.hex(), e.raw.hex(), e.weighted.hex())
+             for e in trace.events]
+    return param_bits(params), steps, [m.hex() for m in trace.epoch_mean]
+
+
+def test_head_major_training_matches_event_major_on_default_corpora(trained):
+    params, trace = trained
+    ref_params, ref_trace = reference_train_gates(events_from_lines(_TRAINING_LINES))
+    assert param_bits(params) == param_bits(ref_params)
+    assert trace == ref_trace
+
+
+_SMALL_EVENTS = events_from_lines(gen_dot_place(12, 7) + gen_numbers_ops(12, 7))
+
+# Blocks cut every way: one chunk, uneven last chunk, a budget ending mid
+# pass, on a pass boundary and on a chunk boundary, frozen scoring, and
+# divergence in the first block, in a later block and at a NaN.
+_REFERENCE_CONFIGS = {
+    "default": TrainConfig(),
+    "one chunk": TrainConfig(epoch_size=10_000, repeats=2),
+    "uneven chunks": TrainConfig(epoch_size=37, repeats=3, lr=0.05),
+    "single steps": TrainConfig(epoch_size=1, repeats=1),
+    "steps_max mid pass": TrainConfig(steps_max=137),
+    "steps_max at a pass end": TrainConfig(epoch_size=10, repeats=3, steps_max=40),
+    "steps_max at a chunk end": TrainConfig(epoch_size=10, repeats=3, steps_max=60),
+    "steps_max past the end": TrainConfig(steps_max=10**9),
+    "freeze": TrainConfig(freeze=True, repeats=2),
+    "diverge at once": TrainConfig(lr=1e308, dot_weight=1e308),
+    "diverge later": TrainConfig(epoch_size=7, lr=1e300, op_weight=1e10),
+    "diverge to nan": TrainConfig(lr=1e308, dot_weight=0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_CONFIGS))
+def test_head_major_training_matches_event_major(name):
+    config = _REFERENCE_CONFIGS[name]
+    assert (_train_outcome(train_gates, _SMALL_EVENTS, config)
+            == _train_outcome(reference_train_gates, _SMALL_EVENTS, config))
+
+
+def test_head_major_training_matches_event_major_from_init(trained_params):
+    config = TrainConfig(epoch_size=23, repeats=4)
+    assert (_train_outcome(train_gates, _SMALL_EVENTS, config, trained_params)
+            == _train_outcome(reference_train_gates, _SMALL_EVENTS, config, trained_params))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    st.floats(-1e3, 1e3) | st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-10.0, 10.0) | st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-10.0, 10.0) | st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(1, 60),
+    st.integers(1, 4),
+    st.none() | st.integers(1, 400),
+)
+def test_head_major_training_matches_event_major_on_any_settings(
+    lr, dot_weight, op_weight, epoch_size, repeats, steps_max
+):
+    events = _SMALL_EVENTS[:90]
+    config = TrainConfig(epoch_size=epoch_size, repeats=repeats, lr=lr, dot_weight=dot_weight,
+                         op_weight=op_weight, steps_max=steps_max)
+    assert (_train_outcome(train_gates, events, config)
+            == _train_outcome(reference_train_gates, events, config))
 
 
 def test_trained_gates_reach_full_agreement(trained_params):

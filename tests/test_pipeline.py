@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 from gatecalc import pipeline
 from gatecalc.conversion import convert
@@ -196,7 +197,24 @@ def test_inject_len_below_one_is_rejected(inject_len):
         make_segment(8.0, inject_len)
     with pytest.raises(PayloadTooLong, match=message):
         make_echo_responder(inject_len)
+    with pytest.raises(PayloadTooLong, match=message):
+        extract_segment_payload("a$", inject_len)
     assert run("a$ ").answer == "a$ "
+
+
+@pytest.mark.parametrize("inject_len", [16.5, True, 16.0, "16"])
+def test_inject_len_must_be_an_int(inject_len):
+    # A float reached make_segment's padding as a TypeError, and True
+    # passed the bounds as a length of 1.
+    message = rf"must be an int, got {type(inject_len).__name__} {re.escape(repr(inject_len))}$"
+    with pytest.raises(PayloadTooLong, match=message):
+        PipelineConfig(inject_len=inject_len)
+    with pytest.raises(PayloadTooLong, match=message):
+        make_segment(8.0, inject_len)
+    with pytest.raises(PayloadTooLong, match=message):
+        make_echo_responder(inject_len)
+    with pytest.raises(PayloadTooLong, match=message):
+        extract_segment_payload("a$", inject_len)
 
 
 def test_run_without_config_builds_none(monkeypatch):
