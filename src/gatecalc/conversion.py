@@ -9,22 +9,30 @@ starts the decimal part of the number, how a digit folds into the
 number, and which operator an operator character carries.
 
 Decisions depend on nothing but the token id and the decimal flag, so a
-gate policy is a gates.GateTable read as table[token_id][decimal_flag]
-(gates.rule_gates by hand, gates.make_learned_policy trained), and the
-flag each token was read under is a complete trace of a run:
-convert_with_trace returns those flags beside the program.
+gate policy is a GateTable read as table[token_id][decimal_flag], and
+the flag each token was read under is a complete trace of a run:
+convert_with_trace returns those flags beside the program. The
+hand-written table, rule_gates, lives here beside the machine that
+reads it; gates.make_learned_policy builds the trained one, and serving
+never imports the trainer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import TYPE_CHECKING
+from typing import Callable
 
-from .tokenizer import OP_TO_CHAR, TERMINATOR_ID, Op
-
-if TYPE_CHECKING:
-    from .gates import GateTable
+from .tokenizer import (
+    DOT_ID,
+    OP_ID_TO_OP,
+    OP_TO_CHAR,
+    OTHER_ID,
+    SPACE_ID,
+    TERMINATOR_ID,
+    VOCAB_SIZE,
+    Op,
+)
 
 DEFAULT_CAPACITY = 64
 
@@ -58,6 +66,55 @@ class DenseOpMode(IntEnum):
     DIRECT_ADD = 1
     TIMES_TEN_ADD = 2
     BASE_MUL_ADD = 3
+
+
+# A slots dataclass, not a NamedTuple: CPython specializes loads of slot
+# attributes but not of NamedTuple fields, and the machine reads one or
+# more fields per token.
+@dataclass(frozen=True, slots=True)
+class GateDecision:
+    """Everything the conversion machine needs to know about one token."""
+
+    ignore: int
+    move: int
+    decimal_start: int
+    dense_mode: DenseOpMode
+    digit: int
+    op: Op
+
+    def __iter__(self):
+        """Field values in declaration order, which is gates.HEAD_SHAPES order."""
+        return (getattr(self, name) for name in self.__slots__)
+
+
+# A gate policy: VOCAB_SIZE rows of (decision at flag 0, decision at flag 1).
+GateTable = tuple[tuple[GateDecision, GateDecision], ...]
+
+
+def _tabulate(decide: Callable[[int, int], GateDecision]) -> GateTable:
+    return tuple((decide(t, 0), decide(t, 1)) for t in range(VOCAB_SIZE))
+
+
+def _rule_decision(token_id: int, decimal_started: int) -> GateDecision:
+    """Reference decision for one (token id, decimal flag) case."""
+    if token_id == OTHER_ID:
+        return GateDecision(1, 0, 0, DenseOpMode.IGNORE, 0, Op.NONE)
+    if token_id <= 9:
+        mode = (
+            DenseOpMode.BASE_MUL_ADD if decimal_started else DenseOpMode.TIMES_TEN_ADD
+        )
+        return GateDecision(0, 0, 0, mode, token_id, Op.NONE)
+    if token_id == DOT_ID:
+        return GateDecision(0, 0, 1, DenseOpMode.IGNORE, 0, Op.NONE)
+    if token_id == SPACE_ID:
+        return GateDecision(0, 1, 0, DenseOpMode.IGNORE, 0, Op.NONE)
+    if token_id in OP_ID_TO_OP:
+        return GateDecision(0, 1, 0, DenseOpMode.IGNORE, 0, OP_ID_TO_OP[token_id])
+    # Terminator: every gate stays quiet, the machine stops on the token itself.
+    return GateDecision(0, 0, 0, DenseOpMode.IGNORE, 0, Op.NONE)
+
+
+rule_gates: GateTable = _tabulate(_rule_decision)
 
 
 @dataclass

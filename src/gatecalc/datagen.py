@@ -19,9 +19,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .conversion import convert
+from .conversion import convert, rule_gates
 from .evaluator import evaluate
-from .gates import rule_gates
 from .infix import parse_infix, to_postfix
 from .render import render
 from .tokenizer import encode

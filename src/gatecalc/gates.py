@@ -1,16 +1,19 @@
-"""Gate policies for the conversion machine, and the trainer behind them.
+"""The learned gate policy for the conversion machine, and its trainer.
 
 A decision depends on nothing but the token id and the decimal flag,
 18 x 2 = 36 cases, so a policy is a GateTable indexed
 [token_id][decimal_flag]. Two interchangeable tables drive the
-converter. rule_gates is the exact hand-written reference. The learned
-table comes from one small linear head per gate over the one-hot token;
-the decimal flag joins the input only for the dense-mode head, the one
-gate whose answer depends on it. A one-hot input only selects a column,
-so a head keeps its weights as a list of input columns, and its outputs
-are the token's column plus the flag column (dense-mode head, flag on)
-plus the bias. Prediction always takes the argmax of a head's outputs,
-ties breaking toward the lowest class.
+converter. rule_gates, the exact hand-written reference, lives in
+conversion beside the machine, so serving never loads this module; it
+is imported back here for the trainer and for callers that compare the
+two tables. The learned table comes from one small linear head per gate
+over the one-hot token; the decimal flag joins the input only for the
+dense-mode head, the one gate whose answer depends on it. A one-hot
+input only selects a column, so a head keeps its weights as a list of
+input columns, and its outputs are the token's column plus the flag
+column (dense-mode head, flag on) plus the bias. Prediction always
+takes the argmax of a head's outputs, ties breaking toward the lowest
+class.
 
 Training is plain per-event gradient descent in scalar Python: the
 heads are at most 10 x 19, too small for array calls to pay for
@@ -44,16 +47,21 @@ from itertools import chain
 from math import exp, log, log1p
 from operator import add, attrgetter, mul, sub
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .conversion import DenseOpMode, convert_with_trace
+from .conversion import (
+    DenseOpMode,
+    GateDecision,
+    GateTable,
+    _tabulate,
+    convert_with_trace,
+    rule_gates,
+)
 from .tokenizer import (
     DOT_ID,
     ID_TO_CHAR,
     OP_ID_TO_OP,
-    OTHER_ID,
     OTHER_PLACEHOLDER,
-    SPACE_ID,
     VOCAB_SIZE,
     Op,
     encode,
@@ -80,52 +88,6 @@ class GateError(ValueError):
 
 class EmptyCorpus(GateError):
     pass
-
-
-@dataclass(frozen=True, slots=True)
-class GateDecision:
-    """Everything the conversion machine needs to know about one token."""
-
-    ignore: int
-    move: int
-    decimal_start: int
-    dense_mode: DenseOpMode
-    digit: int
-    op: Op
-
-    def __iter__(self):
-        """Field values in declaration order, which is HEAD_SHAPES order."""
-        return (getattr(self, name) for name in self.__slots__)
-
-
-# A gate policy: VOCAB_SIZE rows of (decision at flag 0, decision at flag 1).
-GateTable = tuple[tuple[GateDecision, GateDecision], ...]
-
-
-def _tabulate(decide: Callable[[int, int], GateDecision]) -> GateTable:
-    return tuple((decide(t, 0), decide(t, 1)) for t in range(VOCAB_SIZE))
-
-
-def _rule_decision(token_id: int, decimal_started: int) -> GateDecision:
-    """Reference decision for one (token id, decimal flag) case."""
-    if token_id == OTHER_ID:
-        return GateDecision(1, 0, 0, DenseOpMode.IGNORE, 0, Op.NONE)
-    if token_id <= 9:
-        mode = (
-            DenseOpMode.BASE_MUL_ADD if decimal_started else DenseOpMode.TIMES_TEN_ADD
-        )
-        return GateDecision(0, 0, 0, mode, token_id, Op.NONE)
-    if token_id == DOT_ID:
-        return GateDecision(0, 0, 1, DenseOpMode.IGNORE, 0, Op.NONE)
-    if token_id == SPACE_ID:
-        return GateDecision(0, 1, 0, DenseOpMode.IGNORE, 0, Op.NONE)
-    if token_id in OP_ID_TO_OP:
-        return GateDecision(0, 1, 0, DenseOpMode.IGNORE, 0, OP_ID_TO_OP[token_id])
-    # Terminator: every gate stays quiet, the machine stops on the token itself.
-    return GateDecision(0, 0, 0, DenseOpMode.IGNORE, 0, Op.NONE)
-
-
-rule_gates: GateTable = _tabulate(_rule_decision)
 
 
 @dataclass
@@ -227,7 +189,7 @@ def events_from_lines(lines: Iterable[str]) -> list[GateEvent]:
 # Training
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epoch_size: int = 50
     repeats: int = 5

@@ -12,11 +12,10 @@ shape plugs in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .conversion import DEFAULT_CAPACITY, ConversionError, convert
+from .conversion import DEFAULT_CAPACITY, ConversionError, GateTable, convert, rule_gates
 from .evaluator import EvalError, EvalTrace, evaluate_with_trace
-from .gates import GateTable, rule_gates
 from .infix import ParseError, parse_infix, to_postfix
 from .render import NonFinite, render
 from .tokenizer import TERMINATOR_CHAR, encode
@@ -34,16 +33,14 @@ class PayloadTooLong(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PredictorOutput:
+class PredictorOutput(NamedTuple):
     """Expression head output: an enable flag and a postfix expression."""
 
     enable: int
     expression: str
 
 
-@dataclass(frozen=True)
-class InjectionSegment:
+class InjectionSegment(NamedTuple):
     payload: str
     text: str
 

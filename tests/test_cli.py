@@ -431,6 +431,17 @@ def test_package_runs_without_numpy():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
+def test_serving_loads_neither_the_trainer_nor_the_cli():
+    # Every run or eval is a fresh process, so what serving imports is
+    # paid on every question; the rule table lives in conversion for this.
+    proc = run_python("-c", (
+        "import sys; from gatecalc.pipeline import run; "
+        "print(run('3 + 5 = ?').answer, "
+        "[m for m in ('gatecalc.gates', 'gatecalc.datagen', 'gatecalc.cli') if m in sys.modules])"
+    ))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "8 []\n", "")
+
+
 def test_bare_train_gates_uses_the_library_defaults(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c.txt").write_text("1 2 +\n")

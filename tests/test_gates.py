@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -329,6 +330,15 @@ def test_config_rejects_non_int_counts(field, value):
     # or, for steps_max, to stop at the next whole step.
     with pytest.raises(GateError, match=rf"^{field} must be an int, got {value!r}$"):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)])
+def test_config_is_frozen(field):
+    # The checks above hold only at construction, so no field may change
+    # after it: a float steps_max set later ended in a TypeError from a slice.
+    config = TrainConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, field, 2.5)
 
 
 def test_training_stops_at_the_first_non_finite_loss():
