@@ -3,7 +3,9 @@
 The converter walks the ids once, left to right, in one loop over local
 variables: the open number, its decimal flag and place value, and three
 slot lists that gain a slot, up to a fixed capacity, each time a number
-closes or an operator arrives. For each token a gate decision says
+closes or an operator arrives. The open number is an integer mantissa
+over a power of ten, so every fold is exact and a literal closes as the
+float its text names, rounded once. For each token a gate decision says
 whether it is ignored, whether it moves on to the next slot, whether it
 starts the decimal part of the number, how a digit folds into the
 number, and which operator an operator character carries.
@@ -53,13 +55,18 @@ class CapacityExceeded(ConversionError):
     """The stream needs more output slots than the capacity allows."""
 
 
+class NumberTooLarge(ConversionError):
+    """A number closed past the largest finite float."""
+
+
 class DenseOpMode(IntEnum):
     """How a digit folds into the number at the current slot.
 
     DIRECT_ADD adds the digit value to the number. TIMES_TEN_ADD
-    shifts the integer part left one decimal place before adding.
-    BASE_MUL_ADD scales the digit by the running fractional base, used
-    after the decimal dot. IGNORE leaves the accumulator alone.
+    multiplies the number by ten before adding. BASE_MUL_ADD adds the
+    digit at the running decimal place, which the decimal dot sets to
+    tenths and each such fold moves one place right. IGNORE leaves the
+    number alone.
     """
 
     IGNORE = 0
@@ -148,6 +155,23 @@ _DIRECT_ADD = DenseOpMode.DIRECT_ADD
 _TIMES_TEN_ADD = DenseOpMode.TIMES_TEN_ADD
 _BASE_MUL_ADD = DenseOpMode.BASE_MUL_ADD
 
+# Past this mantissa, digits after the decimal dot collapse into its last
+# digit. A double, and each point halfway between two, has at most 767
+# significant digits. So once the mantissa m has more than 768, none lies
+# strictly between the multiples of ten (in units of m's last digit) on
+# either side of m, and every value strictly between them rounds alike.
+# The digits beyond m then matter only by whether one is nonzero, and
+# such a digit makes an even last digit odd (0 becomes 1, 8 becomes 9),
+# which keeps the number strictly between them. At scale 0 a mantissa
+# this large is already past float range, so times-ten digits stop
+# growing it. Either way a digit costs the same however long its literal
+# is.
+_MANTISSA_CAP = 10**800
+
+
+def _past_float_range(slot: int) -> NumberTooLarge:
+    return NumberTooLarge(f"number at slot {slot} is past float range")
+
 
 def convert_with_trace(
     ids: bytes,
@@ -158,6 +182,10 @@ def convert_with_trace(
     token read (a stopping terminator included) the decimal flag it was
     read under. A trailing number with no closing space is closed at the
     end, so "3 5 +" and "3 5" both come out with every slot accounted for.
+
+    The open number is number / 10**scale, held exactly, and closes as
+    that quotient correctly rounded, so a literal comes out as float() of
+    its text; one past float range raises NumberTooLarge.
     """
     if capacity < 1:
         raise InvalidCapacity(f"capacity must be at least 1, got {capacity}")
@@ -165,9 +193,10 @@ def convert_with_trace(
     dense: list[float] = []
     ops: list[Op] = []
     flags = bytearray()
-    number: float | None = None  # the open number; None between numbers
+    number: int | None = None  # the open number's mantissa; None between numbers
+    scale = 0  # decimal digits of the mantissa after the point
     flag = 0  # 1 once the open number has read its decimal dot
-    base = 1.0  # place value of the next fractional digit
+    place = 0  # decimal place of the next BASE_MUL_ADD digit
     for token_id in ids:
         flags.append(flag)
         if token_id == TERMINATOR_ID:
@@ -181,31 +210,44 @@ def convert_with_trace(
             if number is None:
                 raise MalformedNumber("decimal dot with no number in progress")
             flag = 1
-            base = 0.1
+            place = 1
             continue
         if decision.move:
             # Spacing and operators close the open number, so runs of
             # spaces collapse; an operator then claims a slot of its own.
             if number is not None:
+                try:
+                    dense.append(number / 10**scale if scale else float(number))
+                except OverflowError:
+                    raise _past_float_range(len(dense)) from None
                 valid.append(1)
-                dense.append(number)
                 ops.append(_NONE)
                 number = None
-                flag = 0
-                base = 1.0
+                scale = flag = place = 0
             op = decision.op
             if op == _NONE:
                 continue
         elif number is not None:
-            # A later digit folds in by the decision's mode.
+            # A later digit folds in by the decision's mode, in integer
+            # arithmetic on the mantissa.
             mode = decision.dense_mode
             if mode == _TIMES_TEN_ADD:
-                number = number * 10.0 + decision.digit
+                if scale:
+                    scale -= 1
+                    number += decision.digit * 10**scale
+                elif number < _MANTISSA_CAP:
+                    number = number * 10 + decision.digit
             elif mode == _BASE_MUL_ADD:
-                number += decision.digit * base
-                base /= 10.0
+                if place <= scale:
+                    number += decision.digit * 10 ** (scale - place)
+                elif number < _MANTISSA_CAP or not flag:
+                    number = number * 10 ** (place - scale) + decision.digit
+                    scale = place
+                elif decision.digit and not number & 1:
+                    number += 1
+                place += 1
             elif mode == _DIRECT_ADD:
-                number += decision.digit
+                number += decision.digit * 10**scale
             continue
         # An operator, or the first digit of a number, claims the next slot.
         if len(valid) >= capacity:
@@ -218,10 +260,13 @@ def convert_with_trace(
             ops.append(op)
         else:
             # The first digit always seeds the number, whatever its mode.
-            number = float(decision.digit)
+            number = decision.digit
     if number is not None:
+        try:
+            dense.append(number / 10**scale if scale else float(number))
+        except OverflowError:
+            raise _past_float_range(len(dense)) from None
         valid.append(1)
-        dense.append(number)
         ops.append(_NONE)
     return DenseProgram(valid, dense, ops), bytes(flags)
 

@@ -6,13 +6,14 @@ parentheses, and an optional trailing "= ?" that questions carry.
 Unary minus does not exist; a leading dot does not start a number.
 
 parse_infix reads a question's tokens from one regex scan, left to
-right, and emits its postfix sequence: floats for literals and operator
-characters, in the order the machine reads them. to_postfix renders
-that sequence as the text the expression head hands the machine, and
-eval_infix computes it with a plain value stack. A recursive-descent
-parser over an expression tree is kept in the tests as the reference
-that the sequence, every error message and every error position are
-checked against.
+right, and emits its postfix sequence: each literal's text as written
+and operator characters, in the order the machine reads them. to_postfix
+joins that sequence into the text the expression head hands the
+machine, which reads every literal as the float its text names, and
+eval_infix computes it with a plain value stack over float() of each
+literal. A recursive-descent parser over an expression tree is kept in
+the tests as the reference that the sequence, every error message and
+every error position are checked against.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import math
 import re
 
 from .evaluator import apply_op
-from .render import render
 from .tokenizer import CHAR_TO_OP
 
 
@@ -44,8 +44,8 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 MAX_NESTING = 100
 
 
-def parse_infix(text: str) -> list[float | str]:
-    """Postfix sequence of a question: "3 + 5 * 2 = ?" gives [3.0, 5.0, 2.0, "*", "+"].
+def parse_infix(text: str) -> list[str]:
+    """Postfix sequence of a question: "3 + 5 * 2 = ?" gives ["3", "5", "2", "*", "+"].
 
     Operator precedence in one pass. The reader alternates between
     expecting an operand (a literal or "(") and expecting what may follow
@@ -53,7 +53,7 @@ def parse_infix(text: str) -> list[float | str]:
     one of lower or equal precedence, a ")" or the end releases them.
     """
     source = _ANSWER_SUFFIX.sub("", text)
-    out: list[float | str] = []
+    out: list[str] = []
     pending: list[str] = []  # operators and open parentheses not yet emitted
     depth = 0
     operand = True
@@ -61,10 +61,9 @@ def parse_infix(text: str) -> list[float | str]:
         number, ch = match.groups()
         if operand:
             if number is not None:
-                value = float(number)
-                if math.isinf(value):
+                if float(number) == math.inf:
                     raise ParseError("number too large", match.start(1))
-                out.append(value)
+                out.append(number)
                 operand = False
             elif ch != "(":
                 raise ParseError("expected a number or '('", match.start(2))
@@ -95,20 +94,21 @@ def parse_infix(text: str) -> list[float | str]:
     return out
 
 
-def to_postfix(postfix: list[float | str]) -> str:
-    """Space-separated postfix text, numbers rendered canonically."""
-    return " ".join(t if isinstance(t, str) else render(t) for t in postfix)
+def to_postfix(postfix: list[str]) -> str:
+    """Space-separated postfix text, every literal as the question wrote it."""
+    return " ".join(postfix)
 
 
-def eval_infix(postfix: list[float | str]) -> float:
+def eval_infix(postfix: list[str]) -> float:
     """Value of a parsed question; raises DivisionByZero like the machine."""
     values: list[float] = []
     for t in postfix:
-        if isinstance(t, str):
-            rhs = values.pop()
-            values.append(apply_op(CHAR_TO_OP[t], values.pop(), rhs))
+        op = CHAR_TO_OP.get(t)
+        if op is None:
+            values.append(float(t))
         else:
-            values.append(t)
+            rhs = values.pop()
+            values.append(apply_op(op, values.pop(), rhs))
     return values[0]
 
 

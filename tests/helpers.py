@@ -8,8 +8,9 @@ loop in convert_with_trace must reproduce program, flags and errors
 alike, and label_events its replay over step. The reference reduction
 is the paper's rescanning rule, which the evaluator's single pass must
 reproduce fold for fold. The reference question parser is recursive
-descent into a Number/BinOp tree, walked to postfix text and to a value;
-the one-pass parser must give the same postfix, values and errors.
+descent into a Number/BinOp tree, each Number keeping its literal's
+text, walked to postfix text and to a value; the one-pass parser must
+give the same postfix, values and errors.
 encode and render are held equal to their character-by-character
 lookup and their snap-only body. The reference trainer is the
 event-major loop, one gradient step over all six heads per event, which
@@ -42,6 +43,7 @@ from gatecalc.conversion import (
     DenseProgram,
     InvalidCapacity,
     MalformedNumber,
+    NumberTooLarge,
 )
 from gatecalc.evaluator import EvalTrace, MalformedPostfix, ReductionStep, apply_op
 from gatecalc.gates import (
@@ -228,18 +230,21 @@ def reference_evaluate_with_trace(program: DenseProgram) -> EvalTrace:
 class ConversionState:
     """Mutable machine state: the closed slots plus the number under construction.
 
-    number is None between numbers. The slot lists grow together, one
-    entry when a number closes or an operator claims a slot, and never
-    past capacity.
+    number is None between numbers, and exact in between: every fold is
+    integer arithmetic on the mantissa, with no cap on its length, and
+    the number closes as number / 10**scale rounded once. The slot lists
+    grow together, one entry when a number closes or an operator claims
+    a slot, and never past capacity.
     """
 
     capacity: int
     valid: list[int] = field(default_factory=list)
     dense: list[float] = field(default_factory=list)
     ops: list[Op] = field(default_factory=list)
-    number: float | None = None
+    number: int | None = None  # mantissa: the number is number / 10**scale
+    scale: int = 0
     decimal_started: int = 0
-    mult_base: float = 1.0
+    place: int = 0  # decimal place of the next BASE_MUL_ADD digit
 
 
 def init_state(capacity: int = DEFAULT_CAPACITY) -> ConversionState:
@@ -251,12 +256,17 @@ def init_state(capacity: int = DEFAULT_CAPACITY) -> ConversionState:
 def _close_number(state: ConversionState) -> None:
     if state.number is None:
         return
+    try:
+        value = state.number / 10**state.scale
+    except OverflowError:
+        raise NumberTooLarge(f"number at slot {len(state.valid)} is past float range") from None
     state.valid.append(1)
-    state.dense.append(state.number)
+    state.dense.append(value)
     state.ops.append(Op.NONE)
     state.number = None
+    state.scale = 0
     state.decimal_started = 0
-    state.mult_base = 1.0
+    state.place = 0
 
 
 def step(state: ConversionState, token_id: int, table: GateTable) -> bool:
@@ -279,7 +289,7 @@ def step(state: ConversionState, token_id: int, table: GateTable) -> bool:
         if state.number is None:
             raise MalformedNumber("decimal dot with no number in progress")
         state.decimal_started = 1
-        state.mult_base = 0.1
+        state.place = 1
         return True
 
     if decision.move:
@@ -289,15 +299,20 @@ def step(state: ConversionState, token_id: int, table: GateTable) -> bool:
         if decision.op == Op.NONE:
             return True
     elif state.number is not None:
-        # A later digit folds in by the decision's mode.
-        mode, d = decision.dense_mode, float(decision.digit)
+        # A later digit folds in by the decision's mode: to the units, after
+        # times ten, or at the running decimal place. Scale is the longer
+        # of the mantissa's fraction and the digit's place.
+        mode, d = decision.dense_mode, decision.digit
         if mode == DenseOpMode.DIRECT_ADD:
-            state.number += d
+            state.number += d * 10**state.scale
         elif mode == DenseOpMode.TIMES_TEN_ADD:
-            state.number = state.number * 10.0 + d
+            state.number = state.number * 10 + d * 10**state.scale
         elif mode == DenseOpMode.BASE_MUL_ADD:
-            state.number += d * state.mult_base
-            state.mult_base /= 10.0
+            if state.place > state.scale:
+                state.number *= 10 ** (state.place - state.scale)
+                state.scale = state.place
+            state.number += d * 10 ** (state.scale - state.place)
+            state.place += 1
         return True
 
     # An operator, or the first digit of a number, claims the next slot.
@@ -311,7 +326,7 @@ def step(state: ConversionState, token_id: int, table: GateTable) -> bool:
         state.ops.append(decision.op)
     else:
         # The first digit always seeds the number, whatever its mode.
-        state.number = float(decision.digit)
+        state.number = decision.digit
     return True
 
 
@@ -358,7 +373,13 @@ def reference_label_events(text: str) -> list[GateEvent]:
 
 @dataclass(frozen=True)
 class Number:
-    value: float
+    """A literal as the question wrote it."""
+
+    text: str
+
+    @property
+    def value(self) -> float:
+        return float(self.text)
 
 
 @dataclass(frozen=True)
@@ -427,11 +448,10 @@ class _Parser:
         match = _NUMBER.match(self.text, self.pos)
         if not match:
             raise self.error("expected a number or '('")
-        value = float(match.group())
-        if math.isinf(value):
+        if math.isinf(float(match.group())):
             raise self.error("number too large")
         self.pos = match.end()
-        return Number(value)
+        return Number(match.group())
 
     def expect_end(self) -> None:
         if self.peek() != "":
@@ -448,7 +468,7 @@ def reference_parse_infix(text: str) -> InfixAst:
 
 
 def reference_to_postfix(ast: InfixAst) -> str:
-    """Space-separated postfix text, numbers rendered canonically.
+    """Space-separated postfix text, every literal as written.
 
     The walk keeps its own stack, so a long operator chain cannot exhaust
     Python's recursion limit.
@@ -462,7 +482,7 @@ def reference_to_postfix(ast: InfixAst) -> str:
         if isinstance(node, BinOp):
             todo += (OP_TO_CHAR[node.op], node.right, node.left)
         elif isinstance(node, Number):
-            parts.append(render(node.value))
+            parts.append(node.text)
         else:
             parts.append(node)
     return " ".join(parts)
@@ -517,7 +537,7 @@ def random_ast(rng: random.Random, depth: int):
     """Random expression tree with non-negative two-decimal leaves and no
     division by values near zero."""
     if depth == 0 or rng.random() < 0.35:
-        return Number(random_value(rng))
+        return Number(render(random_value(rng)))
     op = rng.choice(ALL_OPS)
     left = random_ast(rng, depth - 1)
     right = random_ast(rng, depth - 1)
@@ -544,7 +564,7 @@ _PRECEDENCE = {Op.ADD: 1, Op.SUB: 1, Op.MUL: 2, Op.DIV: 2}
 def to_infix(ast) -> str:
     """Expression text with the fewest parentheses that preserve the tree."""
     if isinstance(ast, Number):
-        return render(ast.value)
+        return ast.text
     prec = _PRECEDENCE[ast.op]
     left = to_infix(ast.left)
     if isinstance(ast.left, BinOp) and _PRECEDENCE[ast.left.op] < prec:

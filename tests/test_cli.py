@@ -106,6 +106,7 @@ def test_to_postfix(capsys):
     code, out, _ = run_cli(capsys, "to-postfix", "3 + 5 * 2 = ?")
     assert code == 0
     assert out == "3 5 2 * +\n"
+    assert run_cli(capsys, "to-postfix", "007 + 1.50 * 3.")[1] == "007 1.50 3. * +\n"
 
 
 def test_to_postfix_parse_error(capsys):
@@ -369,6 +370,8 @@ _QA = json.dumps({"instruction": "q", "input": "1 + 1", "output": "2", "swift_ex
     ({"c.txt": "1 2 +\n"}, _TRAIN + ["--steps-max", "0"]),
     ({}, ["run", "a$ ", "--inject-len", "0"]),
     ({}, ["run", "3 + 5 = ?", "--inject-len", "-2"]),
+    ({}, ["eval", "9" * 400]),
+    ({}, ["convert", "1." + "9" * 900 + " " + "9" * 400]),
 ], ids=[
     "gates-version", "gates-not-object", "gates-missing-head", "gates-shape",
     "gates-ragged", "gates-non-finite", "records-not-objects", "records-no-postfix",
@@ -380,6 +383,7 @@ _QA = json.dumps({"instruction": "q", "input": "1 + 1", "output": "2", "swift_ex
     "records-long-int", "literal-past-float-range", "inject-len-huge",
     "dot-place-count-negative", "numbers-ops-count-negative", "qa-count-negative",
     "steps-max-negative", "steps-max-0", "inject-len-0", "inject-len-negative",
+    "eval-number-past-float-range", "convert-number-past-float-range",
 ])
 def test_bad_input_prints_one_error_line(capsys, tmp_path, monkeypatch, files, argv):
     monkeypatch.chdir(tmp_path)

@@ -1,5 +1,8 @@
 import copy
+import decimal
+import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -12,6 +15,7 @@ from gatecalc.conversion import (
     DenseOpMode,
     InvalidCapacity,
     MalformedNumber,
+    NumberTooLarge,
     convert,
     convert_with_trace,
 )
@@ -43,8 +47,9 @@ def test_init_state_shape():
     assert state.dense == []
     assert state.ops == []
     assert state.number is None
+    assert state.scale == 0
     assert state.decimal_started == 0
-    assert state.mult_base == 1.0
+    assert state.place == 0
 
 
 def test_init_state_rejects_bad_capacity():
@@ -77,20 +82,20 @@ def test_multi_digit_accumulation():
 def test_decimal_literal_close_to_oracle():
     program = convert_text("1.1111")
     assert program.valid == [1]
-    assert abs(program.dense[0] - parse_oracle("1.1111")) <= 1e-12
+    assert program.dense[0] == parse_oracle("1.1111")
+    # A float accumulator lands one ulp off on these.
+    assert convert_text("183.77 0.3 95.74").dense == [183.77, 0.3, 95.74]
 
 
 def test_two_decimals_in_one_stream():
     program = convert_text("12.5 0.25 *")
-    assert abs(program.dense[0] - parse_oracle("12.5")) <= 1e-12
-    assert abs(program.dense[1] - parse_oracle("0.25")) <= 1e-12
+    assert program.dense[:2] == [parse_oracle("12.5"), parse_oracle("0.25")]
     assert program.ops == [Op.NONE, Op.NONE, Op.MUL]
 
 
 def test_decimal_flag_resets_between_numbers():
     program = convert_text("1.5 2.5")
-    assert abs(program.dense[0] - 1.5) <= 1e-12
-    assert abs(program.dense[1] - 2.5) <= 1e-12
+    assert program.dense == [1.5, 2.5]
 
 
 def test_double_dot_raises():
@@ -216,8 +221,97 @@ def decimal_literal(draw):
 def test_literal_matches_float_oracle(literal):
     program = convert_text(literal)
     assert program.length == 1
-    want = parse_oracle(literal)
-    assert abs(program.dense[0] - want) <= 1e-12 * max(1.0, abs(want))
+    assert program.dense[0] == parse_oracle(literal)
+
+
+def _halfway_literals(rng: random.Random) -> list[str]:
+    """Exact decimal texts of points halfway between adjacent doubles, from
+    subnormals up to the largest finite double, and of points just beside
+    them. A halfway point has up to 767 significant digits, and the texts
+    beside it carry digits past the 800 the converter's mantissa keeps."""
+    lows = [0.0, 5e-324, 2.2250738585072014e-308, math.nextafter(1.7976931348623157e308, 0)]
+    lows += [rng.uniform(0, 1) * 10.0 ** rng.randint(-320, 300) for _ in range(40)]
+    texts = []
+    with decimal.localcontext() as context:
+        context.prec = 2000
+        for low in lows:
+            half = (decimal.Decimal(low) + decimal.Decimal(math.nextafter(low, math.inf))) / 2
+            text = format(half, "f")
+            step = decimal.Decimal(10) ** (half.adjusted() - 900)
+            texts += [
+                text,
+                format(half + step, "f"),
+                format(half - step, "f"),
+                (text if "." in text else text + ".") + "0" * 300 + "1",
+            ]
+    return texts
+
+
+def test_long_literals_close_as_float_of_their_text():
+    rng = random.Random(811)
+    texts = _halfway_literals(rng)
+    for _ in range(300):
+        whole = str(rng.randint(0, 10 ** rng.randint(0, 20)))
+        frac = "".join(rng.choices("0123456789", k=rng.randint(700, 1500)))
+        texts.append(whole + "." + "0" * rng.randint(0, 400) + frac)
+    texts += ["0." + "0" * 2000, "1" + "0" * 308 + "." + "9" * 1000]
+    texts += [str(2**1024 - 2**970 - 1), str(2**1024 - 2**970 - 1) + "." + "9" * 900]
+    for text in texts:
+        assert convert_text(text).dense == [float(text)], text
+        program, _ = reference_convert_with_trace(encode(text), rule_gates)
+        assert program.dense == [float(text)], text
+
+
+@pytest.mark.parametrize("text", [
+    "9" * 400,
+    str(2**1024 - 2**970),  # halfway between the largest double and 2**1024
+    str(2**1024 - 2**970) + ".0",
+    "1" + "0" * 1000 + "." + "1" * 1000,
+    "3 " + "9" * 400 + " +",
+])
+def test_number_past_float_range_is_a_typed_error(text):
+    with pytest.raises(NumberTooLarge, match=r"^number at slot \d+ is past float range$"):
+        convert_text(text)
+    with pytest.raises(NumberTooLarge):
+        reference_convert_with_trace(encode(text), rule_gates)
+
+
+def test_long_literal_costs_the_same_per_digit():
+    # A mantissa that grew with every digit made this quadratic (about
+    # 15 s on a 2-vCPU host); folding the digits past 800 keeps it to
+    # tens of milliseconds.
+    text = "1." + "3" * 300_000
+    start = time.perf_counter()
+    program = convert_text(text)
+    assert time.perf_counter() - start < 3.0
+    assert program.dense == [float(text)]
+
+
+def _folding_table(rng: random.Random):
+    """A random table whose digits always fold, by random modes, and whose
+    dot opens the fraction, so long digit runs reach the mantissa bound."""
+    table = list(random_gate_table(rng))
+    for token_id in range(10):
+        table[token_id] = tuple(
+            GateDecision(0, 0, 0, rng.choice(list(DenseOpMode)), rng.randint(0, 9), Op.NONE)
+            for _ in range(2)
+        )
+    table[DOT_ID] = (GateDecision(0, 0, 1, DenseOpMode.IGNORE, 0, Op.NONE), table[DOT_ID][1])
+    return tuple(table)
+
+
+def test_long_numbers_match_the_exact_reference_under_any_modes():
+    # The reference keeps every digit of the mantissa; the converter folds
+    # digits past its bound, which must not change one closed value.
+    rng = random.Random(812)
+    for _ in range(150):
+        table = _folding_table(rng)
+        digits = "".join(rng.choices("0123456789", k=rng.randint(1, 2500)))
+        cut = rng.randint(1, len(digits))
+        text = digits[:cut] + "." + digits[cut:] + rng.choice(["", " 7 +", "$"])
+        ids = encode(text)
+        got = _outcome(convert_with_trace, ids, table, 4)
+        assert got == _outcome(reference_convert_with_trace, ids, table, 4), text[:40]
 
 
 @given(st.text(alphabet="0123456789. +-*/", max_size=30))

@@ -30,9 +30,9 @@ from helpers import param_bits, random_gate_table
 ALPHABET = "0123456789. +-*/x$"
 
 EXPECTED = {
-    "convert": "18e71460a9f2b63ef1bc8ef39bfcde6b5f6a137ad4f3ffbcab187280afea3268",
-    "evaluate": "4c61c172ab3a54d2b761b3db1e63f0bb86e5c3e14a3d27d005fdee14f2ae804c",
-    "run": "863aa5fd22227467b9122f46859d7697be41a21e03325fa2a7011392cfadb27d",
+    "convert": "1d91961d439548e4147f30680f58ae19e9f396648332d2fe4747de4c729894cd",
+    "evaluate": "aa9ed7c4970b9c1cc0571ee393eee6f8d1240229cc525610f14da6412be67303",
+    "run": "0877f5388fd83ec5740fa18b040e2e84f92ac9d87de153dff1d724d466fb65d5",
     "label": "bf95fbbc1773b25779136f4e04971defff12ee7f519f1b4a11e138dd7a0632c2",
     "train": "888ea275e46fa4822fdf9c9253c92aa803965ec8074335288c165fdb501fc48e",
 }

@@ -24,36 +24,36 @@ from helpers import (
 
 
 def test_parse_simple_question():
-    assert parse_infix("3 + 5 = ?") == [3.0, 5.0, "+"]
+    assert parse_infix("3 + 5 = ?") == ["3", "5", "+"]
 
 
 def test_parse_bare_number():
-    assert parse_infix("7") == [7.0]
-    assert parse_infix("12.5 = ?") == [12.5]
+    assert parse_infix("7") == ["7"]
+    assert parse_infix("12.5 = ?") == ["12.5"]
 
 
 def test_literal_past_float_range_is_a_parse_error():
     with pytest.raises(ParseError, match=r"number too large \(at position 0\)"):
         parse_infix("9" * 400 + " + 1 = ?")
-    assert parse_infix("1" + "0" * 300) == [1e300]
+    assert parse_infix("1" + "0" * 300) == ["1" + "0" * 300]
 
 
 def test_answer_suffix_is_optional_and_flexible():
     for text in ("3 + 5", "3 + 5 = ?", "3 + 5 =?", "3 + 5  =  ?  "):
-        assert parse_infix(text) == [3.0, 5.0, "+"]
+        assert parse_infix(text) == ["3", "5", "+"]
 
 
 def test_precedence():
-    assert parse_infix("3 + 5 * 2") == [3.0, 5.0, 2.0, "*", "+"]
-    assert parse_infix("3 * 5 + 2") == [3.0, 5.0, "*", 2.0, "+"]
-    assert parse_infix("1 - 6 / 3 * 2 + 4") == [1.0, 6.0, 3.0, "/", 2.0, "*", "-", 4.0, "+"]
+    assert parse_infix("3 + 5 * 2") == ["3", "5", "2", "*", "+"]
+    assert parse_infix("3 * 5 + 2") == ["3", "5", "*", "2", "+"]
+    assert parse_infix("1 - 6 / 3 * 2 + 4") == ["1", "6", "3", "/", "2", "*", "-", "4", "+"]
 
 
 def test_left_associativity():
     postfix = parse_infix("10 - 4 - 3")
-    assert postfix == [10.0, 4.0, "-", 3.0, "-"]
+    assert postfix == ["10", "4", "-", "3", "-"]
     assert eval_infix(postfix) == 3.0
-    assert parse_infix("8 / 4 * 2") == [8.0, 4.0, "/", 2.0, "*"]
+    assert parse_infix("8 / 4 * 2") == ["8", "4", "/", "2", "*"]
 
 
 def test_parentheses_override_precedence():
@@ -94,8 +94,12 @@ def test_to_postfix_respects_precedence():
     assert to_postfix(parse_infix("10 - 4 - 3")) == "10 4 - 3 -"
 
 
-def test_to_postfix_renders_numbers_canonically():
-    assert to_postfix(parse_infix("3.50 + 2.0")) == "3.5 2 +"
+def test_literals_pass_through_as_written():
+    postfix = parse_infix("007 + 1.50 * 3. = ?")
+    assert to_postfix(postfix) == "007 1.50 3. * +"
+    program = convert(encode(to_postfix(postfix)), rule_gates)
+    assert program.dense == [float("007"), float("1.50"), float("3."), 0.0, 0.0]
+    assert program.dense[:3] == [7.0, 1.5, 3.0]
 
 
 def test_to_infix_minimal_parens():
@@ -119,7 +123,7 @@ def test_eval_infix_matches_hand_values():
 def _postfix_by_recursion(node) -> list:
     """The postfix sequence of a tree: left operand, right operand, operator."""
     if isinstance(node, Number):
-        return [node.value]
+        return [node.text]
     return _postfix_by_recursion(node.left) + _postfix_by_recursion(node.right) + [
         OP_TO_CHAR[node.op]
     ]
@@ -177,7 +181,7 @@ def test_to_postfix_handles_long_chains():
 
 def test_nesting_is_bounded():
     at_bound = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
-    assert parse_infix(at_bound) == [1.0]
+    assert parse_infix(at_bound) == ["1"]
     with pytest.raises(ParseError, match="nested deeper"):
         parse_infix("(" + at_bound + ")")
 

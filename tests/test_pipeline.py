@@ -159,6 +159,14 @@ def test_malformed_expression_from_custom_predictor():
     assert "MalformedPostfix" in result.diagnostic
 
 
+def test_number_past_float_range_from_custom_predictor():
+    predictor = lambda q: PredictorOutput(1, "9" * 400 + " 1 +")
+    result = run("whatever", predictor=predictor)
+    assert result.injected is False
+    assert result.answer == "whatever"
+    assert result.diagnostic == "NumberTooLarge: number at slot 0 is past float range"
+
+
 def test_payload_too_long_is_contained():
     config = PipelineConfig(inject_len=3)
     result = run("123456 + 1 = ?", config=config)
@@ -338,3 +346,78 @@ def test_run_never_raises(text):
         assert result.diagnostic is None and result.trace is not None
     else:
         assert result.trace is None
+
+
+# ---------------------------------------------------------------------------
+# run() agrees with eval_infix bit for bit: the machine reads each literal as
+# written and closes it as float() of its text, and folds in the same order.
+
+_WIDE = PipelineConfig(inject_len=64)
+
+
+def _agreement(question: str) -> tuple[str, str, float, float] | None:
+    """(answer, expected answer, final, expected final) when run() answers."""
+    result = run(question, config=_WIDE)
+    if not result.injected:
+        return None
+    want = eval_infix(parse_infix(question))
+    return result.answer, render(want), result.trace.final, want
+
+
+@pytest.mark.parametrize("question, answer", [
+    ("0.0000000001 * 10000000000 = ?", "1"),
+    ("1234567890123.5 - 1234567890123 = ?", "0.5"),
+    ("88.1817414333776 + 409319254.4 = ?", "409319342.582"),
+    ("007 + 1.50 * 3. = ?", "11.5"),
+])
+def test_literals_reach_the_machine_as_written(question, answer):
+    got, want, final, want_final = _agreement(question)
+    assert got == want == answer
+    assert final == want_final
+
+
+def _sweep_literal(rng: random.Random) -> str:
+    digits = "".join(rng.choices("0123456789", k=rng.randint(1, 15)))
+    cut = rng.randint(1, len(digits))
+    return digits if cut == len(digits) else digits[:cut] + "." + digits[cut:]
+
+
+def test_two_literal_sweep_agrees_with_eval_infix():
+    # 30% of pairs nearly cancel: the same literal with its last digit redrawn.
+    rng = random.Random(7)
+    answered = 0
+    for _ in range(20_000):
+        a = _sweep_literal(rng)
+        if rng.random() < 0.3:
+            question = f"{a} - {a[:-1]}{rng.choice('0123456789')} = ?"
+        else:
+            question = f"{a} {rng.choice('+-*/')} {_sweep_literal(rng)} = ?"
+        outcome = _agreement(question)
+        if outcome is not None:
+            answered += 1
+            got, want, final, want_final = outcome
+            assert (got, final) == (want, want_final), question
+    assert answered > 19_000
+
+
+_LITERALS = st.builds(
+    str.__add__,
+    st.text("0123456789", min_size=1, max_size=15),
+    st.one_of(st.just(""), st.text("0123456789", max_size=15).map(".".__add__)),
+)
+_EXPRESSIONS = st.recursive(
+    _LITERALS,
+    lambda inner: st.builds("{} {} {}".format, inner, st.sampled_from("+-*/"), inner)
+    | inner.map("({})".format),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_EXPRESSIONS)
+def test_run_agrees_with_eval_infix(expression):
+    outcome = _agreement(expression + " = ?")
+    if outcome is not None:
+        got, want, final, want_final = outcome
+        assert got == want
+        assert final == want_final
