@@ -13,7 +13,13 @@ import json
 import sys
 from dataclasses import fields
 
-from .conversion import ConversionError, convert, convert_with_trace
+from .conversion import (
+    ACTION_NAMES,
+    DECISION_FIELDS,
+    ConversionError,
+    convert,
+    convert_with_trace,
+)
 from .datagen import (
     DataError,
     GenConfig,
@@ -30,7 +36,6 @@ from .datagen import (
 )
 from .evaluator import EvalError, evaluate_with_trace
 from .gates import (
-    GateDecision,
     GateError,
     TrainConfig,
     agreement_table,
@@ -96,11 +101,15 @@ def cmd_convert(args: argparse.Namespace) -> int:
     if not args.trace:
         print(json.dumps(program.to_json_dict()))
         return 0
-    tokens = [
-        {"char": char, "flag": flag,
-         "decision": dict(zip(GateDecision.__slots__, map(int, table[token_id][flag])))}
-        for char, token_id, flag in zip(args.expression, ids, flags)
-    ]
+    tokens = []
+    for char, token_id, flag in zip(args.expression, ids, flags):
+        decision = table[token_id][flag]
+        action, arg = decision.action
+        tokens.append({
+            "char": char, "flag": flag,
+            "decision": dict(zip(DECISION_FIELDS, map(int, decision))),
+            "action": ACTION_NAMES[action], "arg": int(arg),
+        })
     print(json.dumps({"program": program.to_json_dict(), "tokens": tokens}))
     return 0
 
@@ -166,15 +175,17 @@ def cmd_train_gates(args: argparse.Namespace) -> int:
 
 def cmd_verify_gates(args: argparse.Namespace) -> int:
     rows = agreement_table(load_params(args.gates))
-    header = ["token", "flag"] + list(GateDecision.__slots__) + ["all"]
+    header = ["token", "flag"] + list(DECISION_FIELDS) + ["all"]
     print(" ".join(f"{h:>13}" for h in header))
     for row in rows:
         cells = [repr(row.char), str(row.decimal_started)]
-        cells += ["ok" if row.matches[f] else "MISMATCH" for f in GateDecision.__slots__]
+        cells += ["ok" if row.matches[f] else "MISMATCH" for f in DECISION_FIELDS]
         cells.append("ok" if row.ok else "MISMATCH")
         print(" ".join(f"{c:>13}" for c in cells))
     good = sum(1 for r in rows if r.ok)
     print(f"agreement {good}/{len(rows)}")
+    # Tables whose actions agree convert every input alike.
+    print(f"actions {sum(1 for r in rows if r.action_ok)}/{len(rows)}")
     return 0 if good == len(rows) else 1
 
 
@@ -201,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="convert text to a dense program")
     p.add_argument("expression")
     p.add_argument("--trace", action="store_true",
-                   help="also emit each token read, its decimal flag and its gate decision")
+                   help="also emit each token read, its decimal flag, its gate decision "
+                        "and the action the machine ran")
     p.add_argument("--gates", help="gate parameter file (default: rule policy)")
     p.set_defaults(func=cmd_convert)
 

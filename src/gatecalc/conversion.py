@@ -10,6 +10,16 @@ whether it is ignored, whether it moves on to the next slot, whether it
 starts the decimal part of the number, how a digit folds into the
 number, and which operator an operator character carries.
 
+The machine reads at most four of a decision's six fields, in a fixed
+order (ignore, decimal_start, move with op, digit by dense_mode), so
+each decision compiles, once, when it is built, into one of eight
+actions with one argument: skip, dot, close, close-op (its operator),
+or a digit (its value) folded by times-ten, base-mul or direct add, or
+not folded. The first digit of a number seeds it whatever its action,
+and the terminator stops the machine by its id before the table is
+read, so two tables whose actions agree on the other 34 cases convert
+every input identically.
+
 Decisions depend on nothing but the token id and the decimal flag, so a
 gate policy is a GateTable read as table[token_id][decimal_flag], and
 the flag each token was read under is a complete trace of a run:
@@ -21,7 +31,7 @@ never imports the trainer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable
 
@@ -75,12 +85,33 @@ class DenseOpMode(IntEnum):
     BASE_MUL_ADD = 3
 
 
+# The machine's actions, numbered in the order the loop tests them, most
+# frequent first: a digit action shares its DenseOpMode's value, and one
+# compare tells a digit, another a close.
+(
+    DIGIT_NO_FOLD, DIGIT_DIRECT_ADD, DIGIT_TIMES_TEN, DIGIT_BASE_MUL, CLOSE, CLOSE_OP, SKIP, DOT
+) = range(8)
+ACTION_NAMES = (
+    "digit-no-fold", "digit-direct-add", "digit-times-ten", "digit-base-mul",
+    "close", "close-op", "skip", "dot",
+)
+
+# A decision's fields, in declaration order, which is gates.HEAD_SHAPES
+# order. The compiled action is derived from them and is not one.
+DECISION_FIELDS = ("ignore", "move", "decimal_start", "dense_mode", "digit", "op")
+
+
 # A slots dataclass, not a NamedTuple: CPython specializes loads of slot
-# attributes but not of NamedTuple fields, and the machine reads one or
-# more fields per token.
+# attributes but not of NamedTuple fields, and the machine reads one
+# field per token.
 @dataclass(frozen=True, slots=True)
 class GateDecision:
-    """Everything the conversion machine needs to know about one token."""
+    """Everything the conversion machine needs to know about one token.
+
+    action is the (action, argument) pair the machine runs, compiled from
+    the other fields when the decision is built. It takes no part in
+    equality, repr or iteration.
+    """
 
     ignore: int
     move: int
@@ -88,10 +119,25 @@ class GateDecision:
     dense_mode: DenseOpMode
     digit: int
     op: Op
+    action: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.ignore:
+            action = SKIP, 0
+        elif self.decimal_start:
+            action = DOT, 0
+        elif self.move:
+            action = (CLOSE, 0) if self.op == Op.NONE else (CLOSE_OP, self.op)
+        else:
+            mode = self.dense_mode
+            if mode not in (DIGIT_DIRECT_ADD, DIGIT_TIMES_TEN, DIGIT_BASE_MUL):
+                mode = DIGIT_NO_FOLD
+            action = int(mode), self.digit
+        object.__setattr__(self, "action", action)
 
     def __iter__(self):
-        """Field values in declaration order, which is gates.HEAD_SHAPES order."""
-        return (getattr(self, name) for name in self.__slots__)
+        """Field values in DECISION_FIELDS order."""
+        return (getattr(self, name) for name in DECISION_FIELDS)
 
 
 # A gate policy: VOCAB_SIZE rows of (decision at flag 0, decision at flag 1).
@@ -148,12 +194,7 @@ def op_json_name(op: Op) -> str:
     return "none" if op == Op.NONE else OP_TO_CHAR[op]
 
 
-# Bound once, so the loop below compares against module globals rather
-# than looking a member up on its enum class per token.
 _NONE = Op.NONE
-_DIRECT_ADD = DenseOpMode.DIRECT_ADD
-_TIMES_TEN_ADD = DenseOpMode.TIMES_TEN_ADD
-_BASE_MUL_ADD = DenseOpMode.BASE_MUL_ADD
 
 # Past this mantissa, digits after the decimal dot collapse into its last
 # digit. A double, and each point halfway between two, has at most 767
@@ -197,22 +238,35 @@ def convert_with_trace(
     scale = 0  # decimal digits of the mantissa after the point
     flag = 0  # 1 once the open number has read its decimal dot
     place = 0  # decimal place of the next BASE_MUL_ADD digit
-    for token_id in ids:
+    # The terminator stops the machine whatever its decision says; it is
+    # read, under the flag of the number it closes, and nothing after it is.
+    stop = ids.index(TERMINATOR_ID) if TERMINATOR_ID in ids else len(ids)
+    for token_id in ids[:stop]:
         flags.append(flag)
-        if token_id == TERMINATOR_ID:
-            break
-        decision = table[token_id][flag]
-        if decision.ignore:
-            continue
-        if decision.decimal_start:
-            if flag:
-                raise MalformedNumber("second decimal dot inside one number")
-            if number is None:
-                raise MalformedNumber("decimal dot with no number in progress")
-            flag = 1
-            place = 1
-            continue
-        if decision.move:
+        action, arg = table[token_id][flag].action
+        if action <= DIGIT_BASE_MUL:
+            if number is not None:
+                # A later digit folds in by its action, in integer
+                # arithmetic on the mantissa.
+                if action == DIGIT_TIMES_TEN:
+                    if scale:
+                        scale -= 1
+                        number += arg * 10**scale
+                    elif number < _MANTISSA_CAP:
+                        number = number * 10 + arg
+                elif action == DIGIT_BASE_MUL:
+                    if place <= scale:
+                        number += arg * 10 ** (scale - place)
+                    elif number < _MANTISSA_CAP or not flag:
+                        number = number * 10 ** (place - scale) + arg
+                        scale = place
+                    elif arg and not number & 1:
+                        number += 1
+                    place += 1
+                elif action == DIGIT_DIRECT_ADD:
+                    number += arg * 10**scale
+                continue
+        elif action <= CLOSE_OP:
             # Spacing and operators close the open number, so runs of
             # spaces collapse; an operator then claims a slot of its own.
             if number is not None:
@@ -224,43 +278,33 @@ def convert_with_trace(
                 ops.append(_NONE)
                 number = None
                 scale = flag = place = 0
-            op = decision.op
-            if op == _NONE:
+            if action == CLOSE:
                 continue
-        elif number is not None:
-            # A later digit folds in by the decision's mode, in integer
-            # arithmetic on the mantissa.
-            mode = decision.dense_mode
-            if mode == _TIMES_TEN_ADD:
-                if scale:
-                    scale -= 1
-                    number += decision.digit * 10**scale
-                elif number < _MANTISSA_CAP:
-                    number = number * 10 + decision.digit
-            elif mode == _BASE_MUL_ADD:
-                if place <= scale:
-                    number += decision.digit * 10 ** (scale - place)
-                elif number < _MANTISSA_CAP or not flag:
-                    number = number * 10 ** (place - scale) + decision.digit
-                    scale = place
-                elif decision.digit and not number & 1:
-                    number += 1
-                place += 1
-            elif mode == _DIRECT_ADD:
-                number += decision.digit * 10**scale
+        elif action == SKIP:
+            continue
+        else:
+            # A dot starts the open number's fraction.
+            if flag:
+                raise MalformedNumber("second decimal dot inside one number")
+            if number is None:
+                raise MalformedNumber("decimal dot with no number in progress")
+            flag = 1
+            place = 1
             continue
         # An operator, or the first digit of a number, claims the next slot.
         if len(valid) >= capacity:
             raise CapacityExceeded(
                 f"stream needs slot {len(valid)} but capacity is {capacity}"
             )
-        if decision.move:
+        if action == CLOSE_OP:
             valid.append(1)
             dense.append(0.0)
-            ops.append(op)
+            ops.append(arg)
         else:
-            # The first digit always seeds the number, whatever its mode.
-            number = decision.digit
+            # The first digit always seeds the number, whatever its action.
+            number = arg
+    if stop < len(ids):
+        flags.append(flag)
     if number is not None:
         try:
             dense.append(number / 10**scale if scale else float(number))

@@ -24,6 +24,7 @@ operator arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 from .conversion import DenseProgram, op_json_name
@@ -78,6 +79,7 @@ class EvalTrace:
 # Bound once, so the hot loops compare against module globals rather
 # than looking a member up on the Op class per slot and per fold.
 _NONE, _ADD, _SUB, _MUL, _DIV = Op.NONE, Op.ADD, Op.SUB, Op.MUL, Op.DIV
+_new_tuple = tuple.__new__
 
 
 def apply_op(op: Op, a: float, b: float) -> float:
@@ -100,7 +102,9 @@ def evaluate_with_trace(program: DenseProgram) -> EvalTrace:
     One pass over the slots; the program is only read, never copied.
     """
     valid, dense, ops = program.valid, program.dense, program.ops
-    steps: list[ReductionStep] = []
+    # Each fold as a plain tuple in ReductionStep field order; the named
+    # tuples are built from them in one C-level map at the end.
+    folds: list[tuple] = []
     # (slot, value) of every live number left of the scan position; a
     # fold's result stays live in the later operand's slot.
     live: list[tuple[int, float]] = []
@@ -119,12 +123,12 @@ def evaluate_with_trace(program: DenseProgram) -> EvalTrace:
         a, lhs = live.pop()
         result = apply_op(op, lhs, rhs)
         live.append((b, result))
-        steps.append(ReductionStep(a, b, i, op, (lhs, rhs), result))
+        folds.append((a, b, i, op, (lhs, rhs), result))
     if len(live) != 1:
         raise MalformedPostfix(
             f"{len(live)} numbers remain after all reductions, expected 1"
         )
-    return EvalTrace(steps=steps, final=live[0][1])
+    return EvalTrace(list(map(_new_tuple, repeat(ReductionStep), folds)), live[0][1])
 
 
 def evaluate(program: DenseProgram) -> float:

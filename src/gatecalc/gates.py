@@ -50,6 +50,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .conversion import (
+    DECISION_FIELDS,
     DenseOpMode,
     GateDecision,
     GateTable,
@@ -62,6 +63,7 @@ from .tokenizer import (
     ID_TO_CHAR,
     OP_ID_TO_OP,
     OTHER_PLACEHOLDER,
+    TERMINATOR_ID,
     VOCAB_SIZE,
     Op,
     encode,
@@ -315,7 +317,7 @@ def _train_softmax_head(w, b, tokens, flags, targets, scales, freeze) -> list[fl
     return losses
 
 
-_decision_fields = attrgetter(*GateDecision.__slots__)
+_decision_fields = attrgetter(*DECISION_FIELDS)
 
 
 def _train_block(
@@ -405,11 +407,17 @@ def train_gates(
 
 @dataclass(frozen=True)
 class AgreementRow:
+    """One (token, flag) case: which decision fields match the reference,
+    whether all do, and whether the compiled action does. Equal actions
+    are what conversion needs; the terminator's row never acts, since the
+    machine stops on its id, so its action always agrees."""
+
     token_id: int
     char: str
     decimal_started: int
     matches: dict[str, bool]
     ok: bool
+    action_ok: bool
 
 
 def agreement_table(params: GateParams) -> list[AgreementRow]:
@@ -420,8 +428,11 @@ def agreement_table(params: GateParams) -> list[AgreementRow]:
         char = ID_TO_CHAR.get(token_id, OTHER_PLACEHOLDER)
         for ds in (0, 1):
             want, got = rule_gates[token_id][ds], learned[token_id][ds]
-            matches = {f: x == y for f, x, y in zip(GateDecision.__slots__, want, got)}
-            rows.append(AgreementRow(token_id, char, ds, matches, all(matches.values())))
+            matches = {f: x == y for f, x, y in zip(DECISION_FIELDS, want, got)}
+            action_ok = token_id == TERMINATOR_ID or want.action == got.action
+            rows.append(
+                AgreementRow(token_id, char, ds, matches, all(matches.values()), action_ok)
+            )
     return rows
 
 

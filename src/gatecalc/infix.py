@@ -31,17 +31,29 @@ class ParseError(ValueError):
         self.position = position
 
 
-_ANSWER_SUFFIX = re.compile(r"\s*=\s*\?\s*$")
-# One token after any spaces: a literal (group 1) or any other single
-# character (group 2). "[^ ]" rather than "." so trailing spaces make no
-# token; "[0-9]" rather than "\d" so non-ASCII digits are not literals.
-_TOKEN = re.compile(r" *(?:([0-9]+(?:\.[0-9]*)?)|([^ ]))")
+# One token: a literal, or any other single character. Spaces separate
+# tokens and make none; "[0-9]" rather than "\d" so non-ASCII digits are
+# not literals.
+_TOKEN = re.compile(r"[0-9]+(?:\.[0-9]*)?|[^ ]")
+# A character that no question of the grammar contains.
+_OUTSIDE = re.compile(r"[^0-9.+\-*/() ]")
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 # Deepest parenthesis nesting the parser accepts. Open parentheses wait on
 # a list, not in Python frames, so this guards no recursion limit: it is a
 # bound of the grammar, kept so the same questions are declined.
 MAX_NESTING = 100
+
+
+def _strip_answer_suffix(text: str) -> str:
+    """text without its trailing "= ?", if it ends in one: the "=", the
+    "?", and every run of whitespace before, between and after them go."""
+    body = text.rstrip()
+    if body.endswith("?"):
+        body = body[:-1].rstrip()
+        if body.endswith("="):
+            return body[:-1].rstrip()
+    return text
 
 
 def parse_infix(text: str) -> list[str]:
@@ -52,46 +64,60 @@ def parse_infix(text: str) -> list[str]:
     one (")", an operator, or the end). Operators wait on a stack until
     one of lower or equal precedence, a ")" or the end releases them.
     """
-    source = _ANSWER_SUFFIX.sub("", text)
+    source = _strip_answer_suffix(text)
+    # A character outside the grammar ends the question in an error when
+    # the reader reaches it, so the scan stops there: prose costs a token
+    # or two, not one per character.
+    outside = _OUTSIDE.search(source)
+    tokens = _TOKEN.findall(source, 0, outside.end() if outside else len(source))
     out: list[str] = []
     pending: list[str] = []  # operators and open parentheses not yet emitted
     depth = 0
     operand = True
-    for match in _TOKEN.finditer(source):
-        number, ch = match.groups()
+    for k, token in enumerate(tokens):
         if operand:
-            if number is not None:
-                if float(number) == math.inf:
-                    raise ParseError("number too large", match.start(1))
-                out.append(number)
+            if "0" <= token[0] <= "9":
+                # No literal of at most 308 characters reaches 1.8e308.
+                if len(token) > 308 and float(token) == math.inf:
+                    error = "number too large"
+                    break
+                out.append(token)
                 operand = False
-            elif ch != "(":
-                raise ParseError("expected a number or '('", match.start(2))
+            elif token != "(":
+                error = "expected a number or '('"
+                break
             elif depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", match.start(2))
+                error = f"parentheses nested deeper than {MAX_NESTING}"
+                break
             else:
                 depth += 1
-                pending.append(ch)
-        elif ch == ")" and depth:
+                pending.append(token)
+        elif token == ")" and depth:
             while (top := pending.pop()) != "(":
                 out.append(top)
             depth -= 1
-        elif ch in _PRECEDENCE:
+        elif token in _PRECEDENCE:
             # An open parenthesis ranks 0, below every operator: none pops it.
-            while pending and _PRECEDENCE.get(pending[-1], 0) >= _PRECEDENCE[ch]:
+            while pending and _PRECEDENCE.get(pending[-1], 0) >= _PRECEDENCE[token]:
                 out.append(pending.pop())
-            pending.append(ch)
+            pending.append(token)
             operand = True
-        elif depth:
-            raise ParseError("expected ')'", match.start(match.lastindex))
         else:
-            raise ParseError(f"unexpected {(ch or number[0])!r}", match.start(match.lastindex))
-    if operand:
-        raise ParseError("expected a number or '('", len(source))
-    if depth:
-        raise ParseError("expected ')'", len(source))
-    out.extend(reversed(pending))
-    return out
+            error = "expected ')'" if depth else f"unexpected {token[0]!r}"
+            break
+    else:
+        if operand:
+            raise ParseError("expected a number or '('", len(source))
+        if depth:
+            raise ParseError("expected ')'", len(source))
+        out.extend(reversed(pending))
+        return out
+    # Only spaces come between tokens, so each token's text is the first
+    # match of it past the end of the one before.
+    position = 0
+    for token in tokens[:k]:
+        position = source.find(token, position) + len(token)
+    raise ParseError(error, source.find(tokens[k], position))
 
 
 def to_postfix(postfix: list[str]) -> str:

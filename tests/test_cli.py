@@ -15,6 +15,7 @@ from gatecalc import cli
 from gatecalc.cli import main
 from gatecalc.datagen import gen_dot_place, read_records
 from gatecalc.gates import HEAD_SHAPES, GateParams, LossTrace, TrainConfig
+from gatecalc.tokenizer import Op
 
 
 def run_cli(capsys, *argv):
@@ -99,7 +100,25 @@ def test_convert_trace_shows_a_dropped_junk_character(capsys):
         "decision": {
             "ignore": 1, "move": 0, "decimal_start": 0, "dense_mode": 0, "digit": 0, "op": 0,
         },
+        "action": "skip",
+        "arg": 0,
     }
+
+
+def test_convert_trace_names_each_action_and_its_argument(capsys):
+    code, out, _ = run_cli(capsys, "convert", "1.5 2 +", "--trace")
+    assert code == 0
+    tokens = json.loads(out)["tokens"]
+    assert [(t["char"], t["flag"], t["action"], t["arg"]) for t in tokens] == [
+        ("1", 0, "digit-times-ten", 1),
+        (".", 0, "dot", 0),
+        ("5", 1, "digit-base-mul", 5),
+        (" ", 1, "close", 0),
+        ("2", 0, "digit-times-ten", 2),
+        (" ", 0, "close", 0),
+        ("+", 0, "close-op", int(Op.ADD)),
+    ]
+    assert tokens[2]["decision"]["dense_mode"] == 3
 
 
 def test_to_postfix(capsys):
@@ -258,7 +277,10 @@ def test_verify_gates_reports_mismatches_for_undertrained(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify-gates", "--gates", str(gates))
     assert code == 1
     assert "MISMATCH" in out
-    assert "agreement" in out
+    assert "agreement 2/36" in out
+    # All-zero heads agree with the rule only on the terminator's two rows,
+    # in fields and in actions; the machine never reads those rows.
+    assert out.endswith("agreement 2/36\nactions 2/36\n")
 
 
 def test_verify_gates_missing_file(capsys, tmp_path):

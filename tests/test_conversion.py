@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import decimal
 import math
 import random
@@ -10,6 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatecalc.conversion import (
+    ACTION_NAMES,
+    CLOSE,
+    CLOSE_OP,
+    DIGIT_BASE_MUL,
+    DIGIT_TIMES_TEN,
+    DOT,
+    SKIP,
     CapacityExceeded,
     ConversionError,
     DenseOpMode,
@@ -21,7 +29,17 @@ from gatecalc.conversion import (
 )
 from gatecalc.datagen import gen_dot_place, gen_numbers_ops
 from gatecalc.gates import GateDecision, GateParams, label_events, make_learned_policy, rule_gates
-from gatecalc.tokenizer import DOT_ID, SLASH_ID, VOCAB_SIZE, Op, encode
+from gatecalc.tokenizer import (
+    DOT_ID,
+    OP_ID_TO_OP,
+    OTHER_ID,
+    SLASH_ID,
+    SPACE_ID,
+    TERMINATOR_ID,
+    VOCAB_SIZE,
+    Op,
+    encode,
+)
 from helpers import (
     init_state,
     random_gate_table,
@@ -423,13 +441,87 @@ def test_convert_with_trace_matches_step_reference(kind, count, seed):
                 if not (d.ignore or d.decimal_start or d.move):
                     reached[f"digit in mode {d.dense_mode.name}"] += 1
                 reached["dot or op under flag 1"] += flag == 1 and DOT_ID <= token_id <= SLASH_ID
+                if token_id != TERMINATOR_ID:
+                    reached[ACTION_NAMES[d.action[0]]] += 1
         else:
             reached[got[0].__name__] += 1
     if kind == "random":
-        # The random tables reach the decisions the rule table never makes.
+        # The random tables reach the decisions the rule table never makes,
+        # and every one of the machine's eight actions.
         for case in ("digit in mode DIRECT_ADD", "digit in mode IGNORE",
-                     "dot or op under flag 1", "MalformedNumber", "CapacityExceeded"):
+                     "dot or op under flag 1", "MalformedNumber", "CapacityExceeded",
+                     *ACTION_NAMES):
             assert reached[case] > 0, case
+
+
+def test_rule_table_compiles_to_the_expected_actions():
+    want = {}
+    for digit in range(10):
+        want[digit] = ((DIGIT_TIMES_TEN, digit), (DIGIT_BASE_MUL, digit))
+    want[DOT_ID] = ((DOT, 0),) * 2
+    for token_id, op in OP_ID_TO_OP.items():
+        want[token_id] = ((CLOSE_OP, op),) * 2
+    want[SPACE_ID] = ((CLOSE, 0),) * 2
+    want[OTHER_ID] = ((SKIP, 0),) * 2
+    for token_id, actions in want.items():
+        assert tuple(d.action for d in rule_gates[token_id]) == actions, token_id
+
+
+def test_action_is_derived_not_a_field():
+    d = rule_gates[7][1]
+    same = GateDecision(*d)
+    assert same == d and hash(same) == hash(d) and same.action == d.action
+    assert len(tuple(d)) == 6
+    assert "action" not in repr(d)
+    assert dataclasses.replace(d, move=1).action == (CLOSE, 0)
+
+
+# The decision fields each action leaves unread: the machine reads ignore,
+# then decimal_start, then move with op, then digit by dense_mode, and
+# stops at the first that decides the token.
+_UNREAD_FIELDS = {
+    SKIP: ("move", "decimal_start", "dense_mode", "digit", "op"),
+    DOT: ("move", "dense_mode", "digit", "op"),
+    CLOSE: ("dense_mode", "digit"),
+    CLOSE_OP: ("dense_mode", "digit"),
+}
+_FIELD_VALUES = {
+    "move": (0, 1), "decimal_start": (0, 1), "dense_mode": tuple(DenseOpMode),
+    "digit": tuple(range(10)), "op": tuple(Op),
+}
+
+
+def _same_actions(rng: random.Random, table):
+    """table with every field its actions leave unread redrawn, and the
+    terminator's rows, which the machine never reads, redrawn whole."""
+    def redraw(d):
+        unread = _UNREAD_FIELDS.get(d.action[0], ("op",))
+        other = dataclasses.replace(d, **{f: rng.choice(_FIELD_VALUES[f]) for f in unread})
+        assert other.action == d.action
+        return other
+
+    rows = [tuple(redraw(d) for d in row) for row in table]
+    rows[TERMINATOR_ID] = random_gate_table(rng)[TERMINATOR_ID]
+    return tuple(rows)
+
+
+def test_tables_with_equal_actions_convert_alike():
+    # Action equality is the swap criterion: the fields an action leaves
+    # unread may take any value without changing one output.
+    rng = random.Random(13)
+    changed = 0
+    for _ in range(40):
+        table = random_gate_table(rng)
+        other = _same_actions(rng, table)
+        changed += sum(a != b for row, other_row in zip(table, other)
+                       for a, b in zip(row, other_row))
+        for _ in range(500):
+            text = "".join(rng.choice(_SWEEP_ALPHABET) for _ in range(rng.randint(0, 24)))
+            ids, capacity = encode(text), rng.randint(1, 20)
+            assert _outcome(convert_with_trace, ids, other, capacity) == _outcome(
+                convert_with_trace, ids, table, capacity
+            ), text
+    assert changed > 40 * 20
 
 
 @pytest.mark.parametrize("lines", [gen_dot_place(2000, 21), gen_numbers_ops(2000, 22)],

@@ -10,6 +10,7 @@ from gatecalc.evaluator import (
     DivisionByZero,
     EvalError,
     MalformedPostfix,
+    ReductionStep,
     evaluate,
     evaluate_with_trace,
     stack_oracle,
@@ -133,6 +134,16 @@ def test_reduction_steps_are_immutable_and_keep_the_worked_example_json():
         '"result": 10.0}, {"a": 0, "b": 2, "op_slot": 4, "op": "+", '
         '"operands": [3.0, 10.0], "result": 13.0}], "final": 13.0}'
     )
+
+
+@pytest.mark.parametrize("text", ["3 5 +", " ".join(["7"] * 512) + " +" * 511],
+                         ids=["one-fold", "chain-512"])
+def test_every_step_is_a_reduction_step(text):
+    # The reference comparisons pass for plain tuples too, since a tuple
+    # equals the named tuple with the same fields; the type must not drift.
+    steps = evaluate_with_trace(convert(encode(text), rule_gates, 1023)).steps
+    assert len(steps) == text.count("+")
+    assert all(type(s) is ReductionStep for s in steps)
 
 
 def test_evaluate_ignores_retired_slots():

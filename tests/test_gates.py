@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatecalc import gates
-from gatecalc.conversion import ConversionError, DenseOpMode, MalformedNumber, convert
+from gatecalc.conversion import (
+    DECISION_FIELDS,
+    ConversionError,
+    DenseOpMode,
+    MalformedNumber,
+    convert,
+)
 from gatecalc.datagen import gen_dot_place, gen_numbers_ops
 from gatecalc.gates import (
     HEAD_SHAPES,
@@ -186,13 +192,13 @@ def test_heads_follow_decision_fields():
     # Training and agreement pair head i with decision field i, so every
     # reference value must be a class of the head at its position, and
     # only the dense-mode head may read the decimal flag.
-    assert len(HEAD_SHAPES) == len(GateDecision.__slots__)
+    assert len(HEAD_SHAPES) == len(DECISION_FIELDS)
     for row in rule_gates:
         for decision in row:
             for (_, n_out, _), value in zip(HEAD_SHAPES, decision):
                 assert 0 <= value < n_out
     flag_fields = [
-        field for field, (_, _, n_in) in zip(GateDecision.__slots__, HEAD_SHAPES)
+        field for field, (_, _, n_in) in zip(DECISION_FIELDS, HEAD_SHAPES)
         if n_in > VOCAB_SIZE
     ]
     assert flag_fields == ["dense_mode"]

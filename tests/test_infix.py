@@ -36,6 +36,11 @@ def test_literal_past_float_range_is_a_parse_error():
     with pytest.raises(ParseError, match=r"number too large \(at position 0\)"):
         parse_infix("9" * 400 + " + 1 = ?")
     assert parse_infix("1" + "0" * 300) == ["1" + "0" * 300]
+    # At the length where a literal can first overflow, on both sides of
+    # the largest float.
+    assert parse_infix("1" + "0" * 308) == ["1" + "0" * 308]
+    with pytest.raises(ParseError, match=r"number too large \(at position 4\)"):
+        parse_infix("1 + " + "9" * 309)
 
 
 def test_answer_suffix_is_optional_and_flexible():
