@@ -22,8 +22,11 @@ every input identically.
 
 Decisions depend on nothing but the token id and the decimal flag, so a
 gate policy is a GateTable read as table[token_id][decimal_flag], and
-the flag each token was read under is a complete trace of a run:
-convert_with_trace returns those flags beside the program. The
+the flag each token was read under is a complete trace of a run.
+convert runs the machine and records no trace. convert_with_trace
+returns the flags beside the program: once convert has succeeded, a
+second, short pass over the same compiled actions replays the flag
+alone, which only a dot raises and only a close lowers. The
 hand-written table, rule_gates, lives here beside the machine that
 reads it; gates.make_learned_policy builds the trained one, and serving
 never imports the trainer.
@@ -214,15 +217,10 @@ def _past_float_range(slot: int) -> NumberTooLarge:
     return NumberTooLarge(f"number at slot {slot} is past float range")
 
 
-def convert_with_trace(
-    ids: bytes,
-    table: GateTable,
-    capacity: int = DEFAULT_CAPACITY,
-) -> tuple[DenseProgram, bytes]:
-    """Run every id through the machine: the slots it filled, and for each
-    token read (a stopping terminator included) the decimal flag it was
-    read under. A trailing number with no closing space is closed at the
-    end, so "3 5 +" and "3 5" both come out with every slot accounted for.
+def convert(ids: bytes, table: GateTable, capacity: int = DEFAULT_CAPACITY) -> DenseProgram:
+    """Run every id through the machine and return the slots it filled. A
+    trailing number with no closing space is closed at the end, so
+    "3 5 +" and "3 5" both come out with every slot accounted for.
 
     The open number is number / 10**scale, held exactly, and closes as
     that quotient correctly rounded, so a literal comes out as float() of
@@ -233,16 +231,14 @@ def convert_with_trace(
     valid: list[int] = []
     dense: list[float] = []
     ops: list[Op] = []
-    flags = bytearray()
     number: int | None = None  # the open number's mantissa; None between numbers
     scale = 0  # decimal digits of the mantissa after the point
     flag = 0  # 1 once the open number has read its decimal dot
     place = 0  # decimal place of the next BASE_MUL_ADD digit
-    # The terminator stops the machine whatever its decision says; it is
-    # read, under the flag of the number it closes, and nothing after it is.
-    stop = ids.index(TERMINATOR_ID) if TERMINATOR_ID in ids else len(ids)
-    for token_id in ids[:stop]:
-        flags.append(flag)
+    # The terminator stops the machine whatever its decision says, and
+    # nothing after it is read.
+    stop = ids.find(TERMINATOR_ID)
+    for token_id in ids[:stop] if stop >= 0 else ids:
         action, arg = table[token_id][flag].action
         if action <= DIGIT_BASE_MUL:
             if number is not None:
@@ -303,8 +299,6 @@ def convert_with_trace(
         else:
             # The first digit always seeds the number, whatever its action.
             number = arg
-    if stop < len(ids):
-        flags.append(flag)
     if number is not None:
         try:
             dense.append(number / 10**scale if scale else float(number))
@@ -312,9 +306,26 @@ def convert_with_trace(
             raise _past_float_range(len(dense)) from None
         valid.append(1)
         ops.append(_NONE)
-    return DenseProgram(valid, dense, ops), bytes(flags)
+    return DenseProgram(valid, dense, ops)
 
 
-def convert(ids: bytes, table: GateTable, capacity: int = DEFAULT_CAPACITY) -> DenseProgram:
-    """The program convert_with_trace fills, without the flags."""
-    return convert_with_trace(ids, table, capacity)[0]
+def convert_with_trace(
+    ids: bytes,
+    table: GateTable,
+    capacity: int = DEFAULT_CAPACITY,
+) -> tuple[DenseProgram, bytes]:
+    """The program convert fills, and for each token read the decimal
+    flag it was read under. The terminator is read, under the flag of the
+    number it closes, and nothing after it is.
+    """
+    program = convert(ids, table, capacity)
+    flags = bytearray()
+    flag = 0
+    for token_id in ids[: ids.find(TERMINATOR_ID) + 1 or len(ids)]:
+        flags.append(flag)
+        action = table[token_id][flag].action[0]
+        if action == DOT:
+            flag = 1
+        elif CLOSE <= action <= CLOSE_OP:
+            flag = 0
+    return program, bytes(flags)

@@ -8,13 +8,16 @@ well-formed program ends with exactly one live number.
 
 Every operator left of the first live one has already been folded away,
 so one left-to-right pass makes the same folds: keep a stack of the live
-number slots seen so far, and at each live operator pop the last two and
-push the later slot back holding the result. evaluate_with_trace does
-that in time linear in the program length, in one loop over local
-variables, and records each fold as a ReductionStep, an immutable named
-tuple, in the order, and with the slots, the rescanning rule would. The
-rescanning loop itself is kept in the tests as the reference the trace
-is checked against.
+numbers seen so far, and at each live operator pop the last two and push
+the result. evaluate does only that, on values, and when anything goes
+wrong it runs the traced fold, which raises the typed error. The traced
+fold keeps each live number's slot beside its value and records each
+fold as a ReductionStep, an immutable named tuple, in the order, and
+with the slots, the rescanning rule would. evaluate_with_trace returns
+the value at once and folds the steps from the program the first time
+they are read, so a caller that never reads them never pays for them.
+The rescanning loop itself is kept in the tests as the reference the
+trace is checked against.
 
 stack_oracle is a deliberately independent textbook evaluator kept for
 cross-checking values; it shares nothing with the reduction path but the
@@ -23,8 +26,9 @@ operator arithmetic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from typing import NamedTuple
 
 from .conversion import DenseProgram, op_json_name
@@ -69,6 +73,14 @@ class EvalTrace:
     steps: list[ReductionStep]
     final: float
 
+    def __getattr__(self, name: str):
+        # Only a trace from evaluate_with_trace lacks steps: it holds its
+        # program instead, and folds it on the first read of steps.
+        if name != "steps" or "_program" not in self.__dict__:
+            raise AttributeError(name)
+        self.steps = _fold(self.__dict__.pop("_program"))[0]
+        return self.steps
+
     def to_json_dict(self) -> dict:
         return {
             "steps": [s.to_json_dict() for s in self.steps],
@@ -80,6 +92,7 @@ class EvalTrace:
 # than looking a member up on the Op class per slot and per fold.
 _NONE, _ADD, _SUB, _MUL, _DIV = Op.NONE, Op.ADD, Op.SUB, Op.MUL, Op.DIV
 _new_tuple = tuple.__new__
+_APPLY = {_ADD: operator.add, _SUB: operator.sub, _MUL: operator.mul, _DIV: operator.truediv}
 
 
 def apply_op(op: Op, a: float, b: float) -> float:
@@ -96,7 +109,7 @@ def apply_op(op: Op, a: float, b: float) -> float:
     raise MalformedPostfix(f"cannot apply op {op!r}")
 
 
-def evaluate_with_trace(program: DenseProgram) -> EvalTrace:
+def _fold(program: DenseProgram) -> tuple[list[ReductionStep], float]:
     """Reduce to a single number, recording every fold along the way.
 
     One pass over the slots; the program is only read, never copied.
@@ -128,11 +141,39 @@ def evaluate_with_trace(program: DenseProgram) -> EvalTrace:
         raise MalformedPostfix(
             f"{len(live)} numbers remain after all reductions, expected 1"
         )
-    return EvalTrace(list(map(_new_tuple, repeat(ReductionStep), folds)), live[0][1])
+    return list(map(_new_tuple, repeat(ReductionStep), folds)), live[0][1]
 
 
 def evaluate(program: DenseProgram) -> float:
-    return evaluate_with_trace(program).final
+    """The number the traced fold ends on, from a stack of values alone."""
+    stack: list[float] = []
+    push, pop = stack.append, stack.pop
+    try:
+        for x, op in compress(zip(program.dense, program.ops), program.valid):
+            if op == _NONE:
+                push(x)
+            else:
+                b = pop()
+                stack[-1] = _APPLY[op](stack[-1], b)
+        if len(stack) == 1:
+            return stack[0]
+    except (IndexError, KeyError, ZeroDivisionError):
+        pass
+    # An underflow, an unknown op, a zero divisor or a count left other
+    # than one: the traced fold raises the typed error and its message.
+    return _fold(program)[1]
+
+
+def evaluate_with_trace(program: DenseProgram) -> EvalTrace:
+    """The value at once; the folds on the first read of steps.
+
+    The steps are folded from the program itself, so it must not change
+    before they are read.
+    """
+    trace = EvalTrace.__new__(EvalTrace)
+    trace.final = evaluate(program)
+    trace._program = program
+    return trace
 
 
 def stack_oracle(program: DenseProgram) -> float:

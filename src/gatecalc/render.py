@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import decimal
 import math
 
 INTEGER_SNAP_REL = 1e-9
@@ -32,5 +31,8 @@ def render(x: float) -> str:
         return str(int(nearest))
     text = f"{x:.{MAX_SIG_DIGITS}g}"
     if "e" in text or "E" in text:
+        # Only exponent-form values need decimal, so serving loads it late.
+        import decimal
+
         text = format(decimal.Decimal(text), "f")
     return text

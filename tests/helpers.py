@@ -3,11 +3,12 @@
 Random programs and expression trees are built with their expected
 values computed during construction, using plain Python arithmetic that
 shares nothing with the machinery under test. The reference conversion
-is the per-token step machine over a ConversionState, which the fused
-loop in convert_with_trace must reproduce program, flags and errors
-alike, and label_events its replay over step. The reference reduction
-is the paper's rescanning rule, which the evaluator's single pass must
-reproduce fold for fold. The reference question parser is recursive
+is the per-token step machine over a ConversionState, which convert's
+fused loop and convert_with_trace's flag pass must reproduce program,
+flags and errors alike, and label_events its replay over step. The
+reference reduction is the paper's rescanning rule, which the
+evaluator's value pass and its traced fold must reproduce, value, fold
+for fold and error for error. The reference question parser is recursive
 descent into a Number/BinOp tree, each Number keeping its literal's
 text, walked to postfix text and to a value; the one-pass parser must
 give the same postfix, values and errors.

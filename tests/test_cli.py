@@ -459,11 +459,12 @@ def test_package_runs_without_numpy():
 
 def test_serving_loads_neither_the_trainer_nor_the_cli():
     # Every run or eval is a fresh process, so what serving imports is
-    # paid on every question; the rule table lives in conversion for this.
+    # paid on every question; the rule table lives in conversion for this,
+    # and render loads decimal only for an exponent-form value.
     proc = run_python("-c", (
         "import sys; from gatecalc.pipeline import run; "
-        "print(run('3 + 5 = ?').answer, "
-        "[m for m in ('gatecalc.gates', 'gatecalc.datagen', 'gatecalc.cli') if m in sys.modules])"
+        "print(run('3 + 5 = ?').answer, [m for m in "
+        "('gatecalc.gates', 'gatecalc.datagen', 'gatecalc.cli', 'decimal') if m in sys.modules])"
     ))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "8 []\n", "")
 

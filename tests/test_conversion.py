@@ -435,7 +435,14 @@ def test_convert_with_trace_matches_step_reference(kind, count, seed):
         ids, capacity = encode(text), rng.randint(1, 20)
         got = _outcome(convert_with_trace, ids, table, capacity)
         assert got == _outcome(reference_convert_with_trace, ids, table, capacity), (text, capacity)
+        # The flags are replayed after convert, which raises every error.
+        try:
+            assert got[0] == convert(ids, table, capacity).to_json_dict()
+        except ConversionError as exc:
+            assert got == (type(exc), str(exc))
         if isinstance(got[1], bytes):
+            if TERMINATOR_ID in ids:
+                reached[f"terminator under flag {got[1][-1]}"] += 1
             for token_id, flag in zip(ids, got[1]):
                 d = table[token_id][flag]
                 if not (d.ignore or d.decimal_start or d.move):
@@ -450,7 +457,7 @@ def test_convert_with_trace_matches_step_reference(kind, count, seed):
         # and every one of the machine's eight actions.
         for case in ("digit in mode DIRECT_ADD", "digit in mode IGNORE",
                      "dot or op under flag 1", "MalformedNumber", "CapacityExceeded",
-                     *ACTION_NAMES):
+                     "terminator under flag 0", "terminator under flag 1", *ACTION_NAMES):
             assert reached[case] > 0, case
 
 

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gatecalc import evaluator
 from gatecalc.conversion import DenseProgram, convert
 from gatecalc.evaluator import (
     DivisionByZero,
     EvalError,
+    EvalTrace,
     MalformedPostfix,
     ReductionStep,
     evaluate,
@@ -93,6 +95,7 @@ def test_division_by_zero():
         evaluate(p)
     with pytest.raises(DivisionByZero):
         stack_oracle(p)
+    _assert_trace_matches_reference(p)
 
 
 def test_malformed_cases():
@@ -102,6 +105,14 @@ def test_malformed_cases():
             evaluate(p)
         with pytest.raises(MalformedPostfix):
             stack_oracle(p)
+        _assert_trace_matches_reference(p)
+
+
+def test_unknown_op_is_malformed_on_every_route():
+    p = DenseProgram([1, 1, 1], [3.0, 5.0, 0.0], [Op.NONE, Op.NONE, 7])
+    with pytest.raises(MalformedPostfix, match="^cannot apply op 7$"):
+        evaluate(p)
+    _assert_trace_matches_reference(p)
 
 
 def test_trace_records_every_fold():
@@ -153,6 +164,7 @@ def test_evaluate_ignores_retired_slots():
     # Only one live number and one op: the op has a single operand.
     with pytest.raises(MalformedPostfix):
         evaluate(p)
+    _assert_trace_matches_reference(p)
 
 
 def test_matches_construction_value():
@@ -177,6 +189,7 @@ def test_error_classes_match_oracle_on_malformed():
             evaluate(p)
         with pytest.raises(MalformedPostfix):
             stack_oracle(p)
+        _assert_trace_matches_reference(p)
 
 
 def test_reduction_count_equals_operator_count():
@@ -208,18 +221,30 @@ def test_single_number_program_evaluates_to_itself(n):
     assert evaluate(p) == float(n)
 
 
-def _outcome(evaluate_fn, p: DenseProgram) -> str:
-    """Trace JSON, or the error a caller would see in a diagnostic."""
+def _outcome(evaluate_fn, p: DenseProgram):
+    """What evaluate_fn returns, or the error a caller would see in a diagnostic."""
     try:
-        return json.dumps(evaluate_fn(p).to_json_dict())
+        return evaluate_fn(p)
     except EvalError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _assert_trace_matches_reference(p: DenseProgram) -> None:
+def _assert_trace_matches_reference(p: DenseProgram) -> str:
+    """evaluate, evaluate_with_trace's final and its steps, read afterwards,
+    against the rescanning reference. Returns the outcome's class name."""
     before = (list(p.valid), list(p.dense), list(p.ops))
-    assert _outcome(evaluate_with_trace, p) == _outcome(reference_evaluate_with_trace, p)
+    want = _outcome(reference_evaluate_with_trace, p)
+    value, trace = _outcome(evaluate, p), _outcome(evaluate_with_trace, p)
+    if isinstance(want, str):
+        assert value == trace == want
+        return want.split(":")[0]
+    # repr tells -0.0 from 0.0, and a NaN equals its own repr.
+    assert repr(value) == repr(trace.final) == repr(want.final)
+    assert trace.steps == want.steps
+    assert json.dumps(trace.to_json_dict()) == json.dumps(want.to_json_dict())
+    assert repr(trace) == repr(want) and trace == want
     assert (p.valid, p.dense, p.ops) == before
+    return "value"
 
 
 def _retire_some(rng: random.Random, p: DenseProgram) -> DenseProgram:
@@ -253,8 +278,7 @@ def test_trace_matches_rescanning_rule_on_zero_divisors():
                 p.dense[i] = float(rng.choice((0, 0, 1, 2)))
             elif rng.random() < 0.5:
                 p.ops[i] = Op.DIV
-        _assert_trace_matches_reference(p)
-        seen.add(_outcome(evaluate_with_trace, p).split(":")[0])
+        seen.add(_assert_trace_matches_reference(p))
     assert "DivisionByZero" in seen
 
 
@@ -312,9 +336,42 @@ def test_evaluation_reads_each_slot_a_bounded_number_of_times(n_operands, left_d
         _CountingList(p.dense, reads),
         _CountingList(p.ops, reads),
     )
-    trace = evaluate_with_trace(p)
-    assert len(trace.steps) == n_operands - 1
     # Rescanning from slot 0 for every fold would make about length**2 / 2
     # reads, or, on a copy, as many truth tests of the right-deep flags.
+    # Each pass is bounded alone: the value pass in evaluate_with_trace,
+    # then the fold on the first read of steps.
+    trace = evaluate_with_trace(p)
     assert reads[0] <= 4 * p.length
     assert tests[0] <= p.length
+    reads[0] = tests[0] = 0
+    assert len(trace.steps) == n_operands - 1
+    assert reads[0] <= 4 * p.length
+    assert tests[0] <= p.length
+
+
+def test_steps_are_folded_once_on_first_read(monkeypatch):
+    folds = []
+    fold = evaluator._fold
+    monkeypatch.setattr(evaluator, "_fold", lambda p: folds.append(p) or fold(p))
+    p = convert(encode("2 3 4 * +"), rule_gates)
+    trace = evaluate_with_trace(p)
+    assert (trace.final, folds) == (14.0, [])
+    assert [s.result for s in trace.steps] == [12.0, 14.0]
+    assert folds == [p]
+    assert trace.steps is trace.steps
+    assert trace == trace and repr(trace) == repr(EvalTrace(trace.steps, 14.0))
+    assert trace.to_json_dict()["final"] == 14.0
+    assert folds == [p]
+
+
+def test_a_trace_keeps_its_constructor_equality_and_truth():
+    built = EvalTrace([], 7.0)
+    folded = evaluate_with_trace(convert(encode("7"), rule_gates))
+    # No __len__, so a trace of no folds is still true, as the pipeline's
+    # JSON needs it to be.
+    assert not hasattr(EvalTrace, "__len__") and folded and built
+    assert folded == built
+    assert repr(folded) == repr(built) == "EvalTrace(steps=[], final=7.0)"
+    assert folded.to_json_dict() == {"steps": [], "final": 7.0}
+    with pytest.raises(AttributeError):
+        built.missing

@@ -2,7 +2,7 @@ import dataclasses
 import random
 import re
 
-from gatecalc import pipeline
+from gatecalc import evaluator, pipeline
 from gatecalc.conversion import convert
 from gatecalc.datagen import GenConfig, Stage, gen_questions
 from gatecalc.evaluator import stack_oracle
@@ -252,6 +252,24 @@ def test_custom_responder_sees_augmented_prompt():
     result = run("3 + 5 = ?", responder=responder)
     assert result.answer == "custom"
     assert seen == ["3 + 5 = ?" + "8$" + " " * 14]
+
+
+@pytest.mark.parametrize("read", [
+    lambda result: result.trace.steps,
+    lambda result: result.to_json_dict(),
+], ids=["steps", "json"])
+def test_run_folds_the_steps_only_when_read(monkeypatch, read):
+    folds = []
+    fold = evaluator._fold
+    monkeypatch.setattr(evaluator, "_fold", lambda p: folds.append(p) or fold(p))
+    result = run("2 + 3 * 4 = ?")
+    assert (result.answer, folds) == ("14", [])
+    read(result)
+    assert len(folds) == 1
+    read(result)
+    assert result.to_json_dict()["trace"]["steps"][1]["result"] == 14.0
+    assert [s.result for s in result.trace.steps] == [12.0, 14.0]
+    assert len(folds) == 1
 
 
 def test_result_json_shape():
