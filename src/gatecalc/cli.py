@@ -130,32 +130,20 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "dot-place":
-        lines = gen_dot_place(args.count, args.seed)
-        write_lines(args.out, lines)
-        written = len(lines)
+        rows = gen_dot_place(args.count, args.seed)
     elif args.kind == "numbers-ops":
-        lines = gen_numbers_ops(args.count, args.seed)
-        write_lines(args.out, lines)
-        written = len(lines)
+        rows = gen_numbers_ops(args.count, args.seed)
     elif args.kind == "qa":
-        records = gen_arith_qa(
-            GenConfig(count=args.count, seed=args.seed, stage=Stage(args.stage))
-        )
-        if args.array:
-            write_json_array(args.out, records)
-        else:
-            write_jsonl(args.out, records)
-        written = len(records)
+        rows = gen_arith_qa(GenConfig(count=args.count, seed=args.seed, stage=Stage(args.stage)))
     else:
-        mixed = mix_datasets(
+        rows = mix_datasets(
             read_records(args.arith), read_records(args.other), args.fraction, args.seed
         )
-        if args.array:
-            write_json_array(args.out, mixed)
-        else:
-            write_jsonl(args.out, mixed)
-        written = len(mixed)
-    print(json.dumps({"written": written, "path": args.out}))
+    if args.kind in ("dot-place", "numbers-ops"):
+        write_lines(args.out, rows)
+    else:
+        (write_json_array if args.array else write_jsonl)(args.out, rows)
+    print(json.dumps({"written": len(rows), "path": args.out}))
     return 0
 
 

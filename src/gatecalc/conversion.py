@@ -175,7 +175,7 @@ rule_gates: GateTable = _tabulate(_rule_decision)
 
 @dataclass
 class DenseProgram:
-    """Frozen conversion output: parallel valid, dense, and op arrays."""
+    """Conversion output: parallel valid, dense, and op arrays."""
 
     valid: list[int]
     dense: list[float]

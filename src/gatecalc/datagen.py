@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 from .conversion import convert, rule_gates
 from .evaluator import evaluate
 from .infix import parse_infix, to_postfix
+from .pipeline import DEFAULT_INJECT_LEN
 from .render import render
 from .tokenizer import encode
 
@@ -201,8 +202,16 @@ def gen_questions(config: GenConfig) -> list[str]:
 
 
 def gen_arith_qa(config: GenConfig) -> list[QARecord]:
-    """Flat operator chains as question records, sized by the stage."""
-    return [qa_record(question) for question in gen_questions(config)]
+    """Flat operator chains as question records, sized by the stage. A
+    question whose answer does not fit the default injection segment is
+    redrawn from the same generator, so run() injects every record."""
+    rng = _rng(config.count, config.seed)
+    records: list[QARecord] = []
+    while len(records) < config.count:
+        record = qa_record(_qa_question(config, rng))
+        if len(record.output) < DEFAULT_INJECT_LEN:
+            records.append(record)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +254,24 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
             fh.write(line + "\n")
 
 
+def _as_dict(record: dict | QARecord) -> dict:
+    return record.to_dict() if isinstance(record, QARecord) else record
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict | QARecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            if isinstance(record, QARecord):
-                record = record.to_dict()
-            fh.write(json.dumps(record) + "\n")
+    write_lines(path, (json.dumps(_as_dict(r)) for r in records))
 
 
 def write_json_array(path: str | Path, records: Iterable[dict | QARecord]) -> None:
-    rows = [r.to_dict() if isinstance(r, QARecord) else r for r in records]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(rows, indent=2) + "\n")
+    write_lines(path, [json.dumps([_as_dict(r) for r in records], indent=2)])
 
 
 def read_records(path: str | Path) -> list[dict]:
     """Records from a JSONL file or a single JSON array file."""
-    text = Path(path).read_text(encoding="utf-8")
+    return _parse_records(Path(path).read_text(encoding="utf-8"), path)
+
+
+def _parse_records(text: str, path: str | Path) -> list[dict]:
     try:
         if text.lstrip().startswith("["):
             rows = json.loads(text)
@@ -283,11 +293,10 @@ def load_training_lines(path: str | Path) -> list[str]:
     """Trainer input from a file: plain text lines, or the swift_express
     field when the file holds question records."""
     text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("[") or stripped.startswith("{"):
-        records = read_records(path)
-        for i, record in enumerate(records):
-            if not isinstance(record.get("swift_express"), str):
-                raise DataError(f"{path}: record {i} has no swift_express text")
-        return [r["swift_express"] for r in records]
-    return text.splitlines()
+    if not text.lstrip().startswith(("[", "{")):
+        return text.splitlines()
+    records = _parse_records(text, path)
+    for i, record in enumerate(records):
+        if not isinstance(record.get("swift_express"), str):
+            raise DataError(f"{path}: record {i} has no swift_express text")
+    return [r["swift_express"] for r in records]

@@ -26,9 +26,9 @@ operator arithmetic.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress
+from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
 from .conversion import DenseProgram, op_json_name
@@ -88,25 +88,19 @@ class EvalTrace:
         }
 
 
-# Bound once, so the hot loops compare against module globals rather
-# than looking a member up on the Op class per slot and per fold.
-_NONE, _ADD, _SUB, _MUL, _DIV = Op.NONE, Op.ADD, Op.SUB, Op.MUL, Op.DIV
-_new_tuple = tuple.__new__
-_APPLY = {_ADD: operator.add, _SUB: operator.sub, _MUL: operator.mul, _DIV: operator.truediv}
+# Bound once, so the hot loops compare against a module global rather
+# than looking a member up on the Op class per slot.
+_NONE = Op.NONE
+_APPLY = {Op.ADD: add, Op.SUB: sub, Op.MUL: mul, Op.DIV: truediv}
 
 
 def apply_op(op: Op, a: float, b: float) -> float:
-    if op == _ADD:
-        return a + b
-    if op == _SUB:
-        return a - b
-    if op == _MUL:
-        return a * b
-    if op == _DIV:
-        if b == 0.0:
-            raise DivisionByZero(f"division of {a} by zero")
-        return a / b
-    raise MalformedPostfix(f"cannot apply op {op!r}")
+    try:
+        return _APPLY[op](a, b)
+    except KeyError:
+        raise MalformedPostfix(f"cannot apply op {op!r}") from None
+    except ZeroDivisionError:
+        raise DivisionByZero(f"division of {a} by zero") from None
 
 
 def _fold(program: DenseProgram) -> tuple[list[ReductionStep], float]:
@@ -115,9 +109,7 @@ def _fold(program: DenseProgram) -> tuple[list[ReductionStep], float]:
     One pass over the slots; the program is only read, never copied.
     """
     valid, dense, ops = program.valid, program.dense, program.ops
-    # Each fold as a plain tuple in ReductionStep field order; the named
-    # tuples are built from them in one C-level map at the end.
-    folds: list[tuple] = []
+    folds: list[ReductionStep] = []
     # (slot, value) of every live number left of the scan position; a
     # fold's result stays live in the later operand's slot.
     live: list[tuple[int, float]] = []
@@ -136,12 +128,12 @@ def _fold(program: DenseProgram) -> tuple[list[ReductionStep], float]:
         a, lhs = live.pop()
         result = apply_op(op, lhs, rhs)
         live.append((b, result))
-        folds.append((a, b, i, op, (lhs, rhs), result))
+        folds.append(ReductionStep(a, b, i, op, (lhs, rhs), result))
     if len(live) != 1:
         raise MalformedPostfix(
             f"{len(live)} numbers remain after all reductions, expected 1"
         )
-    return list(map(_new_tuple, repeat(ReductionStep), folds)), live[0][1]
+    return folds, live[0][1]
 
 
 def evaluate(program: DenseProgram) -> float:

@@ -25,7 +25,8 @@ the corpus in small chunks, each chunk repeated several times before
 the next one starts, which keeps early material fresh while later
 material arrives. Decimal dots and operator characters carry extra loss
 weight because a miss there corrupts a whole number rather than one
-digit.
+digit. A frozen run takes its steps at a learning rate of zero on a
+throwaway copy, so it scores a corpus and returns the init untouched.
 
 The trainer runs head-major over blocks: a block is one chunk's
 repeated passes, clipped to the step budget, and each of the six heads
@@ -210,8 +211,8 @@ class TrainConfig:
             value = getattr(self, name)
             if type(value) is not int and not (name == "steps_max" and value is None):
                 raise GateError(f"{name} must be an int, got {value!r}")
-        if self.steps_max is not None and self.steps_max < 1:
-            raise GateError(f"steps_max must be positive, got {self.steps_max}")
+            if value is not None and value < 1:
+                raise GateError(f"{name} must be positive, got {value}")
 
 
 class EventLoss(NamedTuple):
@@ -248,7 +249,7 @@ def _event_weight(event: GateEvent, config: TrainConfig) -> float:
 # by delta = scale * dz.
 
 
-def _train_binary_head(w, b, tokens, targets, scales, freeze) -> list[float]:
+def _train_binary_head(w, b, tokens, targets, scales) -> list[float]:
     """Summed BCE over one sigmoid unit per class, stable for any logit:
     per unit, softplus(x) = log(1 + e**x) and sigmoid(x) share one exp,
     taken of -|x|. The two units are unrolled and the bias is held in
@@ -278,18 +279,17 @@ def _train_binary_head(w, b, tokens, targets, scales, freeze) -> list[float]:
             loss1 = log1p(e) - y1 * x1
             g1 = e / (1.0 + e) - y1
         losses.append(0.0 + loss0 + loss1)
-        if not freeze:
-            d0 = scale * g0
-            d1 = scale * g1
-            column[0] -= d0
-            column[1] -= d1
-            b0 -= d0
-            b1 -= d1
+        d0 = scale * g0
+        d1 = scale * g1
+        column[0] -= d0
+        column[1] -= d1
+        b0 -= d0
+        b1 -= d1
     b[:] = b0, b1
     return losses
 
 
-def _train_softmax_head(w, b, tokens, flags, targets, scales, freeze) -> list[float]:
+def _train_softmax_head(w, b, tokens, flags, targets, scales) -> list[float]:
     """Softmax cross entropy. A head one column wider than the vocabulary
     reads and moves its flag column too at steps whose flag is on.
 
@@ -307,13 +307,12 @@ def _train_softmax_head(w, b, tokens, flags, targets, scales, freeze) -> list[fl
         lse = zmax + log(sum([exp(x - zmax) for x in z]))
         x = z[target]
         losses.append(lse - x)
-        if not freeze:
-            delta = [scale * exp(x - lse) for x in z]
-            delta[target] = scale * (exp(x - lse) - 1.0)
-            column[:] = map(sub, column, delta)
-            if flag and flag_column is not None:
-                flag_column[:] = map(sub, flag_column, delta)
-            b[:] = map(sub, b, delta)
+        delta = [scale * exp(x - lse) for x in z]
+        delta[target] = scale * (exp(x - lse) - 1.0)
+        column[:] = map(sub, column, delta)
+        if flag and flag_column is not None:
+            flag_column[:] = map(sub, flag_column, delta)
+        b[:] = map(sub, b, delta)
     return losses
 
 
@@ -325,23 +324,21 @@ def _train_block(
     block: list[GateEvent],
     tokens: list[int],
     weights: list[float],
-    config: TrainConfig,
+    lr: float,
 ) -> list[float]:
     """One gradient step per event of the block, taken one head at a time.
     Returns every step's raw loss: its heads' losses summed in HEAD_SHAPES
     order, the order one event-major step added them in."""
     flags = [e.decimal_started for e in block]
-    scales = [config.lr * weight for weight in weights]
+    scales = [lr * weight for weight in weights]
     targets = zip(*[_decision_fields(e.target) for e in block])
     raws = [0.0] * len(block)
     for (name, n_out, _), head_targets in zip(HEAD_SHAPES, targets):
         w, b = params.heads[name]
         if n_out == 2:
-            losses = _train_binary_head(w, b, tokens, head_targets, scales, config.freeze)
+            losses = _train_binary_head(w, b, tokens, head_targets, scales)
         else:
-            losses = _train_softmax_head(
-                w, b, tokens, flags, head_targets, scales, config.freeze
-            )
+            losses = _train_softmax_head(w, b, tokens, flags, head_targets, scales)
         raws = list(map(add, raws, losses))
     return raws
 
@@ -356,11 +353,12 @@ def train_gates(
     The stream is cut into chunks of epoch_size events; each chunk runs
     repeats times before the next chunk starts, one gradient step per
     event. The trace keeps one entry per gradient step plus the mean
-    weighted loss of every chunk pass. With freeze set, losses are
-    recorded but nothing updates, which is how a later corpus can be
-    scored against frozen gates. Training stops with a GateError at the
-    first step whose weighted loss is not finite, since every later step
-    would run on diverged params.
+    weighted loss of every chunk pass. With freeze set, the steps run at
+    a learning rate of zero on a throwaway copy and the init comes back
+    untouched, which is how a later corpus can be scored against frozen
+    gates. Training stops with a GateError at the first step whose
+    weighted loss is not finite, since every later step would run on
+    diverged params.
 
     Each chunk's block of steps runs one head at a time, which gives the
     same params and trace bit for bit (see the module docstring).
@@ -369,12 +367,10 @@ def train_gates(
     if not events:
         raise EmptyCorpus("no training events")
     config = config or TrainConfig()
-    if config.epoch_size < 1:
-        raise GateError(f"epoch_size must be positive, got {config.epoch_size}")
-    if config.repeats < 1:
-        raise GateError(f"repeats must be positive, got {config.repeats}")
-
     params = init.clone() if init is not None else GateParams.zeros()
+    # A zero step still turns a -0.0 param into 0.0, so a frozen run steps
+    # a copy and returns the init clone as it was.
+    stepped, lr = (params.clone(), 0.0) if config.freeze else (params, config.lr)
     trace = LossTrace()
     step = 0
     for start in range(0, len(events), config.epoch_size):
@@ -384,7 +380,7 @@ def train_gates(
             del block[config.steps_max - step :]
         tokens = [e.token_id for e in block]
         weights = [_event_weight(e, config) for e in block]
-        raws = _train_block(params, block, tokens, weights, config)
+        raws = _train_block(stepped, block, tokens, weights, lr)
         weighted = list(map(mul, weights, raws))
         for i, loss in enumerate(weighted):
             if not math.isfinite(loss):

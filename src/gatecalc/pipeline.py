@@ -82,7 +82,7 @@ class PipelineResult:
             "answer": self.answer,
             "injected": self.injected,
             "expression": self.expression,
-            "trace": self.trace.to_json_dict() if self.trace else None,
+            "trace": self.trace.to_json_dict() if self.trace is not None else None,
         }
         if self.diagnostic is not None:
             out["diagnostic"] = self.diagnostic

@@ -1,3 +1,5 @@
+import builtins
+import io
 import random
 import re
 
@@ -26,6 +28,7 @@ from gatecalc.datagen import (
 from gatecalc.evaluator import evaluate
 from gatecalc.gates import label_events, rule_gates
 from gatecalc.infix import eval_infix, parse_infix, to_postfix
+from gatecalc.pipeline import run
 from gatecalc.render import render
 from gatecalc.tokenizer import encode
 from helpers import rel_close
@@ -156,10 +159,22 @@ def test_operand_bounds():
 
 
 def test_gen_questions_matches_record_inputs():
+    # The records draw the same question stream and leave out each
+    # question run() cannot inject at its default config; here the
+    # 21st question is one.
     config = GenConfig(count=50, seed=21, stage=Stage.PRIORITY)
-    questions = gen_questions(config)
+    questions = gen_questions(GenConfig(count=60, seed=21, stage=Stage.PRIORITY))
     records = gen_arith_qa(config)
-    assert [r.input for r in records] == questions
+    injected = [q for q in questions if run(q).injected]
+    assert injected[:50] != questions[:50]
+    assert [r.input for r in records] == injected[:50]
+
+
+@pytest.mark.parametrize("stage", list(Stage))
+def test_every_record_is_injected_at_the_default_config(stage):
+    for record in gen_arith_qa(GenConfig(count=10_000, seed=0, stage=stage)):
+        result = run(record.input)
+        assert (result.injected, result.answer) == (True, record.output), record
 
 
 def test_generation_is_deterministic():
@@ -306,6 +321,26 @@ def test_load_training_lines_from_records(tmp_path):
     want = [r.swift_express for r in records]
     assert load_training_lines(jsonl) == want
     assert load_training_lines(array) == want
+
+
+@pytest.mark.parametrize("kind", ["text", "jsonl", "array"])
+def test_load_training_lines_reads_its_file_once(tmp_path, monkeypatch, kind):
+    path = tmp_path / "corpus"
+    records = gen_arith_qa(GenConfig(count=3, seed=6))
+    want = [r.swift_express for r in records]
+    write = {"text": write_lines, "jsonl": write_jsonl, "array": write_json_array}[kind]
+    write(path, want if kind == "text" else records)
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert load_training_lines(path) == want
+    assert opened == [path]
 
 
 def test_read_records_rejects_malformed_json(tmp_path):

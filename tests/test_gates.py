@@ -277,6 +277,21 @@ def test_freeze_leaves_params_at_init():
     assert len(trace.events) == len(events)
 
 
+def test_freeze_returns_signed_zeros_and_params_bit_for_bit():
+    # A zero step turns -0.0 into 0.0, so the frozen run must hand back
+    # the init's params, not the ones it stepped.
+    init = GateParams.zeros()
+    for k, (w, b) in enumerate(init.heads.values()):
+        b[0] = -0.0
+        b[-1] = 0.25 * (k + 1)
+        w[0][0] = -0.0
+        w[1][-1] = -1.5
+    events = events_from_lines(gen_dot_place(20, 1) + gen_numbers_ops(20, 1))
+    params, _ = train_gates(events, TrainConfig(freeze=True, repeats=2), init=init)
+    assert params is not init
+    assert param_bits(params) == param_bits(init)
+
+
 def test_steps_max_caps_training():
     events = events_from_lines(gen_dot_place(20, 1))
     _, trace = train_gates(events, TrainConfig(steps_max=37))
@@ -327,6 +342,13 @@ def test_config_rejects_non_finite_settings(field, value):
 def test_config_rejects_steps_max_below_one(steps_max):
     with pytest.raises(GateError, match=f"^steps_max must be positive, got {steps_max}$"):
         TrainConfig(steps_max=steps_max)
+
+
+@pytest.mark.parametrize("field", ["epoch_size", "repeats"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_config_rejects_counts_below_one(field, value):
+    with pytest.raises(GateError, match=f"^{field} must be positive, got {value}$"):
+        TrainConfig(**{field: value})
 
 
 @pytest.mark.parametrize("field", ["epoch_size", "repeats", "steps_max"])
