@@ -59,8 +59,7 @@ def main() -> int:
     print("stage 3: question postfix replay with frozen parameters")
     qa = gen_arith_qa(GenConfig(count=200, seed=args.seed))
     qa_events = events_from_lines([r.swift_express for r in qa])
-    frozen = TrainConfig(freeze=True, repeats=1)
-    _, trace = train_gates(qa_events, frozen, init=params)
+    _, trace = train_gates(qa_events, TrainConfig(lr=0.0, repeats=1), init=params)
     mean = sum(e.weighted for e in trace.events) / len(trace.events)
     print(f"  {len(trace.events)} events scored, mean loss {mean:.4f}, no updates")
 

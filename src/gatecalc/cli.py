@@ -148,12 +148,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_train_gates(args: argparse.Namespace) -> int:
+    config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     lines: list[str] = []
     for path in args.data:
         lines.extend(load_training_lines(path))
-    events = events_from_lines(lines)
-    config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
-    params, trace = train_gates(events, config)
+    params, trace = train_gates(events_from_lines(lines), config)
     save_params(params, args.out)
     for i, mean in enumerate(trace.epoch_mean):
         print(f"epoch {i} mean_loss {mean:.6f}")
@@ -252,12 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
     train = TrainConfig()
     p.add_argument("--epoch-size", type=int, default=train.epoch_size)
     p.add_argument("--repeats", type=int, default=train.repeats)
-    p.add_argument("--lr", type=float, default=train.lr)
+    p.add_argument("--lr", type=float, default=train.lr,
+                   help="learning rate; 0 scores the corpus without moving the params")
     p.add_argument("--steps-max", type=int, default=train.steps_max)
     p.add_argument("--dot-weight", type=float, default=train.dot_weight)
     p.add_argument("--op-weight", type=float, default=train.op_weight)
-    p.add_argument("--freeze", action="store_true",
-                   help="record losses without updating parameters")
     p.set_defaults(func=cmd_train_gates)
 
     p = sub.add_parser("verify-gates", help="compare learned gates to the rule policy")

@@ -20,13 +20,16 @@ heads are at most 10 x 19, too small for array calls to pay for
 themselves. The two-way gates use a sigmoid unit per class with binary
 cross entropy; the wider heads use softmax cross entropy. Supervision
 comes from the reference policy's conversion trace over corpus text, so
-the trainer needs nothing but lines of characters. Events step through
+the trainer needs nothing but lines of characters. An event is the case
+a token was read in, its case id 2 * token_id + decimal_flag, and a
+stream of events is bytes; the trainer reads each case's token, flag and
+reference targets from tables indexed by case id. Events step through
 the corpus in small chunks, each chunk repeated several times before
 the next one starts, which keeps early material fresh while later
 material arrives. Decimal dots and operator characters carry extra loss
 weight because a miss there corrupts a whole number rather than one
-digit. A frozen run takes its steps at a learning rate of zero on a
-throwaway copy, so it scores a corpus and returns the init untouched.
+digit. A run at a learning rate of zero steps a throwaway copy, so it
+scores a corpus and returns the init untouched.
 
 The trainer runs head-major over blocks: a block is one chunk's
 repeated passes, clipped to the step budget, and each of the six heads
@@ -46,9 +49,9 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 from math import exp, log, log1p
-from operator import add, attrgetter, mul, sub
+from operator import add, mul, sub
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .conversion import (
     DECISION_FIELDS,
@@ -151,41 +154,31 @@ def make_learned_policy(params: GateParams) -> GateTable:
 # Supervision
 
 
-@dataclass(frozen=True)
-class GateEvent:
-    """One token in context: the decimal flag it arrived under plus the
-    reference decision for it."""
-
-    token_id: int
-    decimal_started: int
-    target: GateDecision
-
-
-# The 36 possible events, indexed [token_id][decimal_flag] like a GateTable.
-_EVENTS = tuple(
-    tuple(GateEvent(t, f, rule_gates[t][f]) for f in (0, 1)) for t in range(VOCAB_SIZE)
+# bytes.translate tables from a case id to its token id, its decimal flag
+# and each head's reference class, in HEAD_SHAPES order. Ids past the 36
+# cases map to 0, so train_gates refuses them before it translates.
+_CASE_TOKEN, _CASE_FLAG, *_CASE_TARGETS = (
+    bytes(column).ljust(256, b"\0")
+    for column in zip(*[(t, f, *rule_gates[t][f]) for t in range(VOCAB_SIZE) for f in (0, 1)])
 )
 
 
-def label_events(text: str) -> list[GateEvent]:
-    """The reference conversion of one line, as one event per token read.
+def label_events(text: str) -> bytes:
+    """The reference conversion of one line, as one case id per token read.
 
     Each token is paired with the decimal flag it was read under, which
-    is exactly the context a policy sees. A terminator is recorded and
-    ends the line, the same way it stops the converter; a malformed
-    number raises as it does there. Events are frozen and shared: the
-    same (token, flag) case is the same object.
+    is exactly the context a policy sees, as the case id
+    2 * token_id + flag. A terminator is recorded and ends the line, the
+    same way it stops the converter; a malformed number raises as it
+    does there.
     """
     ids = encode(text)
     flags = convert_with_trace(ids, rule_gates, len(ids) + 1)[1]
-    return [_EVENTS[t][f] for t, f in zip(ids, flags)]
+    return bytes([2 * t + f for t, f in zip(ids, flags)])
 
 
-def events_from_lines(lines: Iterable[str]) -> list[GateEvent]:
-    events: list[GateEvent] = []
-    for line in lines:
-        events.extend(label_events(line))
-    return events
+def events_from_lines(lines: Iterable[str]) -> bytes:
+    return b"".join(map(label_events, lines))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +193,6 @@ class TrainConfig:
     steps_max: int | None = None
     dot_weight: float = 5.0
     op_weight: float = 5.0
-    freeze: bool = False
 
     def __post_init__(self) -> None:
         for name in ("lr", "dot_weight", "op_weight"):
@@ -227,14 +219,6 @@ class EventLoss(NamedTuple):
 class LossTrace:
     events: list[EventLoss] = field(default_factory=list)
     epoch_mean: list[float] = field(default_factory=list)
-
-
-def _event_weight(event: GateEvent, config: TrainConfig) -> float:
-    if event.token_id == DOT_ID:
-        return config.dot_weight
-    if event.token_id in OP_ID_TO_OP:
-        return config.op_weight
-    return 1.0
 
 
 # Each head below runs over a whole block of steps and returns its loss at
@@ -316,25 +300,17 @@ def _train_softmax_head(w, b, tokens, flags, targets, scales) -> list[float]:
     return losses
 
 
-_decision_fields = attrgetter(*DECISION_FIELDS)
-
-
 def _train_block(
-    params: GateParams,
-    block: list[GateEvent],
-    tokens: list[int],
-    weights: list[float],
-    lr: float,
+    params: GateParams, block: bytes, tokens: bytes, scales: list[float]
 ) -> list[float]:
     """One gradient step per event of the block, taken one head at a time.
     Returns every step's raw loss: its heads' losses summed in HEAD_SHAPES
     order, the order one event-major step added them in."""
-    flags = [e.decimal_started for e in block]
-    scales = [lr * weight for weight in weights]
-    targets = zip(*[_decision_fields(e.target) for e in block])
+    flags = block.translate(_CASE_FLAG)
     raws = [0.0] * len(block)
-    for (name, n_out, _), head_targets in zip(HEAD_SHAPES, targets):
+    for (name, n_out, _), table in zip(HEAD_SHAPES, _CASE_TARGETS):
         w, b = params.heads[name]
+        head_targets = block.translate(table)
         if n_out == 2:
             losses = _train_binary_head(w, b, tokens, head_targets, scales)
         else:
@@ -344,43 +320,50 @@ def _train_block(
 
 
 def train_gates(
-    events: Sequence[GateEvent],
+    events: bytes,
     config: TrainConfig | None = None,
     init: GateParams | None = None,
 ) -> tuple[GateParams, LossTrace]:
-    """Fit the gate heads to a labeled event stream.
+    """Fit the gate heads to a stream of case ids, as label_events makes.
 
     The stream is cut into chunks of epoch_size events; each chunk runs
     repeats times before the next chunk starts, one gradient step per
     event. The trace keeps one entry per gradient step plus the mean
-    weighted loss of every chunk pass. With freeze set, the steps run at
-    a learning rate of zero on a throwaway copy and the init comes back
-    untouched, which is how a later corpus can be scored against frozen
-    gates. Training stops with a GateError at the first step whose
-    weighted loss is not finite, since every later step would run on
-    diverged params.
+    weighted loss of every chunk pass. At lr 0 the steps run on a
+    throwaway copy and the init comes back untouched, bit for bit, which
+    is how a later corpus is scored against fixed gates. A case id past
+    the 36 cases raises GateError. Training stops with a GateError at the
+    first step whose weighted loss is not finite, since every later step
+    would run on diverged params.
 
     Each chunk's block of steps runs one head at a time, which gives the
     same params and trace bit for bit (see the module docstring).
     """
-    events = list(events)
+    events = bytes(events)
     if not events:
         raise EmptyCorpus("no training events")
+    if max(events) >= 2 * VOCAB_SIZE:
+        raise GateError(f"case id {max(events)} is outside 0-{2 * VOCAB_SIZE - 1}")
     config = config or TrainConfig()
+    weight_of = [
+        config.dot_weight if t == DOT_ID else config.op_weight if t in OP_ID_TO_OP else 1.0
+        for t in range(VOCAB_SIZE)
+    ]
+    steps_max = config.steps_max or math.inf
     params = init.clone() if init is not None else GateParams.zeros()
-    # A zero step still turns a -0.0 param into 0.0, so a frozen run steps
+    # A zero step still turns a -0.0 param into 0.0, so a run at lr 0 steps
     # a copy and returns the init clone as it was.
-    stepped, lr = (params.clone(), 0.0) if config.freeze else (params, config.lr)
+    stepped = params.clone() if config.lr == 0 else params
     trace = LossTrace()
     step = 0
     for start in range(0, len(events), config.epoch_size):
         chunk = events[start : start + config.epoch_size]
-        block = chunk * config.repeats
-        if config.steps_max is not None:
-            del block[config.steps_max - step :]
-        tokens = [e.token_id for e in block]
-        weights = [_event_weight(e, config) for e in block]
-        raws = _train_block(stepped, block, tokens, weights, lr)
+        # Only the passes the step budget leaves are built.
+        size = min(len(chunk) * config.repeats, steps_max - step)
+        block = (chunk * -(-size // len(chunk)))[:size]
+        tokens = block.translate(_CASE_TOKEN)
+        weights = [weight_of[t] for t in tokens]
+        raws = _train_block(stepped, block, tokens, [config.lr * w for w in weights])
         weighted = list(map(mul, weights, raws))
         for i, loss in enumerate(weighted):
             if not math.isfinite(loss):
@@ -392,7 +375,7 @@ def train_gates(
             pass_losses = weighted[p : p + len(chunk)]
             trace.epoch_mean.append(sum(pass_losses) / len(pass_losses))
         step += len(block)
-        if step == config.steps_max:
+        if step == steps_max:
             break
     return params, trace
 

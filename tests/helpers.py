@@ -15,7 +15,10 @@ give the same postfix, values and errors.
 encode and render are held equal to their character-by-character
 lookup and their snap-only body. The reference trainer is the
 event-major loop, one gradient step over all six heads per event, which
-the head-major train_gates must match bit for bit; its step can be
+the head-major train_gates must match bit for bit. It decodes each case
+id to its token, flag and rule_gates target and weighs it by the
+per-token rule itself, rather than through the trainer's tables; its
+step can be
 swapped for the one-hot matrix product or for the numpy trainer. The
 numpy gate trainer and gate-file loader that the scalar ones replaced
 are kept here as references too, over (n_out, n_in) weight matrices.
@@ -52,14 +55,12 @@ from gatecalc.gates import (
     HEAD_SHAPES,
     GateDecision,
     GateError,
-    GateEvent,
     GateParams,
     GateTable,
     EmptyCorpus,
     EventLoss,
     LossTrace,
     TrainConfig,
-    _event_weight,
     _logits,
     _tabulate,
     rule_gates,
@@ -69,6 +70,8 @@ from gatecalc.render import INTEGER_SNAP_REL, MAX_SIG_DIGITS, NonFinite, render
 from gatecalc.tokenizer import (
     CHAR_TO_ID,
     CHAR_TO_OP,
+    DOT_ID,
+    OP_ID_TO_OP,
     OP_TO_CHAR,
     OTHER_ID,
     TERMINATOR_ID,
@@ -359,17 +362,17 @@ def reference_convert_with_trace(
     return DenseProgram(state.valid, state.dense, state.ops), bytes(flags)
 
 
-def reference_label_events(text: str) -> list[GateEvent]:
-    """The replay label_events was before it read convert_with_trace's flags."""
+def reference_label_events(text: str) -> bytes:
+    """The replay label_events was before it read convert_with_trace's
+    flags: each token's case id, 2 * token_id + the flag it was read under."""
     ids = encode(text)
     state = init_state(len(ids) + 1)
-    events: list[GateEvent] = []
+    events = []
     for token_id in ids:
-        flag = state.decimal_started
-        events.append(GateEvent(token_id, flag, rule_gates[token_id][flag]))
+        events.append(2 * token_id + state.decimal_started)
         if not step(state, token_id, rule_gates):
             break
-    return events
+    return bytes(events)
 
 
 @dataclass(frozen=True)
@@ -640,20 +643,36 @@ def softmax_loss_grad(z: list[float], target: int) -> tuple[float, list[float]]:
     return lse - z[target], p
 
 
-def train_step(params: GateParams, event: GateEvent, config: TrainConfig) -> tuple[float, float]:
-    """One gradient step over all heads. Returns (raw, weighted) loss."""
-    weight = _event_weight(event, config)
-    token_id, flag = event.token_id, event.decimal_started
+def decode_case(case_id: int) -> tuple[int, int, GateDecision]:
+    """A case id's token id, decimal flag and rule_gates target."""
+    token_id, flag = divmod(case_id, 2)
+    return token_id, flag, rule_gates[token_id][flag]
+
+
+def event_weight(token_id: int, config: TrainConfig) -> float:
+    """The loss weight of a token: dots and operators carry their own."""
+    if token_id == DOT_ID:
+        return config.dot_weight
+    if token_id in OP_ID_TO_OP:
+        return config.op_weight
+    return 1.0
+
+
+def train_step(params: GateParams, event: int, config: TrainConfig) -> tuple[float, float]:
+    """One gradient step over all heads for one case id. At lr 0 no param
+    moves. Returns (raw, weighted) loss."""
+    token_id, flag, targets = decode_case(event)
+    weight = event_weight(token_id, config)
     scale = config.lr * weight
     raw = 0.0
-    for (name, n_out, n_in), target in zip(HEAD_SHAPES, event.target):
+    for (name, n_out, n_in), target in zip(HEAD_SHAPES, targets):
         z = _logits(params, name, token_id, flag)
         if n_out == 2:
             loss, dz = binary_loss_grad(z, target)
         else:
             loss, dz = softmax_loss_grad(z, target)
         raw += loss
-        if not config.freeze:
+        if config.lr:
             # The outer product of dz with a one-hot input is dz in the
             # token's column (and the flag column when the flag is on) and
             # zero everywhere else, so only those columns move.
@@ -675,10 +694,10 @@ def reference_train_gates(
     step=train_step,
 ) -> tuple[GateParams, LossTrace]:
     """train_gates as one gradient step per event in stream order: each
-    chunk of epoch_size events runs repeats times, stopping at steps_max
+    chunk of epoch_size case ids runs repeats times, stopping at steps_max
     or with a GateError at the first non-finite weighted loss. step(params,
-    event, config) -> (raw, weighted) takes the step and may be swapped
-    for another formulation of it."""
+    case_id, config) -> (raw, weighted) decodes the case, takes the step
+    and may be swapped for another formulation of it."""
     events = list(events)
     if not events:
         raise EmptyCorpus("no training events")
@@ -706,8 +725,9 @@ def reference_train_gates(
                     raise GateError(
                         f"training diverged at step {step_idx}: weighted loss is {weighted}"
                     )
+                token_id = event >> 1
                 trace.events.append(
-                    EventLoss(step_idx, event.token_id, _event_weight(event, config), raw, weighted)
+                    EventLoss(step_idx, token_id, event_weight(token_id, config), raw, weighted)
                 )
                 pass_losses.append(weighted)
                 step_idx += 1
@@ -725,19 +745,20 @@ def onehot_train_step(params, event, config) -> tuple[float, float]:
     the one-hot input, with the decimal flag appended for the dense-mode
     head, and as the full outer-product update. A drop-in for train_step,
     to check the column-indexed step."""
-    weight = _event_weight(event, config)
+    token_id, flag, targets = decode_case(event)
+    weight = event_weight(token_id, config)
     scale = config.lr * weight
     raw = 0.0
-    for (name, n_out, n_in), target in zip(HEAD_SHAPES, event.target):
+    for (name, n_out, n_in), target in zip(HEAD_SHAPES, targets):
         w, b = params.heads[name]
-        x = onehot(event.token_id, n_in)
+        x = onehot(token_id, n_in)
         if n_in > VOCAB_SIZE:
-            x[-1] = float(event.decimal_started)
+            x[-1] = float(flag)
         z = onehot_logits(w, b, x)
         grad = binary_loss_grad if n_out == 2 else softmax_loss_grad
         loss, dz = grad(z, target)
         raw += loss
-        if not config.freeze:
+        if config.lr:
             for i in range(n_in):
                 for j in range(n_out):
                     w[i][j] -= scale * (dz[j] * x[i])
@@ -810,21 +831,20 @@ def numpy_softmax_loss_grad(z: np.ndarray, target: int) -> tuple[float, np.ndarr
     return loss, p
 
 
-def numpy_train_step(
-    params: GateParams, event: GateEvent, config: TrainConfig
-) -> tuple[float, float]:
-    """One gradient step over all heads. Returns (raw, weighted) loss."""
-    weight = _event_weight(event, config)
-    token_id, flag = event.token_id, event.decimal_started
+def numpy_train_step(params: GateParams, event: int, config: TrainConfig) -> tuple[float, float]:
+    """One gradient step over all heads for one case id. Returns (raw,
+    weighted) loss."""
+    token_id, flag, targets = decode_case(event)
+    weight = event_weight(token_id, config)
     raw = 0.0
-    for (name, n_out, n_in), target in zip(HEAD_SHAPES, event.target):
+    for (name, n_out, n_in), target in zip(HEAD_SHAPES, targets):
         z = numpy_logits(params, name, token_id, flag)
         if n_out == 2:
             loss, dz = numpy_binary_loss_grad(z, target)
         else:
             loss, dz = numpy_softmax_loss_grad(z, target)
         raw += loss
-        if not config.freeze:
+        if config.lr:
             # The outer product of dz with a one-hot input is dz in the
             # token's column (and the flag column when the flag is on) and
             # zero everywhere else, so only those columns move.
@@ -838,7 +858,7 @@ def numpy_train_step(
 
 
 def numpy_train_step_on_columns(
-    params: GateParams, event: GateEvent, config: TrainConfig
+    params: GateParams, event: int, config: TrainConfig
 ) -> tuple[float, float]:
     """A drop-in for train_step that runs numpy_train_step. On its first
     step it converts the GateParams that reference_train_gates built, in

@@ -293,10 +293,11 @@ def test_train_gates_freeze_keeps_zero_params(capsys, tmp_path):
     corpus = tmp_path / "corpus.txt"
     gates = tmp_path / "gates.json"
     run_cli(capsys, "gen", "dot-place", "--count", "10", "--out", str(corpus))
-    code, _, _ = run_cli(
-        capsys, "train-gates", "--data", str(corpus), "--out", str(gates), "--freeze"
+    code, out, _ = run_cli(
+        capsys, "train-gates", "--data", str(corpus), "--out", str(gates), "--lr", "0"
     )
     assert code == 0
+    assert "epoch 0 mean_loss " in out
     payload = json.loads(gates.read_text())
     assert all(v == 0.0 for row in payload["digit_w"] for v in row)
 
@@ -426,6 +427,14 @@ def test_train_gates_with_no_step_budget_writes_no_gate_file(capsys, tmp_path, m
     code, _, err = run_cli(capsys, *_TRAIN, "--steps-max", steps_max)
     assert (code, err) == (1, f"error: steps_max must be positive, got {steps_max}\n")
     assert not (tmp_path / "g.json").exists()
+
+
+def test_train_gates_checks_its_config_before_reading_data(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        capsys, "train-gates", "--data", "missing.txt", "--out", "g.json", "--epoch-size", "0"
+    )
+    assert (code, out, err) == (1, "", "error: epoch_size must be positive, got 0\n")
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

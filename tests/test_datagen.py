@@ -26,7 +26,7 @@ from gatecalc.datagen import (
     write_lines,
 )
 from gatecalc.evaluator import evaluate
-from gatecalc.gates import label_events, rule_gates
+from gatecalc.gates import events_from_lines, rule_gates
 from gatecalc.infix import eval_infix, parse_infix, to_postfix
 from gatecalc.pipeline import run
 from gatecalc.render import render
@@ -94,16 +94,13 @@ def test_gen_numbers_ops_structure():
 def test_gen_numbers_ops_covers_gate_domain():
     # Every decision case that can occur in clean text shows up in the
     # default training corpus, both decimal-flag settings included.
-    seen = set()
-    for line in gen_dot_place(100, 0) + gen_numbers_ops(500, 0):
-        for event in label_events(line):
-            seen.add((event.token_id, event.decimal_started))
+    seen = set(events_from_lines(gen_dot_place(100, 0) + gen_numbers_ops(500, 0)))
     for token_id in range(18):
-        assert (token_id, 0) in seen
+        assert 2 * token_id in seen
     for digit in range(10):
-        assert (digit, 1) in seen
-    assert (15, 1) in seen  # space closing a decimal number
-    assert (17, 1) in seen  # junk inside a decimal number
+        assert 2 * digit + 1 in seen
+    assert 2 * 15 + 1 in seen  # space closing a decimal number
+    assert 2 * 17 + 1 in seen  # junk inside a decimal number
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Each digest covers one output of the package, line by line, over inputs
 built here from fixed seeds: convert (program JSON or error class and
 message, under the rule table and seeded random tables), evaluate_with_trace
-JSON, run() JSON, the (token, flag, target) triples of label_events, and
+JSON, run() JSON, the (token, flag, target) triples of label_events' case ids, and
 the trained params and loss trace of a seeded two-stage train_gates run.
 A change that moves any output byte fails here unless it updates the
 digest it moves and says so. `python tests/test_digests.py` prints the
@@ -25,7 +25,7 @@ from gatecalc.gates import TrainConfig, events_from_lines, label_events, rule_ga
 from gatecalc.infix import parse_infix, to_postfix
 from gatecalc.pipeline import run
 from gatecalc.tokenizer import encode
-from helpers import param_bits, random_gate_table
+from helpers import decode_case, param_bits, random_gate_table
 
 ALPHABET = "0123456789. +-*/x$"
 
@@ -121,9 +121,8 @@ def label_lines():
         except ConversionError as exc:
             out = _error(exc)
         else:
-            out = json.dumps([
-                [e.token_id, e.decimal_started, [int(x) for x in e.target]] for e in events
-            ])
+            cases = map(decode_case, events)
+            out = json.dumps([[t, f, [int(x) for x in target]] for t, f, target in cases])
         yield f"{text!r}\t{out}"
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,7 @@ from gatecalc.tokenizer import (
 )
 from helpers import (
     column_params,
+    decode_case,
     numpy_learned_policy,
     numpy_load_params,
     numpy_params,
@@ -214,25 +216,25 @@ def test_zero_params_do_not_agree():
 
 def test_label_events_records_decimal_flag():
     events = label_events("1.1")
-    assert [e.token_id for e in events] == [1, DOT_ID, 1]
-    assert [e.decimal_started for e in events] == [0, 0, 1]
-    assert events[2].target.dense_mode == DenseOpMode.BASE_MUL_ADD
+    assert [c // 2 for c in events] == [1, DOT_ID, 1]
+    assert [c % 2 for c in events] == [0, 0, 1]
+    assert decode_case(events[2])[2].dense_mode == DenseOpMode.BASE_MUL_ADD
 
 
 def test_label_events_flag_resets_after_space():
     events = label_events("1.5 2")
-    assert [e.decimal_started for e in events] == [0, 0, 1, 1, 0]
+    assert [c % 2 for c in events] == [0, 0, 1, 1, 0]
 
 
 def test_label_events_operator_targets():
     events = label_events("+ /")
-    assert events[0].target.op == Op.ADD
-    assert events[2].target.op == Op.DIV
+    assert decode_case(events[0])[2].op == Op.ADD
+    assert decode_case(events[2])[2].op == Op.DIV
 
 
 def test_label_events_terminator_stops_the_replay():
     events = label_events("12$34")
-    assert [e.token_id for e in events] == [1, 2, TERMINATOR_ID]
+    assert [c // 2 for c in events] == [1, 2, TERMINATOR_ID]
 
 
 def test_label_events_propagates_malformed_number():
@@ -240,18 +242,16 @@ def test_label_events_propagates_malformed_number():
         label_events("1.2.3")
 
 
-def test_label_events_share_one_event_per_case():
-    events = label_events("1.1 1")
-    assert [(e.token_id, e.decimal_started) for e in events] == [
-        (1, 0), (DOT_ID, 0), (1, 1), (SPACE_ID, 1), (1, 0)
-    ]
-    assert events[4] is events[0]
-    assert events[2] is not events[0]
-    assert events[2].target is rule_gates[1][1]
+def test_label_events_are_case_ids():
+    # One byte per token read: 2 * token_id + the flag it was read under.
+    cases = [(1, 0), (DOT_ID, 0), (1, 1), (SPACE_ID, 1), (1, 0)]
+    assert label_events("1.1 1") == bytes(2 * t + f for t, f in cases)
 
 
 def test_events_from_lines_concatenates():
-    assert len(events_from_lines(["12", "3 4"])) == 2 + 3
+    events = events_from_lines(["12", "3 4"])
+    assert events == label_events("12") + label_events("3 4")
+    assert len(events) == 2 + 3
 
 
 # ---------------------------------------------------------------------------
@@ -259,26 +259,37 @@ def test_events_from_lines_concatenates():
 
 
 def test_empty_corpus_rejected():
-    with pytest.raises(EmptyCorpus):
-        train_gates([])
+    for events in ([], b""):
+        with pytest.raises(EmptyCorpus):
+            train_gates(events)
+
+
+@pytest.mark.parametrize("case_id", [36, 255])
+def test_case_ids_past_the_36_cases_are_rejected(case_id):
+    # The trainer's translate tables span all 256 byte values, so an id
+    # past the cases would otherwise train silently on all-zero targets.
+    with pytest.raises(GateError, match=f"^case id {case_id} is outside 0-35$"):
+        train_gates(bytes([case_id]))
+    with pytest.raises(GateError, match=f"^case id {case_id} is outside 0-35$"):
+        train_gates(label_events("1.5 +") + bytes([case_id]))
 
 
 def test_single_event_loss_decreases():
     events = label_events("7")
     params, before = train_gates(events, TrainConfig(steps_max=1))
-    _, after = train_gates(events, TrainConfig(freeze=True, repeats=1), init=params)
+    _, after = train_gates(events, TrainConfig(lr=0.0, repeats=1), init=params)
     assert after.events[0].raw < before.events[0].raw
 
 
 def test_freeze_leaves_params_at_init():
     events = events_from_lines(gen_dot_place(20, 1))
-    params, trace = train_gates(events, TrainConfig(freeze=True, repeats=1))
+    params, trace = train_gates(events, TrainConfig(lr=0.0, repeats=1))
     assert param_bits(params) == param_bits(GateParams.zeros())
     assert len(trace.events) == len(events)
 
 
 def test_freeze_returns_signed_zeros_and_params_bit_for_bit():
-    # A zero step turns -0.0 into 0.0, so the frozen run must hand back
+    # A zero step turns -0.0 into 0.0, so a run at lr 0 must hand back
     # the init's params, not the ones it stepped.
     init = GateParams.zeros()
     for k, (w, b) in enumerate(init.heads.values()):
@@ -287,7 +298,7 @@ def test_freeze_returns_signed_zeros_and_params_bit_for_bit():
         w[0][0] = -0.0
         w[1][-1] = -1.5
     events = events_from_lines(gen_dot_place(20, 1) + gen_numbers_ops(20, 1))
-    params, _ = train_gates(events, TrainConfig(freeze=True, repeats=2), init=init)
+    params, _ = train_gates(events, TrainConfig(lr=0.0, repeats=2), init=init)
     assert params is not init
     assert param_bits(params) == param_bits(init)
 
@@ -296,6 +307,21 @@ def test_steps_max_caps_training():
     events = events_from_lines(gen_dot_place(20, 1))
     _, trace = train_gates(events, TrainConfig(steps_max=37))
     assert len(trace.events) == 37
+
+
+def test_steps_max_bounds_the_block_it_builds():
+    # A block is built from only the passes the budget leaves: all 10**6
+    # passes of these 15 events would take 240 MB.
+    events = label_events("1.5 + 20 3.25 /")
+    assert len(events) == 15
+    tracemalloc.start()
+    try:
+        _, trace = train_gates(events, TrainConfig(repeats=10**6, steps_max=10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.events) == 10
+    assert peak < 2**20
 
 
 def test_training_resumes_from_init():
@@ -312,9 +338,7 @@ def test_small_epochs_repeat_chunks():
     events = label_events("1 2 3 4 5")[:10]
     assert len(events) == 9
     _, trace = train_gates(events, TrainConfig(epoch_size=4, repeats=2))
-    assert [e.token_id for e in trace.events[:8]] == [
-        e.token_id for e in (events[:4] + events[:4])
-    ]
+    assert [e.token_id for e in trace.events[:8]] == [c // 2 for c in events[:4] * 2]
     assert len(trace.events) == 2 * len(events)
     assert len(trace.epoch_mean) == 6
 
@@ -475,7 +499,7 @@ def test_head_major_training_matches_event_major_on_default_corpora(trained):
 _SMALL_EVENTS = events_from_lines(gen_dot_place(12, 7) + gen_numbers_ops(12, 7))
 
 # Blocks cut every way: one chunk, uneven last chunk, a budget ending mid
-# pass, on a pass boundary and on a chunk boundary, frozen scoring, and
+# pass, on a pass boundary and on a chunk boundary, scoring at lr 0, and
 # divergence in the first block, in a later block and at a NaN.
 _REFERENCE_CONFIGS = {
     "default": TrainConfig(),
@@ -486,7 +510,7 @@ _REFERENCE_CONFIGS = {
     "steps_max at a pass end": TrainConfig(epoch_size=10, repeats=3, steps_max=40),
     "steps_max at a chunk end": TrainConfig(epoch_size=10, repeats=3, steps_max=60),
     "steps_max past the end": TrainConfig(steps_max=10**9),
-    "freeze": TrainConfig(freeze=True, repeats=2),
+    "freeze": TrainConfig(lr=0.0, repeats=2),
     "diverge at once": TrainConfig(lr=1e308, dot_weight=1e308),
     "diverge later": TrainConfig(epoch_size=7, lr=1e300, op_weight=1e10),
     "diverge to nan": TrainConfig(lr=1e308, dot_weight=0.0),

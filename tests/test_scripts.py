@@ -38,6 +38,13 @@ def test_make_datasets_writes_every_corpus(monkeypatch, capsys, tmp_path, with_o
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_train_gates_demo_runs(monkeypatch, capsys):
+    assert run_script(monkeypatch, "train_gates_demo.py", "--seed", "0") == 0
+    out = capsys.readouterr().out
+    assert "agreement after stage 2: 36/36" in out
+    assert "0 mismatching conversions" in out
+
+
 def test_train_gates_demo_imports():
     # Importing binds every name the script takes from the package;
     # main() itself trains for seconds, so only the summary helper runs.
