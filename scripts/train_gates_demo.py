@@ -4,10 +4,11 @@
 Stage one fits the gates on decimal literals alone and shows which
 decisions that already pins down. Stage two continues from those
 parameters on mixed numbers-and-ops lines and reaches the full 36-case
-decision table. Stage three replays question-record postfix text with
-frozen parameters to show the loss stays low without further updates,
-then verifies the learned policy against the rule policy: its compiled
-actions, and real conversions.
+decision table. Each stage stops at the first chunk boundary where
+every case it holds agrees with the rule policy. Stage three replays
+question-record postfix text with frozen parameters to show the loss
+stays low without further updates, then verifies the learned policy
+against the rule policy: its compiled actions, and real conversions.
 """
 
 import argparse
@@ -34,6 +35,14 @@ def agreement_summary(params) -> str:
     return f"{good}/{len(rows)}{suffix}"
 
 
+def stop_summary(trace, events, config) -> str:
+    """Where a stage stopped, out of the steps its stream offers, and how
+    many of the cases it holds agreed there."""
+    return (f"  stopped at step {len(trace.events)} of {len(events) * config.repeats}, "
+            f"{trace.agreement[-1]}/{len(set(events))} cases held agree, "
+            f"loss {trace.epoch_mean[0]:.3f} -> {trace.epoch_mean[-1]:.4f}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
@@ -45,15 +54,13 @@ def main() -> int:
     print("stage 1: decimal literals only")
     dot_events = events_from_lines(gen_dot_place(100, args.seed))
     params, trace = train_gates(dot_events, config)
-    print(f"  {len(trace.events)} steps, "
-          f"loss {trace.epoch_mean[0]:.3f} -> {trace.epoch_mean[-1]:.4f}")
+    print(stop_summary(trace, dot_events, config))
     print(f"  agreement after stage 1: {agreement_summary(params)}")
 
     print("stage 2: numbers and operators, continuing from stage 1")
     ops_events = events_from_lines(gen_numbers_ops(500, args.seed))
     params, trace = train_gates(ops_events, config, init=params)
-    print(f"  {len(trace.events)} steps, "
-          f"loss {trace.epoch_mean[0]:.3f} -> {trace.epoch_mean[-1]:.4f}")
+    print(stop_summary(trace, ops_events, config))
     print(f"  agreement after stage 2: {agreement_summary(params)}")
 
     print("stage 3: question postfix replay with frozen parameters")

@@ -152,11 +152,16 @@ def cmd_train_gates(args: argparse.Namespace) -> int:
     lines: list[str] = []
     for path in args.data:
         lines.extend(load_training_lines(path))
-    params, trace = train_gates(events_from_lines(lines), config)
+    events = events_from_lines(lines)
+    params, trace = train_gates(events, config)
     save_params(params, args.out)
     for i, mean in enumerate(trace.epoch_mean):
         print(f"epoch {i} mean_loss {mean:.6f}")
-    print(f"trained {len(trace.events)} steps, params written to {args.out}")
+    steps, cases = len(trace.events), len(set(events))
+    print(f"trained {steps} steps, params written to {args.out}")
+    agreeing = trace.agreement[-1] if trace.agreement else 0
+    cut = ", steps_max cut the run first" if steps == config.steps_max and agreeing < cases else ""
+    print(f"agreement {agreeing}/{cases} cases at step {steps}{cut}")
     return 0
 
 
@@ -253,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=train.repeats)
     p.add_argument("--lr", type=float, default=train.lr,
                    help="learning rate; 0 scores the corpus without moving the params")
-    p.add_argument("--steps-max", type=int, default=train.steps_max)
+    p.add_argument("--steps-max", type=int, default=train.steps_max,
+                   help="upper bound; a stage stops once every case it holds agrees")
     p.add_argument("--dot-weight", type=float, default=train.dot_weight)
     p.add_argument("--op-weight", type=float, default=train.op_weight)
     p.set_defaults(func=cmd_train_gates)

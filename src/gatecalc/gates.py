@@ -28,8 +28,18 @@ the corpus in small chunks, each chunk repeated several times before
 the next one starts, which keeps early material fresh while later
 material arrives. Decimal dots and operator characters carry extra loss
 weight because a miss there corrupts a whole number rather than one
-digit. A run at a learning rate of zero steps a throwaway copy, so it
-scores a corpus and returns the init untouched.
+digit.
+
+Training runs to agreement, not to a step budget: it stops at the first
+chunk boundary where every case the stream holds is decided as
+rule_gates decides it, on all six heads, since from there on the stage
+converts any input made of those cases exactly as rule_gates does.
+steps_max is only an upper bound. The check takes one argmax per head
+and token column (two for the dense-mode head, which reads the flag),
+not 36 full decisions, and the loss trace keeps its count at every
+boundary: the agreement curve. A run at a learning rate of zero steps a
+throwaway copy, so it scores the whole corpus and returns the init
+untouched.
 
 The trainer runs head-major over blocks: a block is one chunk's
 repeated passes, clipped to the step budget, and each of the six heads
@@ -38,8 +48,8 @@ exact, not an approximation: a head's weights and bias move only under
 its own loss, so it sees the same sequence of updates as it would one
 event at a time, and each step's raw loss still sums the heads' losses
 in HEAD_SHAPES order. Params and loss trace match the event-major loop
-bit for bit. The block boundary is where the trace is recorded and a
-non-finite loss is reported.
+bit for bit. The block boundary is where the trace is recorded, a
+non-finite loss is reported and the agreeing cases are counted.
 """
 
 from __future__ import annotations
@@ -217,8 +227,13 @@ class EventLoss(NamedTuple):
 
 @dataclass
 class LossTrace:
+    """One entry per gradient step, the mean weighted loss of every chunk
+    pass, and at the end of every block the number of the stream's cases
+    that the params then decide as rule_gates does."""
+
     events: list[EventLoss] = field(default_factory=list)
     epoch_mean: list[float] = field(default_factory=list)
+    agreement: list[int] = field(default_factory=list)
 
 
 # Each head below runs over a whole block of steps and returns its loss at
@@ -319,8 +334,26 @@ def _train_block(
     return raws
 
 
+def _count_agreeing(params: GateParams, cases: set[int]) -> int:
+    """How many of the case ids in cases the params decide as rule_gates
+    does on all six heads. A head takes one argmax per token column, which
+    serves both flags, and the dense-mode head a second one with its flag
+    column added: the logits learned_gates reads, without building the
+    decisions."""
+    tokens = {case >> 1 for case in cases}
+    missed = set()
+    for (name, _, n_in), targets in zip(HEAD_SHAPES, _CASE_TARGETS):
+        got = {}
+        for t in tokens:
+            got[2 * t] = got[2 * t + 1] = _argmax(_logits(params, name, t, 0))
+            if n_in > VOCAB_SIZE:
+                got[2 * t + 1] = _argmax(_logits(params, name, t, 1))
+        missed.update(case for case in cases if got[case] != targets[case])
+    return len(cases) - len(missed)
+
+
 def train_gates(
-    events: bytes,
+    events: Iterable[int],
     config: TrainConfig | None = None,
     init: GateParams | None = None,
 ) -> tuple[GateParams, LossTrace]:
@@ -328,22 +361,29 @@ def train_gates(
 
     The stream is cut into chunks of epoch_size events; each chunk runs
     repeats times before the next chunk starts, one gradient step per
-    event. The trace keeps one entry per gradient step plus the mean
-    weighted loss of every chunk pass. At lr 0 the steps run on a
-    throwaway copy and the init comes back untouched, bit for bit, which
-    is how a later corpus is scored against fixed gates. A case id past
-    the 36 cases raises GateError. Training stops with a GateError at the
-    first step whose weighted loss is not finite, since every later step
-    would run on diverged params.
+    event. Training stops at the end of the first chunk after which the
+    params decide every case the stream holds as rule_gates does, on all
+    six heads: from there on a conversion that reads only those cases is
+    exact. steps_max, when set, stops it sooner. The trace keeps one entry
+    per gradient step, the mean weighted loss of every chunk pass and the
+    agreeing count at the end of every block. At lr 0 the steps run on a
+    throwaway copy, the whole stream is scored and the init comes back
+    untouched, bit for bit, which is how a later corpus is scored against
+    fixed gates. A case id outside the 36 cases raises GateError.
+    Training stops with a GateError at the first step whose weighted loss
+    is not finite, since every later step would run on diverged params.
 
     Each chunk's block of steps runs one head at a time, which gives the
     same params and trace bit for bit (see the module docstring).
     """
-    events = bytes(events)
-    if not events:
+    ids = events if isinstance(events, bytes) else list(events)
+    if not ids:
         raise EmptyCorpus("no training events")
-    if max(events) >= 2 * VOCAB_SIZE:
-        raise GateError(f"case id {max(events)} is outside 0-{2 * VOCAB_SIZE - 1}")
+    low, high = min(ids), max(ids)
+    if low < 0 or high >= 2 * VOCAB_SIZE:
+        raise GateError(f"case id {low if low < 0 else high} is outside 0-{2 * VOCAB_SIZE - 1}")
+    events = bytes(ids)
+    cases = set(events)
     config = config or TrainConfig()
     weight_of = [
         config.dot_weight if t == DOT_ID else config.op_weight if t in OP_ID_TO_OP else 1.0
@@ -375,7 +415,8 @@ def train_gates(
             pass_losses = weighted[p : p + len(chunk)]
             trace.epoch_mean.append(sum(pass_losses) / len(pass_losses))
         step += len(block)
-        if step == steps_max:
+        trace.agreement.append(_count_agreeing(params, cases))
+        if step == steps_max or (config.lr and trace.agreement[-1] == len(cases)):
             break
     return params, trace
 

@@ -17,11 +17,12 @@ lookup and their snap-only body. The reference trainer is the
 event-major loop, one gradient step over all six heads per event, which
 the head-major train_gates must match bit for bit. It decodes each case
 id to its token, flag and rule_gates target and weighs it by the
-per-token rule itself, rather than through the trainer's tables; its
-step can be
-swapped for the one-hot matrix product or for the numpy trainer. The
-numpy gate trainer and gate-file loader that the scalar ones replaced
-are kept here as references too, over (n_out, n_in) weight matrices.
+per-token rule itself, rather than through the trainer's tables, and
+decides its stop from the rows of the full agreement table. Its step
+can be swapped for the one-hot matrix product or for the numpy
+trainer. The numpy gate trainer and gate-file loader that the scalar
+ones replaced are kept here as references too, over (n_out, n_in)
+weight matrices.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from gatecalc.gates import (
     TrainConfig,
     _logits,
     _tabulate,
+    agreement_table,
     rule_gates,
 )
 from gatecalc.infix import MAX_NESTING, ParseError
@@ -692,12 +694,17 @@ def reference_train_gates(
     config: TrainConfig | None = None,
     init: GateParams | None = None,
     step=train_step,
+    agreement=agreement_table,
 ) -> tuple[GateParams, LossTrace]:
     """train_gates as one gradient step per event in stream order: each
     chunk of epoch_size case ids runs repeats times, stopping at steps_max
-    or with a GateError at the first non-finite weighted loss. step(params,
-    case_id, config) -> (raw, weighted) decodes the case, takes the step
-    and may be swapped for another formulation of it."""
+    or with a GateError at the first non-finite weighted loss. After each
+    chunk, or the part of one the budget left, it reads the stream's
+    cases' rows of the full agreement table, and at a nonzero lr stops
+    once they all agree. step(params, case_id, config) -> (raw, weighted)
+    decodes the case, takes the step and may be swapped for another
+    formulation of it; agreement(params) builds the table from the params
+    that step keeps."""
     events = list(events)
     if not events:
         raise EmptyCorpus("no training events")
@@ -709,6 +716,7 @@ def reference_train_gates(
 
     params = init.clone() if init is not None else GateParams.zeros()
     trace = LossTrace()
+    cases = set(events)
     step_idx = 0
     budget_spent = False
 
@@ -717,9 +725,6 @@ def reference_train_gates(
         for _ in range(config.repeats):
             pass_losses: list[float] = []
             for event in chunk:
-                if config.steps_max is not None and step_idx >= config.steps_max:
-                    budget_spent = True
-                    break
                 raw, weighted = step(params, event, config)
                 if not math.isfinite(weighted):
                     raise GateError(
@@ -731,11 +736,17 @@ def reference_train_gates(
                 )
                 pass_losses.append(weighted)
                 step_idx += 1
-            if pass_losses:
-                trace.epoch_mean.append(sum(pass_losses) / len(pass_losses))
+                budget_spent = step_idx == config.steps_max
+                if budget_spent:
+                    break
+            trace.epoch_mean.append(sum(pass_losses) / len(pass_losses))
             if budget_spent:
                 break
-        if budget_spent:
+        # Rows are in case id order: token-major, flag 0 before flag 1.
+        rows = agreement(params)
+        agreeing = sum(rows[case].ok for case in cases)
+        trace.agreement.append(agreeing)
+        if budget_spent or (config.lr and agreeing == len(cases)):
             break
     return params, trace
 
@@ -866,6 +877,12 @@ def numpy_train_step_on_columns(
     if isinstance(params.heads["op"][1], list):
         params.heads.update(numpy_params(params).heads)
     return numpy_train_step(params, event, config)
+
+
+def numpy_agreement_table(params: GateParams) -> list:
+    """agreement_table over the (n_out, n_in) matrices the numpy trainer
+    keeps."""
+    return agreement_table(column_params(params))
 
 
 def numpy_check_finite(name: str, w: np.ndarray, b: np.ndarray) -> None:

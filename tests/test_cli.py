@@ -259,6 +259,30 @@ def test_train_gates_writes_params(tiny_gates_file):
     assert len(payload["digit_w"]) == 10
 
 
+def test_train_gates_ends_with_the_agreement_at_its_stop(capsys, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    run_cli(capsys, "gen", "dot-place", "--count", "30", "--out", str(corpus))
+    code, out, _ = run_cli(
+        capsys, "train-gates", "--data", str(corpus), "--out", str(tmp_path / "g.json")
+    )
+    assert code == 0
+    # 30 lines hold 21 cases; they all agree after the second chunk of 50
+    # events, 500 of the 900 steps the stream offers.
+    assert out.endswith("trained 500 steps, params written to "
+                        f"{tmp_path / 'g.json'}\nagreement 21/21 cases at step 500\n")
+
+
+def test_train_gates_says_when_steps_max_cut_the_run(capsys, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    run_cli(capsys, "gen", "dot-place", "--count", "30", "--out", str(corpus))
+    code, out, _ = run_cli(
+        capsys, "train-gates", "--data", str(corpus), "--out", str(tmp_path / "g.json"),
+        "--steps-max", "10",
+    )
+    assert code == 0
+    assert out.endswith("agreement 1/21 cases at step 10, steps_max cut the run first\n")
+
+
 def test_convert_with_learned_gates(capsys, tiny_gates_file):
     code, out, _ = run_cli(
         capsys, "convert", "1.5", "--gates", str(tiny_gates_file)

@@ -34,7 +34,7 @@ EXPECTED = {
     "evaluate": "aa9ed7c4970b9c1cc0571ee393eee6f8d1240229cc525610f14da6412be67303",
     "run": "0877f5388fd83ec5740fa18b040e2e84f92ac9d87de153dff1d724d466fb65d5",
     "label": "bf95fbbc1773b25779136f4e04971defff12ee7f519f1b4a11e138dd7a0632c2",
-    "train": "888ea275e46fa4822fdf9c9253c92aa803965ec8074335288c165fdb501fc48e",
+    "train": "46c8597723dc6f9949204f882c870500079b774cab4468cba8795c29877c429a",
 }
 
 
@@ -127,9 +127,10 @@ def label_lines():
 
 
 def train_lines():
-    """Both stages' trace entries and pass means, then the final params,
-    every float in hex so that a one-ulp move shows. The second stage
-    starts from the first stage's params and cuts uneven chunks."""
+    """Both stages' trace entries, pass means and agreement counts, then
+    the final params, every float in hex so that a one-ulp move shows. The
+    first stage stops once its cases agree; the second starts from its
+    params, cuts uneven chunks and runs its whole stream."""
     stages = [
         (gen_dot_place(80, 13), TrainConfig()),
         (gen_numbers_ops(150, 14), TrainConfig(epoch_size=37, repeats=3, lr=0.05)),
@@ -140,6 +141,7 @@ def train_lines():
         for e in trace.events:
             yield f"{k}\t{e.step}\t{e.token_id}\t{e.weight.hex()}\t{e.raw.hex()}\t{e.weighted.hex()}"
         yield f"{k}\t" + " ".join(m.hex() for m in trace.epoch_mean)
+        yield f"{k}\t" + " ".join(map(str, trace.agreement))
     yield from (bits.hex() for bits in param_bits(params))
 
 

@@ -46,6 +46,7 @@ from gatecalc.tokenizer import (
 from helpers import (
     column_params,
     decode_case,
+    numpy_agreement_table,
     numpy_learned_policy,
     numpy_load_params,
     numpy_params,
@@ -274,6 +275,15 @@ def test_case_ids_past_the_36_cases_are_rejected(case_id):
         train_gates(label_events("1.5 +") + bytes([case_id]))
 
 
+@pytest.mark.parametrize("case_id", [300, -1])
+def test_case_ids_outside_a_byte_are_rejected(case_id):
+    # bytes() refused these with a plain ValueError before the range check.
+    with pytest.raises(GateError, match=f"^case id {case_id} is outside 0-35$"):
+        train_gates([case_id])
+    with pytest.raises(GateError, match=f"^case id {case_id} is outside 0-35$"):
+        train_gates([*label_events("1.5 +"), case_id])
+
+
 def test_single_event_loss_decreases():
     events = label_events("7")
     params, before = train_gates(events, TrainConfig(steps_max=1))
@@ -322,6 +332,61 @@ def test_steps_max_bounds_the_block_it_builds():
         tracemalloc.stop()
     assert len(trace.events) == 10
     assert peak < 2**20
+
+
+def _chunk_ends(events, config):
+    """The step count at the end of each chunk's block, with no budget."""
+    ends = []
+    for start in range(0, len(events), config.epoch_size):
+        chunk = events[start : start + config.epoch_size]
+        ends.append((ends[-1] if ends else 0) + len(chunk) * config.repeats)
+    return ends
+
+
+def _held_rows_ok(params, events):
+    rows = agreement_table(params)
+    return [rows[case].ok for case in sorted(set(events))]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stages_stop_once_every_case_they_hold_agrees(seed):
+    config = TrainConfig()
+    params = None
+    for lines in (gen_dot_place(100, seed), gen_numbers_ops(500, seed)):
+        events = events_from_lines(lines)
+        params, trace = train_gates(events, config, init=params)
+        ends = _chunk_ends(events, config)
+        stop = len(trace.agreement)
+        # A stop on a chunk boundary before the stream ran out, at the first
+        # boundary whose count covers every case the stream holds.
+        assert stop < len(ends)
+        assert len(trace.events) == ends[stop - 1]
+        assert trace.agreement[-1] == len(set(events))
+        assert all(n < len(set(events)) for n in trace.agreement[:-1])
+        assert all(_held_rows_ok(params, events))
+    # The second stage holds 35 cases: a second dot raises, so no stream
+    # holds ('.', 1), and it is learned through the columns it shares.
+    assert all(row.ok for row in agreement_table(params))
+
+
+def test_steps_max_below_the_stop_step_trains_exactly_steps_max():
+    events = events_from_lines(gen_dot_place(100, 0))
+    _, full = train_gates(events)
+    assert len(full.events) == 500
+    params, trace = train_gates(events, TrainConfig(steps_max=333))
+    assert len(trace.events) == 333
+    # One count per block: the first chunk's, then the budget's cut of the second.
+    assert len(trace.agreement) == 2
+    assert trace.agreement[-1] == sum(_held_rows_ok(params, events))
+
+
+def test_zero_lr_scores_every_event_of_a_stream_that_agrees():
+    events = events_from_lines(gen_dot_place(100, 0))
+    params, _ = train_gates(events)
+    assert all(_held_rows_ok(params, events))
+    _, trace = train_gates(events, TrainConfig(lr=0.0), init=params)
+    assert len(trace.events) == 5 * len(events)
+    assert trace.agreement == [len(set(events))] * len(_chunk_ends(events, TrainConfig()))
 
 
 def test_training_resumes_from_init():
@@ -460,13 +525,16 @@ NUMPY_TOLERANCE = 1e-12
 def test_scalar_trainer_tracks_numpy_trainer(trained):
     params, trace = trained
     ref_matrices, ref_trace = reference_train_gates(
-        events_from_lines(_TRAINING_LINES), step=numpy_train_step_on_columns
+        events_from_lines(_TRAINING_LINES),
+        step=numpy_train_step_on_columns,
+        agreement=numpy_agreement_table,
     )
     ref_params = column_params(ref_matrices)
     for (w, b), (ref_w, ref_b) in zip(params.heads.values(), ref_params.heads.values()):
         for got, want in zip((b, *w), (ref_b, *ref_w)):
             assert max(abs(x - y) for x, y in zip(got, want)) <= NUMPY_TOLERANCE
     assert len(trace.events) == len(ref_trace.events)
+    assert trace.agreement == ref_trace.agreement
     for got, want in zip(trace.events, ref_trace.events):
         assert (got.step, got.token_id, got.weight) == (want.step, want.token_id, want.weight)
         assert abs(got.raw - want.raw) <= NUMPY_TOLERANCE
