@@ -4,8 +4,9 @@
 Stage one fits the gates on decimal literals alone and shows which
 decisions that already pins down. Stage two continues from those
 parameters on mixed numbers-and-ops lines and reaches the full 36-case
-decision table. Each stage stops at the first chunk boundary where
-every case it holds agrees with the rule policy. Stage three replays
+decision table. Each head stops at the first chunk boundary where it
+decides every case the stage holds as the rule policy does, and a stage
+stops once no head is left training. Stage three replays
 question-record postfix text with frozen parameters to show the loss
 stays low without further updates, then verifies the learned policy
 against the rule policy: its compiled actions, and real conversions.
@@ -16,6 +17,7 @@ import argparse
 from gatecalc.conversion import convert
 from gatecalc.datagen import GenConfig, gen_arith_qa, gen_dot_place, gen_numbers_ops
 from gatecalc.gates import (
+    HEAD_SHAPES,
     TrainConfig,
     agreement_table,
     events_from_lines,
@@ -36,11 +38,13 @@ def agreement_summary(params) -> str:
 
 
 def stop_summary(trace, events, config) -> str:
-    """Where a stage stopped, out of the steps its stream offers, and how
-    many of the cases it holds agreed there."""
+    """Where a stage stopped, out of the steps its stream offers, how many
+    of the cases it holds agreed there, and where each head stopped."""
+    stops = ", ".join(f"{name} {trace.stopped.get(name, '-')}" for name, _, _ in HEAD_SHAPES)
     return (f"  stopped at step {len(trace.events)} of {len(events) * config.repeats}, "
             f"{trace.agreement[-1]}/{len(set(events))} cases held agree, "
-            f"loss {trace.epoch_mean[0]:.3f} -> {trace.epoch_mean[-1]:.4f}")
+            f"loss {trace.epoch_mean[0]:.3f} -> {trace.epoch_mean[-1]:.4f}\n"
+            f"  heads stopped at step: {stops}")
 
 
 def main() -> int:

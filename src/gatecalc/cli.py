@@ -36,6 +36,7 @@ from .datagen import (
 )
 from .evaluator import EvalError, evaluate_with_trace
 from .gates import (
+    HEAD_SHAPES,
     GateError,
     TrainConfig,
     agreement_table,
@@ -162,6 +163,8 @@ def cmd_train_gates(args: argparse.Namespace) -> int:
     agreeing = trace.agreement[-1] if trace.agreement else 0
     cut = ", steps_max cut the run first" if steps == config.steps_max and agreeing < cases else ""
     print(f"agreement {agreeing}/{cases} cases at step {steps}{cut}")
+    stops = (f"{name} {trace.stopped.get(name, '-')}" for name, _, _ in HEAD_SHAPES)
+    print(f"heads stopped at step: {', '.join(stops)}")
     return 0
 
 

@@ -30,26 +30,31 @@ material arrives. Decimal dots and operator characters carry extra loss
 weight because a miss there corrupts a whole number rather than one
 digit.
 
-Training runs to agreement, not to a step budget: it stops at the first
-chunk boundary where every case the stream holds is decided as
-rule_gates decides it, on all six heads, since from there on the stage
-converts any input made of those cases exactly as rule_gates does.
-steps_max is only an upper bound. The check takes one argmax per head
-and token column (two for the dense-mode head, which reads the flag),
-not 36 full decisions, and the loss trace keeps its count at every
-boundary: the agreement curve. A run at a learning rate of zero steps a
-throwaway copy, so it scores the whole corpus and returns the init
-untouched.
+Each head trains to its own agreement, not to a step budget. A head's
+weights and bias move only under its own loss, so the heads are
+independent, and each stops at the first chunk boundary where it decides
+every case the stream holds as rule_gates decides it. From there on its
+params are fixed, so its loss depends on the case id alone: it becomes a
+table, computed once by the head's own training code at scale zero, and
+each later step reads it. The stage stops when no head is left training,
+since from there on it converts any input made of those cases exactly as
+rule_gates does; steps_max is only an upper bound. The check takes one
+argmax per token column of each head still training (two for the
+dense-mode head, which reads the flag), not 36 full decisions, and the
+loss trace keeps, at every boundary, the count of cases no head misses
+(the agreement curve), and the step at which each head stopped. A run
+at a learning rate of zero stops every head at step 0: it scores the
+whole corpus from the tables and returns the init untouched.
 
 The trainer runs head-major over blocks: a block is one chunk's
-repeated passes, clipped to the step budget, and each of the six heads
-takes all of the block's steps before the next head starts. This is
-exact, not an approximation: a head's weights and bias move only under
-its own loss, so it sees the same sequence of updates as it would one
-event at a time, and each step's raw loss still sums the heads' losses
-in HEAD_SHAPES order. Params and loss trace match the event-major loop
-bit for bit. The block boundary is where the trace is recorded, a
-non-finite loss is reported and the agreeing cases are counted.
+repeated passes, clipped to the step budget, and each head still
+training takes all of the block's steps before the next head starts.
+This is exact, not an approximation: since the heads are independent,
+each sees the same sequence of updates as it would one event at a time,
+and each step's raw loss still sums the heads' losses in HEAD_SHAPES
+order. Params and loss trace match the event-major loop bit for bit.
+The block boundary is where the trace is recorded, a non-finite loss is
+reported and the heads are checked.
 """
 
 from __future__ import annotations
@@ -228,12 +233,14 @@ class EventLoss(NamedTuple):
 @dataclass
 class LossTrace:
     """One entry per gradient step, the mean weighted loss of every chunk
-    pass, and at the end of every block the number of the stream's cases
-    that the params then decide as rule_gates does."""
+    pass, at the end of every block the number of the stream's cases that
+    the params then decide as rule_gates does, and the step at which each
+    head stopped, by head name."""
 
     events: list[EventLoss] = field(default_factory=list)
     epoch_mean: list[float] = field(default_factory=list)
     agreement: list[int] = field(default_factory=list)
+    stopped: dict[str, int] = field(default_factory=dict)
 
 
 # Each head below runs over a whole block of steps and returns its loss at
@@ -315,41 +322,42 @@ def _train_softmax_head(w, b, tokens, flags, targets, scales) -> list[float]:
     return losses
 
 
-def _train_block(
-    params: GateParams, block: bytes, tokens: bytes, scales: list[float]
-) -> list[float]:
-    """One gradient step per event of the block, taken one head at a time.
-    Returns every step's raw loss: its heads' losses summed in HEAD_SHAPES
-    order, the order one event-major step added them in."""
+def _train_head(w, b, n_out, block, targets, scales) -> list[float]:
+    """One head's steps over a block of case ids, its reference classes
+    read through targets. Returns its loss at every step."""
+    tokens = block.translate(_CASE_TOKEN)
+    if n_out == 2:
+        return _train_binary_head(w, b, tokens, block.translate(targets), scales)
     flags = block.translate(_CASE_FLAG)
-    raws = [0.0] * len(block)
-    for (name, n_out, _), table in zip(HEAD_SHAPES, _CASE_TARGETS):
-        w, b = params.heads[name]
-        head_targets = block.translate(table)
-        if n_out == 2:
-            losses = _train_binary_head(w, b, tokens, head_targets, scales)
-        else:
-            losses = _train_softmax_head(w, b, tokens, flags, head_targets, scales)
-        raws = list(map(add, raws, losses))
-    return raws
+    return _train_softmax_head(w, b, tokens, flags, block.translate(targets), scales)
 
 
-def _count_agreeing(params: GateParams, cases: set[int]) -> int:
-    """How many of the case ids in cases the params decide as rule_gates
-    does on all six heads. A head takes one argmax per token column, which
-    serves both flags, and the dense-mode head a second one with its flag
-    column added: the logits learned_gates reads, without building the
-    decisions."""
-    tokens = {case >> 1 for case in cases}
-    missed = set()
-    for (name, _, n_in), targets in zip(HEAD_SHAPES, _CASE_TARGETS):
-        got = {}
-        for t in tokens:
-            got[2 * t] = got[2 * t + 1] = _argmax(_logits(params, name, t, 0))
-            if n_in > VOCAB_SIZE:
-                got[2 * t + 1] = _argmax(_logits(params, name, t, 1))
-        missed.update(case for case in cases if got[case] != targets[case])
-    return len(cases) - len(missed)
+def _loss_table(w, b, n_out, targets, cases: set[int]) -> dict[int, float]:
+    """A stopped head's loss at each of the case ids: its own training code
+    run over them at scale 0.0, on a copy, since even a zero step turns
+    -0.0 into 0.0. A loss that is not finite may leave a NaN in the copy
+    for the cases after it, so then each case runs on its own copy."""
+    block = bytes(cases)
+    losses = _train_head([c[:] for c in w], b[:], n_out, block, targets, [0.0] * len(block))
+    if not all(map(math.isfinite, losses)):
+        losses = [
+            _train_head([c[:] for c in w], b[:], n_out, bytes([case]), targets, [0.0])[0]
+            for case in block
+        ]
+    return dict(zip(block, losses))
+
+
+def _misses(params: GateParams, name: str, n_in: int, targets: bytes, cases: set[int]) -> set[int]:
+    """The case ids in cases that the head decides otherwise than
+    rule_gates. It takes one argmax per token column, which serves both
+    flags, and the dense-mode head a second one with its flag column
+    added: the logits learned_gates reads, without building decisions."""
+    got = {}
+    for t in {case >> 1 for case in cases}:
+        got[2 * t] = got[2 * t + 1] = _argmax(_logits(params, name, t, 0))
+        if n_in > VOCAB_SIZE:
+            got[2 * t + 1] = _argmax(_logits(params, name, t, 1))
+    return {case for case in cases if got[case] != targets[case]}
 
 
 def train_gates(
@@ -361,28 +369,28 @@ def train_gates(
 
     The stream is cut into chunks of epoch_size events; each chunk runs
     repeats times before the next chunk starts, one gradient step per
-    event. Training stops at the end of the first chunk after which the
-    params decide every case the stream holds as rule_gates does, on all
-    six heads: from there on a conversion that reads only those cases is
-    exact. steps_max, when set, stops it sooner. The trace keeps one entry
-    per gradient step, the mean weighted loss of every chunk pass and the
-    agreeing count at the end of every block. At lr 0 the steps run on a
-    throwaway copy, the whole stream is scored and the init comes back
-    untouched, bit for bit, which is how a later corpus is scored against
-    fixed gates. A case id outside the 36 cases raises GateError.
+    event. Each head stops at the end of the first chunk after which it
+    decides every case the stream holds as rule_gates does, and training
+    stops when no head is left, or at steps_max. At lr 0 every head is
+    stopped from step 0: the whole stream is scored and the init comes
+    back untouched, bit for bit, which is how a later corpus is scored
+    against fixed gates. A case id outside the 36 cases raises GateError.
     Training stops with a GateError at the first step whose weighted loss
     is not finite, since every later step would run on diverged params.
-
-    Each chunk's block of steps runs one head at a time, which gives the
-    same params and trace bit for bit (see the module docstring).
+    See the module docstring for why stopped heads and the head-major
+    blocks leave params and trace as the event-major loop gives them.
     """
     ids = events if isinstance(events, bytes) else list(events)
     if not ids:
         raise EmptyCorpus("no training events")
-    low, high = min(ids), max(ids)
-    if low < 0 or high >= 2 * VOCAB_SIZE:
-        raise GateError(f"case id {low if low < 0 else high} is outside 0-{2 * VOCAB_SIZE - 1}")
-    events = bytes(ids)
+    try:
+        events = bytes(ids)
+        refused = max(events) >= 2 * VOCAB_SIZE
+    except (TypeError, ValueError):  # not an int, or outside a byte
+        refused = True
+    if refused:
+        bad = next(i for i in ids if not (isinstance(i, int) and 0 <= i < 2 * VOCAB_SIZE))
+        raise GateError(f"case id {bad!r} is outside 0-{2 * VOCAB_SIZE - 1}")
     cases = set(events)
     config = config or TrainConfig()
     weight_of = [
@@ -391,11 +399,25 @@ def train_gates(
     ]
     steps_max = config.steps_max or math.inf
     params = init.clone() if init is not None else GateParams.zeros()
-    # A zero step still turns a -0.0 param into 0.0, so a run at lr 0 steps
-    # a copy and returns the init clone as it was.
-    stepped = params.clone() if config.lr == 0 else params
     trace = LossTrace()
+    # A stopped head's loss depends on the case id alone, so it becomes a
+    # table. missed keeps each head's missed cases as last checked; a
+    # stopped head is never checked again.
+    tables: dict[str, dict[int, float]] = {}
+    missed: dict[str, set[int]] = {}
+
+    def check_heads(stop_all: bool) -> None:
+        for (name, n_out, n_in), targets in zip(HEAD_SHAPES, _CASE_TARGETS):
+            if name in tables:
+                continue
+            missed[name] = _misses(params, name, n_in, targets, cases)
+            if stop_all or not missed[name]:
+                tables[name] = _loss_table(*params.heads[name], n_out, targets, cases)
+                trace.stopped[name] = step
+
     step = 0
+    if not config.lr:
+        check_heads(stop_all=True)
     for start in range(0, len(events), config.epoch_size):
         chunk = events[start : start + config.epoch_size]
         # Only the passes the step budget leaves are built.
@@ -403,20 +425,28 @@ def train_gates(
         block = (chunk * -(-size // len(chunk)))[:size]
         tokens = block.translate(_CASE_TOKEN)
         weights = [weight_of[t] for t in tokens]
-        raws = _train_block(stepped, block, tokens, [config.lr * w for w in weights])
+        scales = [config.lr * w for w in weights]
+        # Each step's raw loss sums its heads' losses in HEAD_SHAPES order,
+        # the order one event-major step adds them in.
+        raws = [0.0] * size
+        for (name, n_out, _), targets in zip(HEAD_SHAPES, _CASE_TARGETS):
+            if name in tables:
+                losses = map(tables[name].__getitem__, block)
+            else:
+                losses = _train_head(*params.heads[name], n_out, block, targets, scales)
+            raws = list(map(add, raws, losses))
         weighted = list(map(mul, weights, raws))
         for i, loss in enumerate(weighted):
             if not math.isfinite(loss):
                 raise GateError(f"training diverged at step {step + i}: weighted loss is {loss}")
-        trace.events += map(
-            EventLoss, range(step, step + len(block)), tokens, weights, raws, weighted
-        )
-        for p in range(0, len(block), len(chunk)):
+        trace.events += map(EventLoss, range(step, step + size), tokens, weights, raws, weighted)
+        for p in range(0, size, len(chunk)):
             pass_losses = weighted[p : p + len(chunk)]
             trace.epoch_mean.append(sum(pass_losses) / len(pass_losses))
-        step += len(block)
-        trace.agreement.append(_count_agreeing(params, cases))
-        if step == steps_max or (config.lr and trace.agreement[-1] == len(cases)):
+        step += size
+        check_heads(stop_all=False)
+        trace.agreement.append(len(cases) - len(set().union(*missed.values())))
+        if step == steps_max or (config.lr and len(tables) == len(HEAD_SHAPES)):
             break
     return params, trace
 

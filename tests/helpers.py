@@ -18,7 +18,7 @@ event-major loop, one gradient step over all six heads per event, which
 the head-major train_gates must match bit for bit. It decodes each case
 id to its token, flag and rule_gates target and weighs it by the
 per-token rule itself, rather than through the trainer's tables, and
-decides its stop from the rows of the full agreement table. Its step
+decides each head's stop from the rows of the full agreement table. Its step
 can be swapped for the one-hot matrix product or for the numpy
 trainer. The numpy gate trainer and gate-file loader that the scalar
 ones replaced are kept here as references too, over (n_out, n_in)
@@ -42,6 +42,7 @@ from typing import Union
 import numpy as np
 
 from gatecalc.conversion import (
+    DECISION_FIELDS,
     DEFAULT_CAPACITY,
     CapacityExceeded,
     DenseOpMode,
@@ -660,9 +661,11 @@ def event_weight(token_id: int, config: TrainConfig) -> float:
     return 1.0
 
 
-def train_step(params: GateParams, event: int, config: TrainConfig) -> tuple[float, float]:
-    """One gradient step over all heads for one case id. At lr 0 no param
-    moves. Returns (raw, weighted) loss."""
+def train_step(
+    params: GateParams, event: int, config: TrainConfig, frozen: dict[str, int]
+) -> tuple[float, float]:
+    """One gradient step over all heads for one case id. A head named in
+    frozen only computes its loss. Returns (raw, weighted) loss."""
     token_id, flag, targets = decode_case(event)
     weight = event_weight(token_id, config)
     scale = config.lr * weight
@@ -674,7 +677,7 @@ def train_step(params: GateParams, event: int, config: TrainConfig) -> tuple[flo
         else:
             loss, dz = softmax_loss_grad(z, target)
         raw += loss
-        if config.lr:
+        if name not in frozen:
             # The outer product of dz with a one-hot input is dz in the
             # token's column (and the flag column when the flag is on) and
             # zero everywhere else, so only those columns move.
@@ -700,11 +703,14 @@ def reference_train_gates(
     chunk of epoch_size case ids runs repeats times, stopping at steps_max
     or with a GateError at the first non-finite weighted loss. After each
     chunk, or the part of one the budget left, it reads the stream's
-    cases' rows of the full agreement table, and at a nonzero lr stops
-    once they all agree. step(params, case_id, config) -> (raw, weighted)
-    decodes the case, takes the step and may be swapped for another
-    formulation of it; agreement(params) builds the table from the params
-    that step keeps."""
+    cases' rows of the full agreement table. A head whose field matches
+    on all of them is frozen from that step on: it still computes its
+    loss at every step but no longer moves. At a nonzero lr the run stops
+    once every row agrees; at lr 0 every head is frozen from step 0.
+    step(params, case_id, config, frozen) -> (raw, weighted) decodes the
+    case, takes the step and may be swapped for another formulation of
+    it; agreement(params) builds the table from the params that step
+    keeps."""
     events = list(events)
     if not events:
         raise EmptyCorpus("no training events")
@@ -719,13 +725,17 @@ def reference_train_gates(
     cases = set(events)
     step_idx = 0
     budget_spent = False
+    # The frozen heads, each with the step it froze at, as the trace reports.
+    frozen = trace.stopped
+    if not config.lr:
+        frozen.update((name, 0) for name, _, _ in HEAD_SHAPES)
 
     for start in range(0, len(events), config.epoch_size):
         chunk = events[start : start + config.epoch_size]
         for _ in range(config.repeats):
             pass_losses: list[float] = []
             for event in chunk:
-                raw, weighted = step(params, event, config)
+                raw, weighted = step(params, event, config, frozen)
                 if not math.isfinite(weighted):
                     raise GateError(
                         f"training diverged at step {step_idx}: weighted loss is {weighted}"
@@ -744,6 +754,9 @@ def reference_train_gates(
                 break
         # Rows are in case id order: token-major, flag 0 before flag 1.
         rows = agreement(params)
+        for (name, _, _), decision_field in zip(HEAD_SHAPES, DECISION_FIELDS):
+            if name not in frozen and all(rows[case].matches[decision_field] for case in cases):
+                frozen[name] = step_idx
         agreeing = sum(rows[case].ok for case in cases)
         trace.agreement.append(agreeing)
         if budget_spent or (config.lr and agreeing == len(cases)):
@@ -751,7 +764,7 @@ def reference_train_gates(
     return params, trace
 
 
-def onehot_train_step(params, event, config) -> tuple[float, float]:
+def onehot_train_step(params, event, config, frozen) -> tuple[float, float]:
     """The trainer's gradient step written as a full matrix product over
     the one-hot input, with the decimal flag appended for the dense-mode
     head, and as the full outer-product update. A drop-in for train_step,
@@ -769,7 +782,7 @@ def onehot_train_step(params, event, config) -> tuple[float, float]:
         grad = binary_loss_grad if n_out == 2 else softmax_loss_grad
         loss, dz = grad(z, target)
         raw += loss
-        if config.lr:
+        if name not in frozen:
             for i in range(n_in):
                 for j in range(n_out):
                     w[i][j] -= scale * (dz[j] * x[i])
@@ -842,9 +855,11 @@ def numpy_softmax_loss_grad(z: np.ndarray, target: int) -> tuple[float, np.ndarr
     return loss, p
 
 
-def numpy_train_step(params: GateParams, event: int, config: TrainConfig) -> tuple[float, float]:
-    """One gradient step over all heads for one case id. Returns (raw,
-    weighted) loss."""
+def numpy_train_step(
+    params: GateParams, event: int, config: TrainConfig, frozen: dict[str, int]
+) -> tuple[float, float]:
+    """One gradient step over all heads for one case id; a head named in
+    frozen only computes its loss. Returns (raw, weighted) loss."""
     token_id, flag, targets = decode_case(event)
     weight = event_weight(token_id, config)
     raw = 0.0
@@ -855,7 +870,7 @@ def numpy_train_step(params: GateParams, event: int, config: TrainConfig) -> tup
         else:
             loss, dz = numpy_softmax_loss_grad(z, target)
         raw += loss
-        if config.lr:
+        if name not in frozen:
             # The outer product of dz with a one-hot input is dz in the
             # token's column (and the flag column when the flag is on) and
             # zero everywhere else, so only those columns move.
@@ -869,14 +884,14 @@ def numpy_train_step(params: GateParams, event: int, config: TrainConfig) -> tup
 
 
 def numpy_train_step_on_columns(
-    params: GateParams, event: int, config: TrainConfig
+    params: GateParams, event: int, config: TrainConfig, frozen: dict[str, int]
 ) -> tuple[float, float]:
     """A drop-in for train_step that runs numpy_train_step. On its first
     step it converts the GateParams that reference_train_gates built, in
     place, to numpy matrices; pass the result through column_params."""
     if isinstance(params.heads["op"][1], list):
         params.heads.update(numpy_params(params).heads)
-    return numpy_train_step(params, event, config)
+    return numpy_train_step(params, event, config, frozen)
 
 
 def numpy_agreement_table(params: GateParams) -> list:

@@ -267,9 +267,12 @@ def test_train_gates_ends_with_the_agreement_at_its_stop(capsys, tmp_path):
     )
     assert code == 0
     # 30 lines hold 21 cases; they all agree after the second chunk of 50
-    # events, 500 of the 900 steps the stream offers.
+    # events, 500 of the 900 steps the stream offers. The digit head is the
+    # last to stop.
     assert out.endswith("trained 500 steps, params written to "
-                        f"{tmp_path / 'g.json'}\nagreement 21/21 cases at step 500\n")
+                        f"{tmp_path / 'g.json'}\nagreement 21/21 cases at step 500\n"
+                        "heads stopped at step: ignore 250, move 250, decimal 250, "
+                        "denseop 250, digit 500, op 250\n")
 
 
 def test_train_gates_says_when_steps_max_cut_the_run(capsys, tmp_path):
@@ -280,7 +283,9 @@ def test_train_gates_says_when_steps_max_cut_the_run(capsys, tmp_path):
         "--steps-max", "10",
     )
     assert code == 0
-    assert out.endswith("agreement 1/21 cases at step 10, steps_max cut the run first\n")
+    assert out.endswith("agreement 1/21 cases at step 10, steps_max cut the run first\n"
+                        "heads stopped at step: ignore 10, move 10, decimal -, denseop -, "
+                        "digit -, op 10\n")
 
 
 def test_convert_with_learned_gates(capsys, tiny_gates_file):
@@ -322,6 +327,8 @@ def test_train_gates_freeze_keeps_zero_params(capsys, tmp_path):
     )
     assert code == 0
     assert "epoch 0 mean_loss " in out
+    assert out.endswith("heads stopped at step: ignore 0, move 0, decimal 0, denseop 0, "
+                        "digit 0, op 0\n")
     payload = json.loads(gates.read_text())
     assert all(v == 0.0 for row in payload["digit_w"] for v in row)
 

@@ -34,7 +34,7 @@ EXPECTED = {
     "evaluate": "aa9ed7c4970b9c1cc0571ee393eee6f8d1240229cc525610f14da6412be67303",
     "run": "0877f5388fd83ec5740fa18b040e2e84f92ac9d87de153dff1d724d466fb65d5",
     "label": "bf95fbbc1773b25779136f4e04971defff12ee7f519f1b4a11e138dd7a0632c2",
-    "train": "46c8597723dc6f9949204f882c870500079b774cab4468cba8795c29877c429a",
+    "train": "163fd27ad1e5d58b90d093a7490daea24224aa53d2f0de3117a25e6380a164e4",
 }
 
 
@@ -127,10 +127,11 @@ def label_lines():
 
 
 def train_lines():
-    """Both stages' trace entries, pass means and agreement counts, then
-    the final params, every float in hex so that a one-ulp move shows. The
-    first stage stops once its cases agree; the second starts from its
-    params, cuts uneven chunks and runs its whole stream."""
+    """Both stages' trace entries, pass means, agreement counts and head
+    stops, then the final params, every float in hex so that a one-ulp
+    move shows. The first stage stops once its cases agree; the second
+    starts from its params, cuts uneven chunks and runs its whole stream,
+    five heads stopping on the way and the ignore head never."""
     stages = [
         (gen_dot_place(80, 13), TrainConfig()),
         (gen_numbers_ops(150, 14), TrainConfig(epoch_size=37, repeats=3, lr=0.05)),
@@ -142,6 +143,7 @@ def train_lines():
             yield f"{k}\t{e.step}\t{e.token_id}\t{e.weight.hex()}\t{e.raw.hex()}\t{e.weighted.hex()}"
         yield f"{k}\t" + " ".join(m.hex() for m in trace.epoch_mean)
         yield f"{k}\t" + " ".join(map(str, trace.agreement))
+        yield f"{k}\t" + " ".join(f"{name}:{step}" for name, step in trace.stopped.items())
     yield from (bits.hex() for bits in param_bits(params))
 
 

@@ -1,8 +1,11 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import random
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +47,7 @@ from gatecalc.tokenizer import (
     encode,
 )
 from helpers import (
+    binary_loss_grad,
     column_params,
     decode_case,
     numpy_agreement_table,
@@ -56,6 +60,7 @@ from helpers import (
     onehot_train_step,
     param_bits,
     reference_train_gates,
+    softmax_loss_grad,
 )
 
 
@@ -284,6 +289,15 @@ def test_case_ids_outside_a_byte_are_rejected(case_id):
         train_gates([*label_events("1.5 +"), case_id])
 
 
+@pytest.mark.parametrize("case_id", [1.5, "a"])
+def test_case_ids_that_are_not_ints_are_rejected(case_id):
+    # bytes() and the range check refused these with a TypeError.
+    with pytest.raises(GateError, match=f"^case id {case_id!r} is outside 0-35$"):
+        train_gates([case_id])
+    with pytest.raises(GateError, match=f"^case id {case_id!r} is outside 0-35$"):
+        train_gates([*label_events("1.5 +"), case_id])
+
+
 def test_single_event_loss_decreases():
     events = label_events("7")
     params, before = train_gates(events, TrainConfig(steps_max=1))
@@ -480,10 +494,34 @@ def test_any_float_settings_train_or_raise_gate_error(lr, dot_weight, op_weight)
     assert all(math.isfinite(e.weighted) for e in trace.events)
 
 
+def _head_loss(params, k, case):
+    """Head k's loss at one case id, by the reference formulas over the
+    one-hot input."""
+    name, n_out, n_in = HEAD_SHAPES[k]
+    token_id, flag, targets = decode_case(case)
+    w, b = params.heads[name]
+    x = onehot(token_id, n_in)
+    if n_in > VOCAB_SIZE:
+        x[-1] = float(flag)
+    loss_grad = binary_loss_grad if n_out == 2 else softmax_loss_grad
+    return loss_grad(onehot_logits(w, b, x), int(list(targets)[k]))[0]
+
+
 def test_loss_trace_trends_down():
+    # A stopped head keeps the loss it agreed at, so the pass means level
+    # off once heads stop. What training promises is that every head stops,
+    # and that its loss, the table each later step reads, is below its
+    # loss at init on every case the stream holds and a quarter of it or
+    # less over the stream.
     events = events_from_lines(gen_dot_place(100, 0))
-    _, trace = train_gates(events)
-    assert trace.epoch_mean[-1] < trace.epoch_mean[0] / 10
+    params, trace = train_gates(events)
+    init = GateParams.zeros()
+    assert set(trace.stopped) == {name for name, _, _ in HEAD_SHAPES}
+    for k in range(len(HEAD_SHAPES)):
+        for case in set(events):
+            assert _head_loss(params, k, case) < _head_loss(init, k, case)
+        mean, init_mean = (sum(_head_loss(p, k, c) for c in events) for p in (params, init))
+        assert mean < init_mean / 4
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +653,103 @@ def test_head_major_training_matches_event_major_on_any_settings(
                          op_weight=op_weight, steps_max=steps_max)
     assert (_train_outcome(train_gates, events, config)
             == _train_outcome(reference_train_gates, events, config))
+
+
+def _bench_inputs():
+    """The benchmark's corpus generators, loaded from their file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "bench_inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH = _bench_inputs()
+
+
+def _corpora(kind, seed):
+    """Stage lines, and held-out lines, of the benchmark or the demo."""
+    if kind == "bench":
+        return ([BENCH.gen_dot_lines(seed), BENCH.gen_ops_lines(seed)],
+                BENCH.gen_heldout_lines(seed))
+    return [gen_dot_place(100, seed), gen_numbers_ops(500, seed)], gen_numbers_ops(1000, seed + 99)
+
+
+_STAGED = [("bench", seed) for seed in [*range(24), 51, 99]] + [("demo", s) for s in range(8)]
+
+
+@pytest.mark.parametrize("kind, seed", _STAGED, ids=[f"{k}-{s}" for k, s in _STAGED])
+def test_default_stages_reach_full_agreement_and_convert_held_out_lines_exactly(kind, seed):
+    stages, held_out = _corpora(kind, seed)
+    runs = [[events_from_lines(lines) for lines in stages]]
+    if kind == "demo":
+        # train-gates reads every --data file into one stream.
+        runs.append([b"".join(runs[0])])
+    for streams in runs:
+        params = None
+        for events in streams:
+            params, trace = train_gates(events, init=params)
+            assert trace.agreement[-1] == len(set(events))
+            assert set(trace.stopped) == {name for name, _, _ in HEAD_SHAPES}
+        assert all(row.ok for row in agreement_table(params))
+        policy = make_learned_policy(params)
+        assert [line for line in held_out
+                if _outcome(line, policy) != _outcome(line, rule_gates)] == []
+
+
+@pytest.mark.parametrize("kind, seed", [("bench", 51), ("demo", 0)])
+def test_a_stopped_head_keeps_its_params_from_its_first_agreeing_boundary(kind, seed):
+    stages, _ = _corpora(kind, seed)
+    config = TrainConfig()
+    params = None
+    for lines in stages:
+        events = events_from_lines(lines)
+        init = params
+        params, trace = train_gates(events, config, init=init)
+        ends = _chunk_ends(events, config)
+        for k, ((name, _, _), decision_field) in enumerate(zip(HEAD_SHAPES, DECISION_FIELDS)):
+            stop = trace.stopped[name]
+            at_stop, _ = train_gates(events, TrainConfig(steps_max=stop), init=init)
+            assert param_bits(at_stop)[k] == param_bits(params)[k]
+            rows = agreement_table(at_stop)
+            assert all(rows[case].matches[decision_field] for case in set(events))
+            if stop > ends[0]:
+                before, _ = train_gates(
+                    events, TrainConfig(steps_max=ends[ends.index(stop) - 1]), init=init
+                )
+                rows = agreement_table(before)
+                assert not all(rows[case].matches[decision_field] for case in set(events))
+
+
+def test_steps_max_below_the_last_stop_trains_exactly_steps_max():
+    (dot_lines, ops_lines), _ = _corpora("bench", 51)
+    params, _ = train_gates(events_from_lines(dot_lines))
+    events = events_from_lines(ops_lines)
+    _, full = train_gates(events, init=params)
+    last = max(full.stopped.values())
+    assert last == len(full.events)
+    # The boundary before the last stop, and a cut inside the last block.
+    for steps_max in (last - 250, last - 37):
+        _, trace = train_gates(events, TrainConfig(steps_max=steps_max), init=params)
+        assert len(trace.events) == steps_max
+        assert ({name: step for name, step in trace.stopped.items() if step < steps_max}
+                == {name: step for name, step in full.stopped.items() if step < steps_max})
+        if steps_max == last - 250:
+            assert len(trace.stopped) < len(HEAD_SHAPES)
+
+
+def test_a_stopped_head_scores_each_case_at_its_own_params():
+    # The digit head's column for '0' holds +inf, so its loss there is NaN;
+    # its other cases still score finite, and the run fails at the step
+    # that reads '0', as the event-major loop does, not at the first step.
+    init = GateParams.zeros()
+    init.heads["digit"][0][0][0] = math.inf
+    events = label_events("5 0")
+    config = TrainConfig(lr=0.0, repeats=1)
+    with pytest.raises(GateError, match="^training diverged at step 2: weighted loss is nan$"):
+        train_gates(events, config, init=init)
+    assert (_train_outcome(train_gates, events, config, init)
+            == _train_outcome(reference_train_gates, events, config, init))
 
 
 def test_trained_gates_reach_full_agreement(trained_params):
