@@ -4,26 +4,27 @@
 Stage one fits the gates on decimal literals alone and shows which
 decisions that already pins down. Stage two continues from those
 parameters on mixed numbers-and-ops lines and reaches the full 36-case
-decision table. Each head stops at the first chunk boundary where it
-decides every case the stage holds as the rule policy does, and a stage
-stops once no head is left training. Stage three replays
+decision table. Each stage stops once every case it holds agrees with
+the rule policy, as each file does in `gatecalc train-gates --data
+dot.txt ops.txt`, where --steps-max bounds each stage. Stage three replays
 question-record postfix text with frozen parameters to show the loss
 stays low without further updates, then verifies the learned policy
 against the rule policy: its compiled actions, and real conversions.
 """
 
 import argparse
+import textwrap
 
 from gatecalc.conversion import convert
 from gatecalc.datagen import GenConfig, gen_arith_qa, gen_dot_place, gen_numbers_ops
 from gatecalc.gates import (
-    HEAD_SHAPES,
     TrainConfig,
     agreement_table,
     events_from_lines,
     make_learned_policy,
     rule_gates,
     save_params,
+    stop_report,
     train_gates,
 )
 from gatecalc.tokenizer import encode
@@ -37,35 +38,22 @@ def agreement_summary(params) -> str:
     return f"{good}/{len(rows)}{suffix}"
 
 
-def stop_summary(trace, events, config) -> str:
-    """Where a stage stopped, out of the steps its stream offers, how many
-    of the cases it holds agreed there, and where each head stopped."""
-    stops = ", ".join(f"{name} {trace.stopped.get(name, '-')}" for name, _, _ in HEAD_SHAPES)
-    return (f"  stopped at step {len(trace.events)} of {len(events) * config.repeats}, "
-            f"{trace.agreement[-1]}/{len(set(events))} cases held agree, "
-            f"loss {trace.epoch_mean[0]:.3f} -> {trace.epoch_mean[-1]:.4f}\n"
-            f"  heads stopped at step: {stops}")
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="write final params to this file")
     args = parser.parse_args()
 
-    config = TrainConfig()
-
-    print("stage 1: decimal literals only")
-    dot_events = events_from_lines(gen_dot_place(100, args.seed))
-    params, trace = train_gates(dot_events, config)
-    print(stop_summary(trace, dot_events, config))
-    print(f"  agreement after stage 1: {agreement_summary(params)}")
-
-    print("stage 2: numbers and operators, continuing from stage 1")
-    ops_events = events_from_lines(gen_numbers_ops(500, args.seed))
-    params, trace = train_gates(ops_events, config, init=params)
-    print(stop_summary(trace, ops_events, config))
-    print(f"  agreement after stage 2: {agreement_summary(params)}")
+    config, params = TrainConfig(), None
+    for stage, (title, lines) in enumerate([
+        ("decimal literals only", gen_dot_place(100, args.seed)),
+        ("numbers and operators, continuing from stage 1", gen_numbers_ops(500, args.seed)),
+    ], 1):
+        print(f"stage {stage}: {title}")
+        events = events_from_lines(lines)
+        params, trace = train_gates(events, config, init=params)
+        print(textwrap.indent(stop_report(trace, events, config), "  "))
+        print(f"  agreement after stage {stage}: {agreement_summary(params)}")
 
     print("stage 3: question postfix replay with frozen parameters")
     qa = gen_arith_qa(GenConfig(count=200, seed=args.seed))
@@ -81,10 +69,8 @@ def main() -> int:
     actions = sum(1 for r in rows if r.action_ok)
     print(f"  actions {actions}/{len(rows)}")
     policy = make_learned_policy(params)
-    mismatches = 0
-    for line in gen_numbers_ops(300, args.seed + 99):
-        if convert(encode(line), policy) != convert(encode(line), rule_gates):
-            mismatches += 1
+    mismatches = sum(convert(encode(line), policy) != convert(encode(line), rule_gates)
+                     for line in gen_numbers_ops(300, args.seed + 99))
     print(f"  {mismatches} mismatching conversions out of 300")
 
     if args.out:

@@ -36,7 +36,7 @@ from .datagen import (
 )
 from .evaluator import EvalError, evaluate_with_trace
 from .gates import (
-    HEAD_SHAPES,
+    EmptyCorpus,
     GateError,
     TrainConfig,
     agreement_table,
@@ -45,6 +45,7 @@ from .gates import (
     make_learned_policy,
     rule_gates,
     save_params,
+    stop_report,
     train_gates,
 )
 from .infix import ParseError, parse_infix, to_postfix
@@ -150,21 +151,19 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_train_gates(args: argparse.Namespace) -> int:
     config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
-    lines: list[str] = []
-    for path in args.data:
-        lines.extend(load_training_lines(path))
-    events = events_from_lines(lines)
-    params, trace = train_gates(events, config)
+    # Every file is read and labelled before the first stage trains.
+    stages = [events_from_lines(load_training_lines(path)) for path in args.data]
+    for path, events in zip(args.data, stages):
+        if not events:
+            raise EmptyCorpus(f"{path}: no training events")
+    params, out = None, []
+    for k, events in enumerate(stages, 1):
+        params, trace = train_gates(events, config, init=params)
+        out += [f"epoch {i} mean_loss {mean:.6f}" for i, mean in enumerate(trace.epoch_mean)]
+        written = f", params written to {args.out}" if k == len(stages) else ""
+        out += [f"trained {len(trace.events)} steps{written}", stop_report(trace, events, config)]
     save_params(params, args.out)
-    for i, mean in enumerate(trace.epoch_mean):
-        print(f"epoch {i} mean_loss {mean:.6f}")
-    steps, cases = len(trace.events), len(set(events))
-    print(f"trained {steps} steps, params written to {args.out}")
-    agreeing = trace.agreement[-1] if trace.agreement else 0
-    cut = ", steps_max cut the run first" if steps == config.steps_max and agreeing < cases else ""
-    print(f"agreement {agreeing}/{cases} cases at step {steps}{cut}")
-    stops = (f"{name} {trace.stopped.get(name, '-')}" for name, _, _ in HEAD_SHAPES)
-    print(f"heads stopped at step: {', '.join(stops)}")
+    print(*out, sep="\n")
     return 0
 
 
@@ -223,17 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate corpora")
     gen_sub = p.add_subparsers(dest="kind", required=True)
 
-    g = gen_sub.add_parser("dot-place", help="decimal literal lines")
-    g.add_argument("--count", type=int, default=100)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_gen)
-
-    g = gen_sub.add_parser("numbers-ops", help="mixed literal and operator lines")
-    g.add_argument("--count", type=int, default=500)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_gen)
+    for kind, count, text in (("dot-place", 100, "decimal literal lines"),
+                              ("numbers-ops", 500, "mixed literal and operator lines")):
+        g = gen_sub.add_parser(kind, help=text)
+        g.add_argument("--count", type=int, default=count)
+        g.add_argument("--seed", type=int, default=0)
+        g.add_argument("--out", required=True)
+        g.set_defaults(func=cmd_gen)
 
     g = gen_sub.add_parser("qa", help="question records with postfix expressions")
     g.add_argument("--count", type=int, default=1000)
@@ -254,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-gates", help="fit gate heads on corpus files")
     p.add_argument("--data", nargs="+", required=True,
-                   help="text or record files; records contribute their postfix field")
+                   help="text or record files, one stage each; records give their postfix field")
     p.add_argument("--out", required=True)
     train = TrainConfig()
     p.add_argument("--epoch-size", type=int, default=train.epoch_size)
@@ -262,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=train.lr,
                    help="learning rate; 0 scores the corpus without moving the params")
     p.add_argument("--steps-max", type=int, default=train.steps_max,
-                   help="upper bound; a stage stops once every case it holds agrees")
+                   help="bounds each stage, which stops sooner once every case it holds agrees")
     p.add_argument("--dot-weight", type=float, default=train.dot_weight)
     p.add_argument("--op-weight", type=float, default=train.op_weight)
     p.set_defaults(func=cmd_train_gates)

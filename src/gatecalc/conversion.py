@@ -147,6 +147,10 @@ class GateDecision:
 GateTable = tuple[tuple[GateDecision, GateDecision], ...]
 
 
+class InvalidTable(ConversionError):
+    """A gate policy that is not VOCAB_SIZE rows of two GateDecisions."""
+
+
 def _tabulate(decide: Callable[[int, int], GateDecision]) -> GateTable:
     return tuple((decide(t, 0), decide(t, 1)) for t in range(VOCAB_SIZE))
 

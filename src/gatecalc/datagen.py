@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -68,12 +68,7 @@ class QARecord:
     swift_express: str
 
     def to_dict(self) -> dict:
-        return {
-            "instruction": self.instruction,
-            "input": self.input,
-            "output": self.output,
-            "swift_express": self.swift_express,
-        }
+        return asdict(self)
 
 
 def _rng(count: int, seed: int) -> random.Random:

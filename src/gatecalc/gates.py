@@ -243,6 +243,16 @@ class LossTrace:
     stopped: dict[str, int] = field(default_factory=dict)
 
 
+def stop_report(trace: LossTrace, events: bytes, config: TrainConfig) -> str:
+    """A stage's stop lines: how many of its stream's cases agree at its
+    last step, whether steps_max cut it first, and where each head stopped."""
+    steps, agreeing, cases = len(trace.events), trace.agreement[-1], len(set(events))
+    cut = ", steps_max cut the run first" if steps == config.steps_max and agreeing < cases else ""
+    stops = ", ".join(f"{name} {trace.stopped.get(name, '-')}" for name, _, _ in HEAD_SHAPES)
+    return (f"agreement {agreeing}/{cases} cases at step {steps}{cut}\n"
+            f"heads stopped at step: {stops}")
+
+
 # Each head below runs over a whole block of steps and returns its loss at
 # every step. Every exp takes an argument of at most zero (or NaN), so
 # none can overflow and raise; a diverged logit gives an infinite or NaN

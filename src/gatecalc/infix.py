@@ -136,11 +136,3 @@ def eval_infix(postfix: list[str]) -> float:
             rhs = values.pop()
             values.append(apply_op(op, values.pop(), rhs))
     return values[0]
-
-
-__all__ = [
-    "ParseError",
-    "eval_infix",
-    "parse_infix",
-    "to_postfix",
-]

@@ -14,11 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .conversion import DEFAULT_CAPACITY, ConversionError, GateTable, convert, rule_gates
+from .conversion import (
+    DEFAULT_CAPACITY,
+    ConversionError,
+    GateDecision,
+    GateTable,
+    InvalidCapacity,
+    InvalidTable,
+    convert,
+    rule_gates,
+)
 from .evaluator import EvalError, EvalTrace, evaluate_with_trace
 from .infix import ParseError, parse_infix, to_postfix
 from .render import NonFinite, render
-from .tokenizer import TERMINATOR_CHAR, encode
+from .tokenizer import TERMINATOR_CHAR, VOCAB_SIZE, encode
 
 DEFAULT_INJECT_LEN = 16
 # Longest injection segment a PipelineConfig or make_segment accepts; the
@@ -64,6 +73,14 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         _check_inject_len(self.inject_len)
+        if type(self.capacity) is not int:
+            raise InvalidCapacity(f"capacity must be an int, got {self.capacity!r}")
+        table = self.policy
+        if not (isinstance(table, (tuple, list)) and len(table) == VOCAB_SIZE and all(
+            isinstance(row, (tuple, list)) and len(row) == 2
+            and all(isinstance(d, GateDecision) for d in row) for row in table
+        )):
+            raise InvalidTable(f"policy must be {VOCAB_SIZE} rows of two GateDecisions")
 
 
 _DEFAULT_CONFIG = PipelineConfig()

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -13,8 +14,16 @@ from hypothesis import strategies as st
 
 from gatecalc import cli
 from gatecalc.cli import main
-from gatecalc.datagen import gen_dot_place, read_records
-from gatecalc.gates import HEAD_SHAPES, GateParams, LossTrace, TrainConfig
+from gatecalc.datagen import GenConfig, gen_arith_qa, gen_dot_place, gen_numbers_ops, read_records
+from gatecalc.gates import (
+    HEAD_SHAPES,
+    GateParams,
+    LossTrace,
+    TrainConfig,
+    events_from_lines,
+    save_params,
+    train_gates,
+)
 from gatecalc.tokenizer import Op
 
 
@@ -288,6 +297,89 @@ def test_train_gates_says_when_steps_max_cut_the_run(capsys, tmp_path):
                         "digit -, op 10\n")
 
 
+# sha256 of stdout and the gate file of a one-file run, as they were when
+# train-gates read all its files into one stream.
+@pytest.mark.parametrize("kind, flags, digest", [
+    ("dot-place", [], "7d387446f1d2a045f09f3b013fc1adb4f9afe92521b7802adcce721a44828170"),
+    ("dot-place", ["--lr", "0"],
+     "1661f180c152a763f224330c0d3466c5881b147ad1e4bfaa08f9cb8b0fb65f93"),
+    ("dot-place", ["--steps-max", "10"],
+     "93ce72a743770baf140a1d18ad3e8e9ad4bb78f0941aa4f2e2ed439be0e232e3"),
+    ("numbers-ops", [], "18670e98347a2ed1f1e483c0adb00379c3e108cd7674518998a2406df2b30320"),
+    ("numbers-ops", ["--lr", "0"],
+     "cec3ed0c740ccc319b340388d2031b1e8532a5847eee3c3d41c34f5bf433c54c"),
+    ("numbers-ops", ["--steps-max", "10"],
+     "e44ce1a97225a3616d63f4ac4e8704ce918e2fcc0853e001ef982db587a160de"),
+    ("qa", [], "284eecf45d0bcf43b55f2ecad725f0ab04c894cd517143d6250d5c297f7fd8ba"),
+    ("qa", ["--lr", "0"], "1b8cfba3684278c88fbf1a3ab3c1f3d153cc7f61001cab9c5fb7110c62960aee"),
+    ("qa", ["--steps-max", "10"],
+     "fe6650bab63256e95cef74496a374ac8c5f62bace46abe46e5bb7291695af89b"),
+])
+def test_one_file_train_gates_output_is_pinned(capsys, tmp_path, monkeypatch, kind, flags, digest):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "gen", kind, "--out", "data")[0] == 0
+    code, out, err = run_cli(capsys, "train-gates", "--data", "data", "--out", "g.json", *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode() + (tmp_path / "g.json").read_bytes()).hexdigest() == digest
+
+
+def test_each_data_file_trains_as_a_stage_from_the_last_ones_params(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "gen", "dot-place", "--out", "dot.txt")
+    run_cli(capsys, "gen", "numbers-ops", "--out", "ops.txt")
+    code, out, _ = run_cli(capsys, "train-gates", "--data", "dot.txt", "ops.txt", "--out", "g.json")
+    assert code == 0
+    stops = [[
+        "trained 500 steps",
+        "agreement 21/21 cases at step 500",
+        "heads stopped at step: ignore 250, move 250, decimal 250, denseop 250, digit 500, op 250",
+    ], [
+        "trained 4000 steps, params written to g.json",
+        "agreement 35/35 cases at step 4000",
+        "heads stopped at step: ignore 4000, move 1000, decimal 250, denseop 2750, digit 250, "
+        "op 1000",
+    ]]
+    # The chained calls the demo and the benchmark make, one block per stage.
+    params, want = None, []
+    for lines, stop in zip((gen_dot_place(100, 0), gen_numbers_ops(500, 0)), stops):
+        params, trace = train_gates(events_from_lines(lines), init=params)
+        want += [f"epoch {i} mean_loss {mean:.6f}" for i, mean in enumerate(trace.epoch_mean)]
+        want += stop
+    assert out.splitlines() == want
+    save_params(params, tmp_path / "want.json")
+    assert (tmp_path / "g.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    code, out, _ = run_cli(capsys, "verify-gates", "--gates", "g.json")
+    assert (code, out.splitlines()[-2:]) == (0, ["agreement 36/36", "actions 36/36"])
+
+
+@pytest.mark.parametrize("position", ["first", "last"])
+@pytest.mark.parametrize("content, error", [
+    ("", "bad.txt: no training events"),
+    ("\n\n", "bad.txt: no training events"),
+    ('{"input": "1 + 1"}', "bad.txt: record 0 has no swift_express text"),
+    ("1..5 2 +\n", "second decimal dot inside one number"),
+    (b"1 2 +\xff\n", None),
+    (None, None),
+], ids=["empty", "blank-lines", "records-no-postfix", "malformed-number", "not-utf8", "missing"])
+def test_every_data_file_is_refused_before_any_stage_trains(
+    capsys, tmp_path, monkeypatch, position, content, error
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "good.txt").write_text("1 2 +\n1.5 3 *\n")
+    if content is not None:
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(content) if isinstance(content, bytes) else bad.write_text(content)
+    stages = []
+    monkeypatch.setattr(cli, "train_gates", lambda *args, **kwargs: stages.append(args))
+    data = ["good.txt", "bad.txt"] if position == "last" else ["bad.txt", "good.txt"]
+    code, out, err = run_cli(capsys, "train-gates", "--data", *data, "--out", "g.json")
+    assert (code, out, stages) == (1, "", [])
+    assert re.fullmatch(r"error: [^\n]*\n", err)
+    if error is not None:
+        assert err == f"error: {error}\n"
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_convert_with_learned_gates(capsys, tiny_gates_file):
     code, out, _ = run_cli(
         capsys, "convert", "1.5", "--gates", str(tiny_gates_file)
@@ -514,9 +606,9 @@ def test_bare_train_gates_uses_the_library_defaults(capsys, tmp_path, monkeypatc
     (tmp_path / "c.txt").write_text("1 2 +\n")
     configs = []
 
-    def record_config(events, config):
+    def record_config(events, config, init=None):
         configs.append(config)
-        return GateParams.zeros(), LossTrace()
+        return GateParams.zeros(), LossTrace(agreement=[0])
 
     monkeypatch.setattr(cli, "train_gates", record_config)
     code, _, _ = run_cli(capsys, *_TRAIN)
@@ -576,3 +668,101 @@ def test_main_returns_an_exit_code(argv):
     if code == 1:
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def verb_files(tmp_path_factory):
+    """Seeded inputs for the verbs that read files, written once."""
+    root = tmp_path_factory.mktemp("verb-files")
+    params = None
+    for lines in (gen_dot_place(100, 0), gen_numbers_ops(500, 0)):
+        params, _ = train_gates(events_from_lines(lines), init=params)
+    save_params(params, root / "gates.json")
+    records = [json.dumps(r.to_dict()) for r in gen_arith_qa(GenConfig(10, 0))]
+    for name, content in {
+        "dot.txt": "\n".join(gen_dot_place(20, 1)) + "\n",
+        "ops.txt": "\n".join(gen_numbers_ops(20, 1)) + "\n",
+        "empty.txt": "",
+        "malformed.txt": "1 2 +\n1..5 2 *\n",
+        "not-utf8.txt": b"1 2 +\xff\n",
+        "qa.jsonl": "\n".join(records) + "\n",
+        "no-postfix.jsonl": '{"input": "1 + 1"}\n',
+        "zeros.json": _gates_json(),
+        "gates-v2.json": _gates_json(format_version=2),
+        "gates-shape.json": _gates_json(digit_w=[[0.0] * 3] * 10),
+    }.items():
+        path = root / name
+        path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
+    return root
+
+
+# Every path is one of these names in the fixture's directory, so none can
+# name a device. Outputs are written there too, and later examples read them.
+_OUTPUTS = ["out.txt", "out.json", "out.jsonl"]
+_INPUTS = ["dot.txt", "ops.txt", "empty.txt", "malformed.txt", "not-utf8.txt", "qa.jsonl",
+           "no-postfix.jsonl", "gates.json", "zeros.json", "gates-v2.json", "gates-shape.json",
+           "missing.txt"] + _OUTPUTS
+_INPUT = st.sampled_from(_INPUTS)
+# Corpora that train, drawn more often than the rest.
+_CORPUS = st.sampled_from(["dot.txt", "ops.txt", "qa.jsonl"] * 4 + _INPUTS)
+_OUTPUT = st.sampled_from(_OUTPUTS)
+
+
+def _flags(names, values):
+    return st.lists(st.tuples(st.sampled_from(names), st.sampled_from(values)), max_size=3)
+
+
+_FILE_ARGV = st.one_of(
+    # --steps-max comes last, so it bounds each stage of every run.
+    st.builds(
+        lambda data, flags, out, steps: ["train-gates", "--data", *data, *sum(flags, ()),
+                                         "--out", out, "--steps-max", steps],
+        st.lists(_CORPUS, min_size=1, max_size=3),
+        _flags(["--epoch-size", "--repeats", "--lr", "--dot-weight", "--op-weight"],
+               ["0", "1", "7", "-1", "0.5", "nan", "inf", "1e308", "x"]),
+        _OUTPUT,
+        st.integers(-2, 40).map(str),
+    ),
+    st.builds(lambda gates: ["verify-gates", "--gates", gates], _INPUT),
+    st.builds(
+        lambda kind, flags, out: ["gen", kind, *sum(flags, ()), "--out", out],
+        st.sampled_from(["dot-place", "numbers-ops"]),
+        _flags(["--count", "--seed"], ["-5", "0", "3", "30", "x"]),
+        _OUTPUT,
+    ),
+    st.builds(
+        lambda flags, array, out: ["gen", "qa", *sum(flags, ()), *array, "--out", out],
+        _flags(["--count", "--seed", "--stage"], ["-5", "0", "3", "30", "easy", "priority"]),
+        st.sampled_from([[], ["--array"]]),
+        _OUTPUT,
+    ),
+    st.builds(
+        lambda arith, other, flags, out: ["gen", "mix", "--arith", arith, "--other", other,
+                                          *sum(flags, ()), "--out", out],
+        _INPUT, _INPUT,
+        _flags(["--fraction", "--seed"], ["0", "0.5", "0.9", "1.5", "nan", "3", "x"]),
+        _OUTPUT,
+    ),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@example(["train-gates", "--data", "empty.txt", "ops.txt", "--out", "out.json",
+          "--steps-max", "5"])
+@example(["train-gates", "--data", "dot.txt", "ops.txt", "qa.jsonl", "--out", "out.json",
+          "--steps-max", "40"])
+@example(["verify-gates", "--gates", "gates.json"])
+@given(_FILE_ARGV)
+def test_file_verbs_return_an_exit_code(verb_files, argv):
+    names = set(_INPUTS)
+    argv = [str(verb_files / token) if token in names else token for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1 and argv[0] == "verify-gates" and not err.getvalue():
+        # A table that disagrees with the rule policy is reported, not an error.
+        assert "MISMATCH" in out.getvalue()
+    elif code == 1:
+        assert out.getvalue() == ""
+        assert re.fullmatch(r"error: [^\n]*\n", err.getvalue()), err.getvalue()

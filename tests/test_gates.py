@@ -681,20 +681,16 @@ _STAGED = [("bench", seed) for seed in [*range(24), 51, 99]] + [("demo", s) for 
 @pytest.mark.parametrize("kind, seed", _STAGED, ids=[f"{k}-{s}" for k, s in _STAGED])
 def test_default_stages_reach_full_agreement_and_convert_held_out_lines_exactly(kind, seed):
     stages, held_out = _corpora(kind, seed)
-    runs = [[events_from_lines(lines) for lines in stages]]
-    if kind == "demo":
-        # train-gates reads every --data file into one stream.
-        runs.append([b"".join(runs[0])])
-    for streams in runs:
-        params = None
-        for events in streams:
-            params, trace = train_gates(events, init=params)
-            assert trace.agreement[-1] == len(set(events))
-            assert set(trace.stopped) == {name for name, _, _ in HEAD_SHAPES}
-        assert all(row.ok for row in agreement_table(params))
-        policy = make_learned_policy(params)
-        assert [line for line in held_out
-                if _outcome(line, policy) != _outcome(line, rule_gates)] == []
+    params = None
+    for lines in stages:
+        events = events_from_lines(lines)
+        params, trace = train_gates(events, init=params)
+        assert trace.agreement[-1] == len(set(events))
+        assert set(trace.stopped) == {name for name, _, _ in HEAD_SHAPES}
+    assert all(row.ok for row in agreement_table(params))
+    policy = make_learned_policy(params)
+    assert [line for line in held_out
+            if _outcome(line, policy) != _outcome(line, rule_gates)] == []
 
 
 @pytest.mark.parametrize("kind, seed", [("bench", 51), ("demo", 0)])

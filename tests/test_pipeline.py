@@ -3,10 +3,10 @@ import random
 import re
 
 from gatecalc import evaluator, pipeline
-from gatecalc.conversion import convert
+from gatecalc.conversion import ConversionError, InvalidCapacity, InvalidTable, convert
 from gatecalc.datagen import GenConfig, Stage, gen_questions
 from gatecalc.evaluator import stack_oracle
-from gatecalc.gates import rule_gates
+from gatecalc.gates import GateParams, make_learned_policy, rule_gates
 from gatecalc.infix import eval_infix, parse_infix
 from gatecalc.pipeline import (
     MAX_INJECT_LEN,
@@ -26,6 +26,7 @@ from gatecalc.tokenizer import encode
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import random_gate_table
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +241,58 @@ def test_huge_capacity_is_answered():
     result = run("3 + 5 = ?", config=PipelineConfig(capacity=10**30))
     assert result.injected is True
     assert result.answer == "8"
+
+
+# rule_gates with one row's decisions as plain tuples of their fields.
+_TUPLE_ROW = rule_gates[:5] + (tuple(tuple(d) for d in rule_gates[5]),) + rule_gates[6:]
+
+
+@pytest.mark.parametrize("policy", [[], "abc", None, rule_gates[:17], _TUPLE_ROW],
+                         ids=["empty-list", "string", "none", "17-rows", "tuple-row"])
+def test_policy_must_be_a_gate_table(policy):
+    # Each got past the config and then raised IndexError or TypeError in run().
+    with pytest.raises(InvalidTable, match="^policy must be 18 rows of two GateDecisions$"):
+        PipelineConfig(policy=policy)
+
+
+@pytest.mark.parametrize("capacity", ["a", None, True, 64.0])
+def test_capacity_must_be_an_int(capacity):
+    with pytest.raises(InvalidCapacity, match=rf"^capacity must be an int, got {capacity!r}$"):
+        PipelineConfig(capacity=capacity)
+
+
+def test_config_errors_are_conversion_errors():
+    # The CLI reports ConversionError as one error line.
+    assert issubclass(InvalidTable, ConversionError)
+    assert issubclass(InvalidCapacity, ConversionError)
+
+
+@pytest.mark.parametrize("policy, answer", [
+    (rule_gates, "8"),
+    # Zero params read every token as a digit 0 that folds nothing.
+    (make_learned_policy(GateParams.zeros()), "0"),
+], ids=["rule", "learned"])
+def test_gate_tables_are_accepted(policy, answer):
+    assert run("3 + 5 = ?", config=PipelineConfig(policy=policy, capacity=8)).answer == answer
+
+
+def test_run_answers_or_diagnoses_under_random_tables():
+    # 400 seeded tables, 8 questions each; a table may fold anything into
+    # anything, so every call ends in an answer or a diagnostic, never a raise.
+    rng = random.Random(15)
+    questions = (gen_questions(GenConfig(1600, 15, Stage.EASY))
+                 + gen_questions(GenConfig(1600, 16, Stage.PRIORITY)))
+    rng.shuffle(questions)
+    diagnosed = 0
+    for k in range(400):
+        config = PipelineConfig(policy=random_gate_table(rng))
+        for question in questions[8 * k : 8 * k + 8]:
+            result = run(question, config=config)
+            assert result.injected == (result.diagnostic is None)
+            if not result.injected:
+                assert result.answer == question
+            diagnosed += result.diagnostic is not None
+    assert 0 < diagnosed < 3200
 
 
 def test_custom_responder_sees_augmented_prompt():

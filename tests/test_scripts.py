@@ -2,12 +2,14 @@
 
 import importlib.util
 import json
+import re
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
 
+from gatecalc.cli import main
 from gatecalc.gates import GateParams
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -38,11 +40,23 @@ def test_make_datasets_writes_every_corpus(monkeypatch, capsys, tmp_path, with_o
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_train_gates_demo_runs(monkeypatch, capsys):
+def test_train_gates_demo_runs(monkeypatch, capsys, tmp_path):
     assert run_script(monkeypatch, "train_gates_demo.py", "--seed", "0") == 0
     out = capsys.readouterr().out
     assert "agreement after stage 2: 36/36" in out
     assert "0 mismatching conversions" in out
+    assert " -> " not in out
+    # Its first two stages are train-gates' stages over the same corpora,
+    # and both print the stop lines of gates.stop_report.
+    monkeypatch.chdir(tmp_path)
+    main(["gen", "dot-place", "--out", "dot.txt"])
+    main(["gen", "numbers-ops", "--out", "ops.txt"])
+    capsys.readouterr()
+    assert main(["train-gates", "--data", "dot.txt", "ops.txt", "--out", "g.json"]) == 0
+    stop = re.compile(r"(agreement \d+/\d+ cases at step|heads stopped at step:) .*")
+    cli_stops = [line for line in capsys.readouterr().out.splitlines() if stop.fullmatch(line)]
+    assert [line.strip() for line in out.splitlines() if stop.fullmatch(line.strip())] == cli_stops
+    assert len(cli_stops) == 4
 
 
 def test_train_gates_demo_imports():
