@@ -5,8 +5,9 @@ four binary operators with the usual precedence and left associativity,
 parentheses, and an optional trailing "= ?" that questions carry.
 Unary minus does not exist; a leading dot does not start a number.
 
-parse_infix reads a question's tokens from one regex scan, left to
-right, and emits its postfix sequence: each literal's text as written
+parse_infix reads a question's tokens left to right, from str.split when
+its text is spaced and from one regex scan when it is glued or wrong,
+and emits its postfix sequence: each literal's text as written
 and operator characters, in the order the machine reads them. to_postfix
 joins that sequence into the text the expression head hands the
 machine, which reads every literal as the float its text names, and
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+from operator import length_hint
 
 from .evaluator import apply_op
 from .tokenizer import CHAR_TO_OP
@@ -37,7 +39,6 @@ class ParseError(ValueError):
 _TOKEN = re.compile(r"[0-9]+(?:\.[0-9]*)?|[^ ]")
 # A character that no question of the grammar contains.
 _OUTSIDE = re.compile(r"[^0-9.+\-*/() ]")
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 # Deepest parenthesis nesting the parser accepts. Open parentheses wait on
 # a list, not in Python frames, so this guards no recursion limit: it is a
@@ -63,55 +64,90 @@ def parse_infix(text: str) -> list[str]:
     expecting an operand (a literal or "(") and expecting what may follow
     one (")", an operator, or the end). Operators wait on a stack until
     one of lower or equal precedence, a ")" or the end releases them.
+
+    Text with spaces and only grammar characters is read first from
+    str.split, far cheaper than the regex scan. The reader takes a piece
+    only whole, as one literal, operator or parenthesis, so a glued piece
+    such as "3+5" or "5.5.5" stops it as an error does. The regex tokens
+    are then read instead, as they are for every other text, and only
+    that pass raises.
     """
     source = _strip_answer_suffix(text)
     # A character outside the grammar ends the question in an error when
     # the reader reaches it, so the scan stops there: prose costs a token
     # or two, not one per character.
     outside = _OUTSIDE.search(source)
-    tokens = _TOKEN.findall(source, 0, outside.end() if outside else len(source))
-    out: list[str] = []
-    pending: list[str] = []  # operators and open parentheses not yet emitted
-    depth = 0
-    operand = True
-    for k, token in enumerate(tokens):
-        if operand:
-            if "0" <= token[0] <= "9":
-                # No literal of at most 308 characters reaches 1.8e308.
-                if len(token) > 308 and float(token) == math.inf:
-                    error = "number too large"
-                    break
-                out.append(token)
-                operand = False
-            elif token != "(":
-                error = "expected a number or '('"
-                break
-            elif depth == MAX_NESTING:
-                error = f"parentheses nested deeper than {MAX_NESTING}"
-                break
-            else:
-                depth += 1
-                pending.append(token)
-        elif token == ")" and depth:
-            while (top := pending.pop()) != "(":
-                out.append(top)
-            depth -= 1
-        elif token in _PRECEDENCE:
-            # An open parenthesis ranks 0, below every operator: none pops it.
-            while pending and _PRECEDENCE.get(pending[-1], 0) >= _PRECEDENCE[token]:
-                out.append(pending.pop())
-            pending.append(token)
-            operand = True
-        else:
-            error = "expected ')'" if depth else f"unexpected {token[0]!r}"
-            break
+    split = outside is None and " " in source
+    if split:
+        tokens = source.split()
     else:
-        if operand:
-            raise ParseError("expected a number or '('", len(source))
-        if depth:
-            raise ParseError("expected ')'", len(source))
-        out.extend(reversed(pending))
-        return out
+        tokens = _TOKEN.findall(source, 0, outside.end() if outside else len(source))
+    while True:
+        out: list[str] = []
+        # Operators and open parentheses not yet emitted, over an open
+        # parenthesis that no ")" reaches, so every pop stops at one.
+        pending = ["("]
+        depth = 0
+        operand = True
+        rest = iter(tokens)
+        for token in rest:
+            if operand:
+                # "0" <= token < ":" holds when token starts with an ASCII
+                # digit. A regex token that does is a whole literal; a
+                # split piece is one only if the rest is digits and at
+                # most one dot.
+                if "0" <= token < ":" and (
+                    not split or token.isdigit() or token.replace(".", "", 1).isdigit()
+                ):
+                    # No literal of at most 308 characters reaches 1.8e308.
+                    if len(token) > 308 and float(token) == math.inf:
+                        error = "number too large"
+                        break
+                    out.append(token)
+                    operand = False
+                elif token != "(":
+                    error = "expected a number or '('"
+                    break
+                elif depth == MAX_NESTING:
+                    error = f"parentheses nested deeper than {MAX_NESTING}"
+                    break
+                else:
+                    depth += 1
+                    pending.append(token)
+            elif token == ")" and depth:
+                while (top := pending.pop()) != "(":
+                    out.append(top)
+                depth -= 1
+            elif token == "+" or token == "-":
+                # At most one operator of each precedence waits above the
+                # nearest open parenthesis, and this one releases both.
+                while pending[-1] != "(":
+                    out.append(pending.pop())
+                pending.append(token)
+                operand = True
+            elif token == "*" or token == "/":
+                if (top := pending[-1]) == "*" or top == "/":
+                    out.append(pending.pop())
+                pending.append(token)
+                operand = True
+            else:
+                error = "expected ')'" if depth else f"unexpected {token[0]!r}"
+                break
+        else:
+            if not (operand or depth):
+                out.extend(pending[:0:-1])
+                return out
+            if not split:
+                raise ParseError(
+                    "expected a number or '('" if operand else "expected ')'", len(source)
+                )
+        if not split:
+            break
+        # A glued piece or an error: the regex tokens decide.
+        split = False
+        tokens = _TOKEN.findall(source)
+    # What is left in the iterator tells which token the reader stopped at.
+    k = len(tokens) - 1 - length_hint(rest)
     # Only spaces come between tokens, so each token's text is the first
     # match of it past the end of the one before.
     position = 0

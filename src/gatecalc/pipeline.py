@@ -75,6 +75,8 @@ class PipelineConfig:
         _check_inject_len(self.inject_len)
         if type(self.capacity) is not int:
             raise InvalidCapacity(f"capacity must be an int, got {self.capacity!r}")
+        if self.capacity < 1:
+            raise InvalidCapacity(f"capacity must be at least 1, got {self.capacity}")
         table = self.policy
         if not (isinstance(table, (tuple, list)) and len(table) == VOCAB_SIZE and all(
             isinstance(row, (tuple, list)) and len(row) == 2

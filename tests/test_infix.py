@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from gatecalc import infix
 from gatecalc.conversion import convert
 from gatecalc.datagen import GenConfig, Stage, gen_questions
 from gatecalc.evaluator import DivisionByZero, evaluate
@@ -311,3 +312,59 @@ def test_token_scanner_matches_reference_parser():
         "unexpected '\uff11'",
         "unexpected '\\x00'",
     } <= kinds
+
+
+class _NoScan:
+    """Stands in for the token regex where a test holds text to str.split."""
+
+    def findall(self, *args):
+        raise AssertionError("the regex scan ran")
+
+
+def _spaced_questions() -> list[str]:
+    """Every question gen_questions writes for two stages, with a space
+    between every pair of tokens, and two long spaced chains."""
+    questions = []
+    for stage in (Stage.EASY, Stage.PRIORITY):
+        questions += gen_questions(GenConfig(count=2000, seed=0, stage=stage))
+    rng = random.Random(512)
+    terms = []
+    for _ in range(128):
+        a, b, c, d = (render(random_value(rng, limit=100) + 1) for _ in range(4))
+        terms.append(rng.choice([f"( {a} + {b} ) * {c} - {d}", f"{a} / ( {b} - ( {c} * {d} ) )"]))
+    questions.append(" + ".join(terms) + " = ?")
+    questions.append(" + ".join(["1"] * 1000))
+    return questions
+
+
+def test_spaced_questions_never_scan(monkeypatch):
+    questions = _spaced_questions()
+    want = [parse_infix(text) for text in questions]
+    monkeypatch.setattr(infix, "_TOKEN", _NoScan())
+    assert [parse_infix(text) for text in questions] == want
+    with pytest.raises(AssertionError, match="the regex scan ran"):
+        parse_infix("3 +5")
+
+
+def test_glued_questions_parse_as_spaced():
+    rng = random.Random(23)
+    for text in _spaced_questions():
+        want = parse_infix(text)
+        assert parse_infix(text.replace(" ", "")) == want, text
+        some = "".join(ch for ch in text if ch != " " or rng.random() < 0.5)
+        assert parse_infix(some) == want, some
+    assert parse_infix("3 +5*2") == parse_infix("3 + 5 * 2") == ["3", "5", "2", "*", "+"]
+
+
+@pytest.mark.parametrize("text", [
+    "1 + " + "9" * 308,
+    "1 + " + "9" * 309,
+    "9" * 309 + " + 1 = ?",
+    " ".join(["("] * MAX_NESTING + ["1"] + [")"] * MAX_NESTING),
+    " ".join(["("] * (MAX_NESTING + 1) + ["1"] + [")"] * (MAX_NESTING + 1)),
+    "5 .", "5 . 5", ". 5", "5.5.5", "1 + 5.5.5 = ?", "5. + 5.5",
+    "3 +", "( 3", "3 )", "3 + ( )", "( 3 ) )", "3 + 5 = ?", "  ",
+])
+def test_spaced_text_at_the_split_boundary_matches_reference(text):
+    got = _outcome(parse_infix, to_postfix, lambda _: None, text)
+    assert got == _outcome(reference_parse_infix, reference_to_postfix, lambda _: None, text)

@@ -261,6 +261,21 @@ def test_capacity_must_be_an_int(capacity):
         PipelineConfig(capacity=capacity)
 
 
+@pytest.mark.parametrize("capacity", [0, -5])
+def test_capacity_below_one_is_refused_when_built(capacity):
+    # It used to build, and then every arithmetic question ended in this
+    # same error as a diagnostic from convert.
+    with pytest.raises(InvalidCapacity, match=rf"^capacity must be at least 1, got {capacity}$"):
+        PipelineConfig(capacity=capacity)
+
+
+def test_capacity_one_answers_a_bare_number():
+    config = PipelineConfig(capacity=1)
+    assert run("7 = ?", config=config).answer == "7"
+    result = run("3 + 5 = ?", config=config)
+    assert not result.injected and result.diagnostic.startswith("CapacityExceeded")
+
+
 def test_config_errors_are_conversion_errors():
     # The CLI reports ConversionError as one error line.
     assert issubclass(InvalidTable, ConversionError)
