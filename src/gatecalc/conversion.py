@@ -23,26 +23,41 @@ every input identically.
 Decisions depend on nothing but the token id and the decimal flag, so a
 gate policy is a GateTable read as table[token_id][decimal_flag], and
 the flag each token was read under is a complete trace of a run.
-convert runs the machine and records no trace. convert_with_trace
-returns the flags beside the program: once convert has succeeded, a
-second, short pass over the same compiled actions replays the flag
-alone, which only a dot raises and only a close lowers. The
-hand-written table, rule_gates, lives here beside the machine that
-reads it; gates.make_learned_policy builds the trained one, and serving
-never imports the trainer.
+
+Under rule_gates itself, convert first reads the space-split text a
+piece at a time. The rule table closes a number at each space and at
+each operator, which claims a slot of its own, and folds a literal's
+digits into the exact float() of its text. So a piece that is one
+operator, or one literal (a digit, then digits and at most one dot)
+of finite value, is exactly the slot the machine would append. Any
+other piece (glued, leading dot, junk), more pieces than the capacity
+or a literal past float range hands the whole stream to the machine,
+which alone raises. Every other table, a learned one at full agreement
+included, runs the machine.
+
+convert records no trace. convert_with_trace returns the flags beside
+the program: once convert has succeeded, a second, short pass over the
+same compiled actions replays the flag alone, which only a dot raises
+and only a close lowers. The hand-written table, rule_gates, lives here
+beside the machine that reads it; gates.make_learned_policy builds the
+trained one, and serving never imports the trainer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from math import inf
 from typing import Callable
 
 from .tokenizer import (
+    CHAR_TO_OP,
     DOT_ID,
+    ID_TO_CHAR,
     OP_ID_TO_OP,
     OP_TO_CHAR,
     OTHER_ID,
+    OTHER_PLACEHOLDER,
     SPACE_ID,
     TERMINATOR_ID,
     VOCAB_SIZE,
@@ -70,6 +85,10 @@ class CapacityExceeded(ConversionError):
 
 class NumberTooLarge(ConversionError):
     """A number closed past the largest finite float."""
+
+
+class UnknownId(ConversionError):
+    """A token id past the alphabet, which no gate table has a row for."""
 
 
 class DenseOpMode(IntEnum):
@@ -229,9 +248,60 @@ def convert(ids: bytes, table: GateTable, capacity: int = DEFAULT_CAPACITY) -> D
     The open number is number / 10**scale, held exactly, and closes as
     that quotient correctly rounded, so a literal comes out as float() of
     its text; one past float range raises NumberTooLarge.
+
+    Under rule_gates itself the stream is read a piece at a time first,
+    and the machine runs only where a piece is not whole.
     """
     if capacity < 1:
         raise InvalidCapacity(f"capacity must be at least 1, got {capacity}")
+    # The terminator stops conversion whatever its decision says, and
+    # nothing after it is read.
+    stop = ids.find(TERMINATOR_ID)
+    if stop >= 0:
+        ids = ids[:stop]
+    if table is rule_gates:
+        program = _convert_pieces(ids, capacity)
+        if program is not None:
+            return program
+    return _machine(ids, table, capacity)
+
+
+# bytes.translate table from an id back to its character; OTHER and every
+# id past the alphabet become "?", which no whole piece holds.
+_CHARS = bytes(ord(ID_TO_CHAR.get(i, OTHER_PLACEHOLDER)) for i in range(256))
+_PIECE_OPS = {char.encode(): op for char, op in CHAR_TO_OP.items()}
+
+
+def _convert_pieces(ids: bytes, capacity: int) -> DenseProgram | None:
+    """The program the machine makes of ids under rule_gates, one slot
+    per space-split piece, or None for the machine to run: where a piece
+    is neither one operator nor a literal (a digit, then digits and at
+    most one dot), where the pieces outnumber capacity, and where a
+    literal is past float range.
+    """
+    pieces = ids.translate(_CHARS).split()
+    if len(pieces) > capacity:
+        return None
+    dense: list[float] = []
+    ops: list[Op] = []
+    for piece in pieces:
+        op = _PIECE_OPS.get(piece)
+        if op is not None:
+            dense.append(0.0)
+            ops.append(op)
+        elif b"0" <= piece < b":" and (
+            piece.isdigit() or piece.replace(b".", b"", 1).isdigit()
+        ) and (x := float(piece)) != inf:
+            dense.append(x)
+            ops.append(_NONE)
+        else:
+            return None
+    return DenseProgram([1] * len(dense), dense, ops)
+
+
+def _machine(ids: bytes, table: GateTable, capacity: int) -> DenseProgram:
+    """convert's per-character machine, under any table, over the ids
+    before the terminator."""
     valid: list[int] = []
     dense: list[float] = []
     ops: list[Op] = []
@@ -239,70 +309,77 @@ def convert(ids: bytes, table: GateTable, capacity: int = DEFAULT_CAPACITY) -> D
     scale = 0  # decimal digits of the mantissa after the point
     flag = 0  # 1 once the open number has read its decimal dot
     place = 0  # decimal place of the next BASE_MUL_ADD digit
-    # The terminator stops the machine whatever its decision says, and
-    # nothing after it is read.
-    stop = ids.find(TERMINATOR_ID)
-    for token_id in ids[:stop] if stop >= 0 else ids:
-        action, arg = table[token_id][flag].action
-        if action <= DIGIT_BASE_MUL:
-            if number is not None:
-                # A later digit folds in by its action, in integer
-                # arithmetic on the mantissa.
-                if action == DIGIT_TIMES_TEN:
-                    if scale:
-                        scale -= 1
+    # The table read is the loop's only source of IndexError. The try
+    # spans the whole loop because one around the read alone costs a
+    # jump per token.
+    try:
+        for token_id in ids:
+            action, arg = table[token_id][flag].action
+            if action <= DIGIT_BASE_MUL:
+                if number is not None:
+                    # A later digit folds in by its action, in integer
+                    # arithmetic on the mantissa.
+                    if action == DIGIT_TIMES_TEN:
+                        if scale:
+                            scale -= 1
+                            number += arg * 10**scale
+                        elif number < _MANTISSA_CAP:
+                            number = number * 10 + arg
+                    elif action == DIGIT_BASE_MUL:
+                        if place <= scale:
+                            number += arg * 10 ** (scale - place)
+                        elif number < _MANTISSA_CAP or not flag:
+                            number = number * 10 ** (place - scale) + arg
+                            scale = place
+                        elif arg and not number & 1:
+                            number += 1
+                        place += 1
+                    elif action == DIGIT_DIRECT_ADD:
                         number += arg * 10**scale
-                    elif number < _MANTISSA_CAP:
-                        number = number * 10 + arg
-                elif action == DIGIT_BASE_MUL:
-                    if place <= scale:
-                        number += arg * 10 ** (scale - place)
-                    elif number < _MANTISSA_CAP or not flag:
-                        number = number * 10 ** (place - scale) + arg
-                        scale = place
-                    elif arg and not number & 1:
-                        number += 1
-                    place += 1
-                elif action == DIGIT_DIRECT_ADD:
-                    number += arg * 10**scale
+                    continue
+            elif action <= CLOSE_OP:
+                # Spacing and operators close the open number, so runs of
+                # spaces collapse; an operator then claims a slot of its own.
+                if number is not None:
+                    try:
+                        dense.append(number / 10**scale if scale else float(number))
+                    except OverflowError:
+                        raise _past_float_range(len(dense)) from None
+                    valid.append(1)
+                    ops.append(_NONE)
+                    number = None
+                    scale = flag = place = 0
+                if action == CLOSE:
+                    continue
+            elif action == SKIP:
                 continue
-        elif action <= CLOSE_OP:
-            # Spacing and operators close the open number, so runs of
-            # spaces collapse; an operator then claims a slot of its own.
-            if number is not None:
-                try:
-                    dense.append(number / 10**scale if scale else float(number))
-                except OverflowError:
-                    raise _past_float_range(len(dense)) from None
+            else:
+                # A dot starts the open number's fraction.
+                if flag:
+                    raise MalformedNumber("second decimal dot inside one number")
+                if number is None:
+                    raise MalformedNumber("decimal dot with no number in progress")
+                flag = 1
+                place = 1
+                continue
+            # An operator, or the first digit of a number, claims the next slot.
+            if len(valid) >= capacity:
+                raise CapacityExceeded(
+                    f"stream needs slot {len(valid)} but capacity is {capacity}"
+                )
+            if action == CLOSE_OP:
                 valid.append(1)
-                ops.append(_NONE)
-                number = None
-                scale = flag = place = 0
-            if action == CLOSE:
-                continue
-        elif action == SKIP:
-            continue
-        else:
-            # A dot starts the open number's fraction.
-            if flag:
-                raise MalformedNumber("second decimal dot inside one number")
-            if number is None:
-                raise MalformedNumber("decimal dot with no number in progress")
-            flag = 1
-            place = 1
-            continue
-        # An operator, or the first digit of a number, claims the next slot.
-        if len(valid) >= capacity:
-            raise CapacityExceeded(
-                f"stream needs slot {len(valid)} but capacity is {capacity}"
-            )
-        if action == CLOSE_OP:
-            valid.append(1)
-            dense.append(0.0)
-            ops.append(arg)
-        else:
-            # The first digit always seeds the number, whatever its action.
-            number = arg
+                dense.append(0.0)
+                ops.append(arg)
+            else:
+                # The first digit always seeds the number, whatever its action.
+                number = arg
+    except IndexError:
+        if token_id < VOCAB_SIZE:
+            raise
+        raise UnknownId(
+            f"id {token_id} at position {ids.index(token_id)} is past the {VOCAB_SIZE}-id alphabet"
+        ) from None
     if number is not None:
         try:
             dense.append(number / 10**scale if scale else float(number))

@@ -109,6 +109,10 @@ def _fold(program: DenseProgram) -> tuple[list[ReductionStep], float]:
     One pass over the slots; the program is only read, never copied.
     """
     valid, dense, ops = program.valid, program.dense, program.ops
+    if not len(valid) == len(dense) == len(ops):
+        raise MalformedPostfix(
+            f"ragged program: {len(valid)} valid, {len(dense)} dense and {len(ops)} op slots"
+        )
     folds: list[ReductionStep] = []
     # (slot, value) of every live number left of the scan position; a
     # fold's result stays live in the later operand's slot.
@@ -138,21 +142,24 @@ def _fold(program: DenseProgram) -> tuple[list[ReductionStep], float]:
 
 def evaluate(program: DenseProgram) -> float:
     """The number the traced fold ends on, from a stack of values alone."""
-    stack: list[float] = []
-    push, pop = stack.append, stack.pop
-    try:
-        for x, op in compress(zip(program.dense, program.ops), program.valid):
-            if op == _NONE:
-                push(x)
-            else:
-                b = pop()
-                stack[-1] = _APPLY[op](stack[-1], b)
-        if len(stack) == 1:
-            return stack[0]
-    except (IndexError, KeyError, ZeroDivisionError):
-        pass
-    # An underflow, an unknown op, a zero divisor or a count left other
-    # than one: the traced fold raises the typed error and its message.
+    valid, dense, ops = program.valid, program.dense, program.ops
+    if len(valid) == len(dense) == len(ops):
+        stack: list[float] = []
+        push, pop = stack.append, stack.pop
+        try:
+            for x, op in compress(zip(dense, ops), valid):
+                if op == _NONE:
+                    push(x)
+                else:
+                    b = pop()
+                    stack[-1] = _APPLY[op](stack[-1], b)
+            if len(stack) == 1:
+                return stack[0]
+        except (IndexError, KeyError, ZeroDivisionError):
+            pass
+    # Ragged slot lists, an underflow, an unknown op, a zero divisor or a
+    # count left other than one: the traced fold raises the typed error
+    # and its message.
     return _fold(program)[1]
 
 

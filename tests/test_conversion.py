@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gatecalc import conversion
 from gatecalc.conversion import (
     ACTION_NAMES,
     CLOSE,
@@ -24,11 +25,13 @@ from gatecalc.conversion import (
     InvalidCapacity,
     MalformedNumber,
     NumberTooLarge,
+    UnknownId,
     convert,
     convert_with_trace,
 )
-from gatecalc.datagen import gen_dot_place, gen_numbers_ops
+from gatecalc.datagen import GenConfig, Stage, gen_dot_place, gen_numbers_ops, gen_questions
 from gatecalc.gates import GateDecision, GateParams, label_events, make_learned_policy, rule_gates
+from gatecalc.pipeline import reference_predictor
 from gatecalc.tokenizer import (
     DOT_ID,
     OP_ID_TO_OP,
@@ -280,13 +283,16 @@ def test_long_literals_close_as_float_of_their_text():
         assert program.dense == [float(text)], text
 
 
-@pytest.mark.parametrize("text", [
+_PAST_FLOAT_RANGE = [
     "9" * 400,
     str(2**1024 - 2**970),  # halfway between the largest double and 2**1024
     str(2**1024 - 2**970) + ".0",
     "1" + "0" * 1000 + "." + "1" * 1000,
     "3 " + "9" * 400 + " +",
-])
+]
+
+
+@pytest.mark.parametrize("text", _PAST_FLOAT_RANGE)
 def test_number_past_float_range_is_a_typed_error(text):
     with pytest.raises(NumberTooLarge, match=r"^number at slot \d+ is past float range$"):
         convert_text(text)
@@ -536,3 +542,121 @@ def test_tables_with_equal_actions_convert_alike():
 def test_label_events_match_the_step_replay(lines):
     for line in lines:
         assert label_events(line) == reference_label_events(line)
+
+
+@pytest.mark.parametrize("token_id", [18, 255])
+@pytest.mark.parametrize("kind", ["rule", "random"])
+def test_ids_past_the_alphabet_are_a_typed_error(kind, token_id):
+    table = rule_gates if kind == "rule" else random_gate_table(random.Random(token_id))
+    message = f"^id {token_id} at position 0 is past the 18-id alphabet$"
+    for fn in (convert, convert_with_trace):
+        with pytest.raises(UnknownId, match=message):
+            fn(bytes([token_id]) + encode("3 5 +"), table)
+    if kind == "rule":
+        with pytest.raises(UnknownId, match=f"^id {token_id} at position 3 is"):
+            convert(encode("3 5") + bytes([token_id]) + encode(" +"), rule_gates)
+        # Nothing after the terminator is read.
+        assert convert(encode("3 5 +$") + bytes([token_id]), rule_gates).dense == [3.0, 5.0, 0.0]
+
+
+def test_a_short_table_still_raises_index_error():
+    with pytest.raises(IndexError):
+        convert(encode("3 5 +"), rule_gates[:3])
+
+
+# Under rule_gates itself convert reads whole pieces; an equal table that
+# is not rule_gates takes the per-character machine. tuple(rule_gates) and
+# rule_gates[:] are rule_gates itself, so a list stands in for it.
+_MACHINE_RULE_GATES = list(rule_gates)
+
+
+def _pieces_and_machine(ids, capacity):
+    """The outcome of both paths: every dense value as float.hex, the ops
+    and valid flags, or the error type and message."""
+    outcomes = []
+    for table in (rule_gates, _MACHINE_RULE_GATES):
+        try:
+            program = convert(ids, table, capacity)
+        except ConversionError as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append(([x.hex() for x in program.dense], program.ops, program.valid))
+    return outcomes
+
+
+def _spaced_chain(rng: random.Random, n: int) -> str:
+    question = str(rng.randint(0, 999))
+    for _ in range(n - 1):
+        operand = rng.choice([str(rng.randint(0, 999)), f"{rng.randint(0, 99)}.{rng.randint(0, 999)}"])
+        question += f" {rng.choice('+-*/')} {operand}"
+    return question + " = ?"
+
+
+def _question_postfixes() -> list[str]:
+    """The postfix reference_predictor gives for every arithmetic question
+    gen_questions writes for two stages, and for spaced 512-operand chains."""
+    questions = []
+    for stage in (Stage.EASY, Stage.PRIORITY):
+        questions += gen_questions(GenConfig(count=2000, seed=24, stage=stage))
+    rng = random.Random(512)
+    questions += [_spaced_chain(rng, 512) for _ in range(4)]
+    predicted = [reference_predictor(question) for question in questions]
+    return [p.expression for p in predicted if p.enable]
+
+
+def test_piece_path_matches_the_machine_on_random_id_streams():
+    rng = random.Random(24)
+    # Half the draws are digits and spaces, so many streams are whole.
+    pool = list(range(VOCAB_SIZE)) + [*range(10), SPACE_ID] * 2
+    reached = Counter()
+    for _ in range(4000):
+        ids = bytes(rng.choice(pool) for _ in range(rng.randint(0, 12)))
+        for capacity in range(1, len(ids) + 2):
+            pieces, machine = _pieces_and_machine(ids, capacity)
+            assert pieces == machine, (ids, capacity)
+            if conversion._convert_pieces(ids, capacity) is not None:
+                reached["piece path"] += 1
+            else:
+                reached["error" if isinstance(pieces[0], type) else "machine program"] += 1
+    assert min(reached.values()) > 4000, reached
+
+
+@pytest.mark.parametrize("text", [
+    "3+", "+5", ".5", "5.5.5", "?", "x", "3 +5", "3+ 5", "5 .", "5. 3", "3?", "3 5 + x",
+    "1 2 3", "12.", "0.0", "007", "", "   ", "3$+", "$", "3 5$ +", "9" * 308, "9" * 309,
+])
+def test_piece_path_matches_the_machine_on_glued_and_odd_pieces(text):
+    for capacity in (1, 2, 3, 4, 64):
+        pieces, machine = _pieces_and_machine(encode(text), capacity)
+        assert pieces == machine, capacity
+
+
+def test_piece_path_matches_the_machine_on_long_literals():
+    texts = _halfway_literals(random.Random(811)) + _PAST_FLOAT_RANGE
+    for text in texts:
+        pieces, machine = _pieces_and_machine(encode(text), 64)
+        assert pieces == machine, text
+
+
+def test_piece_path_matches_the_machine_on_question_postfixes():
+    for expression in _question_postfixes():
+        ids = encode(expression)
+        pieces, machine = _pieces_and_machine(ids, len(ids) + 1)
+        assert pieces == machine, expression
+
+
+def test_rule_table_converts_questions_without_the_machine(monkeypatch):
+    # A count, not a timing: with the machine stubbed out, every question
+    # still converts under rule_gates, and a glued piece still reaches it.
+    expressions = _question_postfixes()
+    want = [convert(encode(e), rule_gates, len(e) + 1) for e in expressions]
+
+    def no_machine(*args):
+        raise AssertionError("the machine ran")
+
+    monkeypatch.setattr(conversion, "_machine", no_machine)
+    assert [convert(encode(e), rule_gates, len(e) + 1) for e in expressions] == want
+    for ids, table in ((encode("3+5"), rule_gates), (encode("3 ?"), rule_gates),
+                       (bytes([3, 200]), rule_gates), (encode("3 5 +"), _MACHINE_RULE_GATES)):
+        with pytest.raises(AssertionError, match="the machine ran"):
+            convert(ids, table)

@@ -115,6 +115,24 @@ def test_unknown_op_is_malformed_on_every_route():
     _assert_trace_matches_reference(p)
 
 
+@pytest.mark.parametrize("valid, dense, ops", [
+    ([1, 1], [2.0], [0, 0]),
+    ([1], [2.0], [Op.NONE, Op.NONE]),
+    ([1, 1, 1], [3.0, 5.0, 0.0], [Op.NONE, Op.NONE]),
+    ([], [], [Op.NONE]),
+])
+def test_ragged_programs_are_malformed_on_every_route(valid, dense, ops):
+    # zip would stop at the shortest list and answer from what is left.
+    p = DenseProgram(valid, dense, ops)
+    message = f"^ragged program: {len(valid)} valid, {len(dense)} dense and {len(ops)} op slots$"
+    with pytest.raises(MalformedPostfix, match=message):
+        evaluate(p)
+    with pytest.raises(MalformedPostfix, match=message):
+        evaluate_with_trace(p).steps
+    with pytest.raises(MalformedPostfix, match=message):
+        evaluator._fold(p)
+
+
 def test_trace_records_every_fold():
     trace = evaluate_with_trace(convert(encode("2 3 4 * +"), rule_gates))
     assert trace.final == 14.0

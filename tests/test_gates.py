@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatecalc import gates
+from gatecalc import conversion, gates
 from gatecalc.conversion import (
     DECISION_FIELDS,
     ConversionError,
@@ -762,6 +762,22 @@ def test_trained_policy_swaps_into_conversion(trained_params):
         assert a.valid == b.valid
         assert a.ops == b.ops
         assert a.dense == b.dense
+
+
+def test_trained_policy_takes_the_machine(trained_params, monkeypatch):
+    # Only rule_gates itself is read a piece at a time, so a policy at
+    # 36/36 is checked against an independent path, not against itself.
+    policy = make_learned_policy(trained_params)
+    assert policy is not rule_gates
+    want = convert(encode("3 5 +"), rule_gates)
+
+    def no_machine(*args):
+        raise AssertionError("the machine ran")
+
+    monkeypatch.setattr(conversion, "_machine", no_machine)
+    assert convert(encode("3 5 +"), rule_gates) == want
+    with pytest.raises(AssertionError, match="the machine ran"):
+        convert(encode("3 5 +"), policy)
 
 
 def test_dot_place_alone_fixes_decimal_machinery():
