@@ -98,17 +98,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_convert(args: argparse.Namespace) -> int:
     table = _policy_from_args(args)
-    ids = encode(args.expression)
-    program, flags = convert_with_trace(ids, table)
+    program, cases = convert_with_trace(encode(args.expression), table)
     if not args.trace:
         print(json.dumps(program.to_json_dict()))
         return 0
     tokens = []
-    for char, token_id, flag in zip(args.expression, ids, flags):
-        decision = table[token_id][flag]
+    for char, case in zip(args.expression, cases):
+        decision = table[case]
         action, arg = decision.action
         tokens.append({
-            "char": char, "flag": flag,
+            "char": char, "flag": case & 1,
             "decision": dict(zip(DECISION_FIELDS, map(int, decision))),
             "action": ACTION_NAMES[action], "arg": int(arg),
         })

@@ -21,8 +21,9 @@ read, so two tables whose actions agree on the other 34 cases convert
 every input identically.
 
 Decisions depend on nothing but the token id and the decimal flag, so a
-gate policy is a GateTable read as table[token_id][decimal_flag], and
-the flag each token was read under is a complete trace of a run.
+gate policy is a GateTable of 36 decisions, one per case id
+2 * token_id + decimal_flag, and the case each token was read in is a
+complete trace of a run.
 
 Under rule_gates itself, convert first reads the space-split text a
 piece at a time. The rule table closes a number at each space and at
@@ -35,12 +36,13 @@ or a literal past float range hands the whole stream to the machine,
 which alone raises. Every other table, a learned one at full agreement
 included, runs the machine.
 
-convert records no trace. convert_with_trace returns the flags beside
-the program: once convert has succeeded, a second, short pass over the
-same compiled actions replays the flag alone, which only a dot raises
-and only a close lowers. The hand-written table, rule_gates, lives here
-beside the machine that reads it; gates.make_learned_policy builds the
-trained one, and serving never imports the trainer.
+convert records no trace. convert_with_trace returns the case ids
+beside the program: once convert has succeeded, a second, short pass
+over the same compiled actions replays the flag alone, which only a dot
+raises and only a close lowers. Under rule_gates that trace is the
+trainer's label stream as it stands. The hand-written table, rule_gates,
+lives here beside the machine that reads it; gates.make_learned_policy
+builds the trained one, and serving never imports the trainer.
 """
 
 from __future__ import annotations
@@ -162,16 +164,17 @@ class GateDecision:
         return (getattr(self, name) for name in DECISION_FIELDS)
 
 
-# A gate policy: VOCAB_SIZE rows of (decision at flag 0, decision at flag 1).
-GateTable = tuple[tuple[GateDecision, GateDecision], ...]
+# A gate policy: one decision per case id 2 * token_id + decimal_flag.
+GateTable = tuple[GateDecision, ...]
+CASES = 2 * VOCAB_SIZE
 
 
 class InvalidTable(ConversionError):
-    """A gate policy that is not VOCAB_SIZE rows of two GateDecisions."""
+    """A gate policy that is not CASES GateDecisions."""
 
 
 def _tabulate(decide: Callable[[int, int], GateDecision]) -> GateTable:
-    return tuple((decide(t, 0), decide(t, 1)) for t in range(VOCAB_SIZE))
+    return tuple(decide(case >> 1, case & 1) for case in range(CASES))
 
 
 def _rule_decision(token_id: int, decimal_started: int) -> GateDecision:
@@ -236,6 +239,14 @@ _NONE = Op.NONE
 _MANTISSA_CAP = 10**800
 
 
+def check_capacity(capacity) -> None:
+    """Refuse a capacity that is not an int (a bool is not one) or is below 1."""
+    if type(capacity) is not int:
+        raise InvalidCapacity(f"capacity must be an int, got {capacity!r}")
+    if capacity < 1:
+        raise InvalidCapacity(f"capacity must be at least 1, got {capacity}")
+
+
 def _past_float_range(slot: int) -> NumberTooLarge:
     return NumberTooLarge(f"number at slot {slot} is past float range")
 
@@ -252,8 +263,7 @@ def convert(ids: bytes, table: GateTable, capacity: int = DEFAULT_CAPACITY) -> D
     Under rule_gates itself the stream is read a piece at a time first,
     and the machine runs only where a piece is not whole.
     """
-    if capacity < 1:
-        raise InvalidCapacity(f"capacity must be at least 1, got {capacity}")
+    check_capacity(capacity)
     # The terminator stops conversion whatever its decision says, and
     # nothing after it is read.
     stop = ids.find(TERMINATOR_ID)
@@ -314,7 +324,7 @@ def _machine(ids: bytes, table: GateTable, capacity: int) -> DenseProgram:
     # jump per token.
     try:
         for token_id in ids:
-            action, arg = table[token_id][flag].action
+            action, arg = table[2 * token_id + flag].action
             if action <= DIGIT_BASE_MUL:
                 if number is not None:
                     # A later digit folds in by its action, in integer
@@ -395,18 +405,19 @@ def convert_with_trace(
     table: GateTable,
     capacity: int = DEFAULT_CAPACITY,
 ) -> tuple[DenseProgram, bytes]:
-    """The program convert fills, and for each token read the decimal
-    flag it was read under. The terminator is read, under the flag of the
-    number it closes, and nothing after it is.
+    """The program convert fills, and for each token read the case id it
+    was read in, 2 * token_id + the decimal flag. The terminator is read,
+    under the flag of the number it closes, and nothing after it is.
     """
     program = convert(ids, table, capacity)
-    flags = bytearray()
+    cases = bytearray()
     flag = 0
     for token_id in ids[: ids.find(TERMINATOR_ID) + 1 or len(ids)]:
-        flags.append(flag)
-        action = table[token_id][flag].action[0]
+        case = 2 * token_id + flag
+        cases.append(case)
+        action = table[case].action[0]
         if action == DOT:
             flag = 1
         elif CLOSE <= action <= CLOSE_OP:
             flag = 0
-    return program, bytes(flags)
+    return program, bytes(cases)

@@ -1,10 +1,10 @@
 """The learned gate policy for the conversion machine, and its trainer.
 
 A decision depends on nothing but the token id and the decimal flag,
-18 x 2 = 36 cases, so a policy is a GateTable indexed
-[token_id][decimal_flag]. Two interchangeable tables drive the
-converter. rule_gates, the exact hand-written reference, lives in
-conversion beside the machine, so serving never loads this module; it
+18 x 2 = 36 cases, so a policy is a GateTable of 36 decisions indexed
+by the case id 2 * token_id + decimal_flag. Two interchangeable tables
+drive the converter. rule_gates, the exact hand-written reference, lives
+in conversion beside the machine, so serving never loads this module; it
 is imported back here for the trainer and for callers that compare the
 two tables. The learned table comes from one small linear head per gate
 over the one-hot token; the decimal flag joins the input only for the
@@ -21,8 +21,8 @@ themselves. The two-way gates use a sigmoid unit per class with binary
 cross entropy; the wider heads use softmax cross entropy. Supervision
 comes from the reference policy's conversion trace over corpus text, so
 the trainer needs nothing but lines of characters. An event is the case
-a token was read in, its case id 2 * token_id + decimal_flag, and a
-stream of events is bytes; the trainer reads each case's token, flag and
+id a token was read in, as that trace records it, and a stream of
+events is bytes; the trainer reads each case's token, flag and
 reference targets from tables indexed by case id. Events step through
 the corpus in small chunks, each chunk repeated several times before
 the next one starts, which keeps early material fresh while later
@@ -69,6 +69,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .conversion import (
+    CASES,
     DECISION_FIELDS,
     DenseOpMode,
     GateDecision,
@@ -174,22 +175,16 @@ def make_learned_policy(params: GateParams) -> GateTable:
 # cases map to 0, so train_gates refuses them before it translates.
 _CASE_TOKEN, _CASE_FLAG, *_CASE_TARGETS = (
     bytes(column).ljust(256, b"\0")
-    for column in zip(*[(t, f, *rule_gates[t][f]) for t in range(VOCAB_SIZE) for f in (0, 1)])
+    for column in zip(*[(case >> 1, case & 1, *rule_gates[case]) for case in range(CASES)])
 )
 
 
 def label_events(text: str) -> bytes:
-    """The reference conversion of one line, as one case id per token read.
-
-    Each token is paired with the decimal flag it was read under, which
-    is exactly the context a policy sees, as the case id
-    2 * token_id + flag. A terminator is recorded and ends the line, the
-    same way it stops the converter; a malformed number raises as it
-    does there.
-    """
-    ids = encode(text)
-    flags = convert_with_trace(ids, rule_gates, len(ids) + 1)[1]
-    return bytes([2 * t + f for t, f in zip(ids, flags)])
+    """The rule_gates conversion trace of one line: per token read, its
+    case id, exactly the context a policy sees. A terminator is recorded
+    and ends the line, as it stops the converter; a malformed number
+    raises as it does there."""
+    return convert_with_trace(encode(text), rule_gates, len(text) + 1)[1]
 
 
 def events_from_lines(lines: Iterable[str]) -> bytes:
@@ -395,12 +390,12 @@ def train_gates(
         raise EmptyCorpus("no training events")
     try:
         events = bytes(ids)
-        refused = max(events) >= 2 * VOCAB_SIZE
+        refused = max(events) >= CASES
     except (TypeError, ValueError):  # not an int, or outside a byte
         refused = True
     if refused:
-        bad = next(i for i in ids if not (isinstance(i, int) and 0 <= i < 2 * VOCAB_SIZE))
-        raise GateError(f"case id {bad!r} is outside 0-{2 * VOCAB_SIZE - 1}")
+        bad = next(i for i in ids if not (isinstance(i, int) and 0 <= i < CASES))
+        raise GateError(f"case id {bad!r} is outside 0-{CASES - 1}")
     cases = set(events)
     config = config or TrainConfig()
     weight_of = [
@@ -482,17 +477,13 @@ class AgreementRow:
 
 def agreement_table(params: GateParams) -> list[AgreementRow]:
     """Learned versus reference decisions across all 36 (token, flag) cases."""
-    learned = make_learned_policy(params)
     rows: list[AgreementRow] = []
-    for token_id in range(VOCAB_SIZE):
+    for case, (want, got) in enumerate(zip(rule_gates, make_learned_policy(params))):
+        token_id = case >> 1
+        matches = {f: x == y for f, x, y in zip(DECISION_FIELDS, want, got)}
+        action_ok = token_id == TERMINATOR_ID or want.action == got.action
         char = ID_TO_CHAR.get(token_id, OTHER_PLACEHOLDER)
-        for ds in (0, 1):
-            want, got = rule_gates[token_id][ds], learned[token_id][ds]
-            matches = {f: x == y for f, x, y in zip(DECISION_FIELDS, want, got)}
-            action_ok = token_id == TERMINATOR_ID or want.action == got.action
-            rows.append(
-                AgreementRow(token_id, char, ds, matches, all(matches.values()), action_ok)
-            )
+        rows.append(AgreementRow(token_id, char, case & 1, matches, all(matches.values()), action_ok))
     return rows
 
 

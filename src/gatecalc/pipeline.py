@@ -15,19 +15,20 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .conversion import (
+    CASES,
     DEFAULT_CAPACITY,
     ConversionError,
     GateDecision,
     GateTable,
-    InvalidCapacity,
     InvalidTable,
+    check_capacity,
     convert,
     rule_gates,
 )
 from .evaluator import EvalError, EvalTrace, evaluate_with_trace
 from .infix import ParseError, parse_infix, to_postfix
 from .render import NonFinite, render
-from .tokenizer import TERMINATOR_CHAR, VOCAB_SIZE, encode
+from .tokenizer import TERMINATOR_CHAR, encode
 
 DEFAULT_INJECT_LEN = 16
 # Longest injection segment a PipelineConfig or make_segment accepts; the
@@ -73,16 +74,11 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         _check_inject_len(self.inject_len)
-        if type(self.capacity) is not int:
-            raise InvalidCapacity(f"capacity must be an int, got {self.capacity!r}")
-        if self.capacity < 1:
-            raise InvalidCapacity(f"capacity must be at least 1, got {self.capacity}")
-        table = self.policy
-        if not (isinstance(table, (tuple, list)) and len(table) == VOCAB_SIZE and all(
-            isinstance(row, (tuple, list)) and len(row) == 2
-            and all(isinstance(d, GateDecision) for d in row) for row in table
-        )):
-            raise InvalidTable(f"policy must be {VOCAB_SIZE} rows of two GateDecisions")
+        check_capacity(self.capacity)
+        policy = self.policy
+        if not (isinstance(policy, (tuple, list)) and len(policy) == CASES
+                and all(isinstance(d, GateDecision) for d in policy)):
+            raise InvalidTable(f"policy must be {CASES} GateDecisions")
 
 
 _DEFAULT_CONFIG = PipelineConfig()

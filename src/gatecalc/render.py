@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-INTEGER_SNAP_REL = 1e-9
+INTEGER_SNAP = 1e-9
 MAX_SIG_DIGITS = 12
 
 
@@ -16,10 +16,11 @@ def render(x: float) -> str:
     """Shortest clean decimal text for a finite result.
 
     An integer-valued float prints as its integer at once, and any other
-    value within relative 1e-9 of an integer prints as that integer, so
-    accumulated float error never leaks a stray fraction into an answer.
-    Everything else prints positionally with at most 12 significant
-    digits and no trailing zeros; scientific notation never appears.
+    value within 1e-9 (absolute) of an integer prints as that integer, so
+    float error never leaks a stray fraction into an answer. Everything
+    else prints positionally, rounded to 12 significant digits, with no
+    trailing zeros, so a large value keeps its fraction up to the 12th
+    digit; scientific notation never appears.
     """
     x = float(x)
     if x.is_integer():
@@ -27,7 +28,7 @@ def render(x: float) -> str:
     if not math.isfinite(x):
         raise NonFinite(f"cannot render {x!r}")
     nearest = round(x)
-    if abs(x - nearest) <= INTEGER_SNAP_REL * max(1.0, abs(x)):
+    if abs(x - nearest) <= INTEGER_SNAP:
         return str(int(nearest))
     text = f"{x:.{MAX_SIG_DIGITS}g}"
     if "e" in text or "E" in text:

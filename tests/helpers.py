@@ -4,14 +4,17 @@ Random programs and expression trees are built with their expected
 values computed during construction, using plain Python arithmetic that
 shares nothing with the machinery under test. The reference conversion
 is the per-token step machine over a ConversionState, which convert's
-fused loop and convert_with_trace's flag pass must reproduce program,
-flags and errors alike, and label_events its replay over step. The
+fused loop and convert_with_trace's case pass must reproduce program,
+case ids and errors alike, and label_events its replay over step. The
 reference reduction is the paper's rescanning rule, which the
 evaluator's value pass and its traced fold must reproduce, value, fold
 for fold and error for error. The reference question parser is recursive
 descent into a Number/BinOp tree, each Number keeping its literal's
 text, walked to postfix text and to a value; the one-pass parser must
-give the same postfix, values and errors.
+give the same postfix, values and errors. The same walk in Fraction
+arithmetic over each literal's text gives a question's exact value, and
+its half-even render to 12 significant digits is the answer run() must
+print.
 encode and render are held equal to their character-by-character
 lookup and their snap-only body. The reference trainer is the
 event-major loop, one gradient step over all six heads per event, which
@@ -34,8 +37,9 @@ import random
 import re
 from array import array
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain
-from operator import sub
+from operator import add, mul, sub, truediv
 from pathlib import Path
 from typing import Union
 
@@ -69,7 +73,7 @@ from gatecalc.gates import (
     rule_gates,
 )
 from gatecalc.infix import MAX_NESTING, ParseError
-from gatecalc.render import INTEGER_SNAP_REL, MAX_SIG_DIGITS, NonFinite, render
+from gatecalc.render import INTEGER_SNAP, MAX_SIG_DIGITS, NonFinite, render
 from gatecalc.tokenizer import (
     CHAR_TO_ID,
     CHAR_TO_OP,
@@ -285,7 +289,7 @@ def step(state: ConversionState, token_id: int, table: GateTable) -> bool:
     if token_id == TERMINATOR_ID:
         return False
 
-    decision = table[token_id][state.decimal_started]
+    decision = table[2 * token_id + state.decimal_started]
 
     if decision.ignore:
         return True
@@ -339,8 +343,9 @@ def step(state: ConversionState, token_id: int, table: GateTable) -> bool:
 
 def random_gate_table(rng: random.Random) -> GateTable:
     """A table of uniformly drawn decisions, reaching the cases the rule
-    table never makes. tests/test_digests.py pins outputs under tables
-    drawn by this, so changing its draws moves those digests."""
+    table never makes, drawn token by token, flag 0 before flag 1.
+    tests/test_digests.py pins outputs under tables drawn by this, so
+    changing its draws moves those digests."""
 
     def decision() -> GateDecision:
         return GateDecision(
@@ -348,26 +353,27 @@ def random_gate_table(rng: random.Random) -> GateTable:
             DenseOpMode(rng.randint(0, 3)), rng.randint(0, 9), Op(rng.randint(0, 4)),
         )
 
-    return tuple((decision(), decision()) for _ in range(VOCAB_SIZE))
+    return tuple(decision() for _ in range(2 * VOCAB_SIZE))
 
 
 def reference_convert_with_trace(
     ids: bytes, table: GateTable, capacity: int = DEFAULT_CAPACITY
 ) -> tuple[DenseProgram, bytes]:
-    """step over every id, recording the flag each token is read under."""
+    """step over every id, recording the case id each token is read in:
+    2 * token_id + the flag the state holds when it arrives."""
     state = init_state(capacity)
-    flags = []
+    cases = []
     for token_id in ids:
-        flags.append(state.decimal_started)
+        cases.append(2 * token_id + state.decimal_started)
         if not step(state, token_id, table):
             break
     _close_number(state)
-    return DenseProgram(state.valid, state.dense, state.ops), bytes(flags)
+    return DenseProgram(state.valid, state.dense, state.ops), bytes(cases)
 
 
 def reference_label_events(text: str) -> bytes:
-    """The replay label_events was before it read convert_with_trace's
-    flags: each token's case id, 2 * token_id + the flag it was read under."""
+    """The replay label_events was before it returned convert_with_trace's
+    case ids: each token's case id, 2 * token_id + the flag it was read under."""
     ids = encode(text)
     state = init_state(len(ids) + 1)
     events = []
@@ -501,7 +507,37 @@ def reference_eval_infix(ast: InfixAst) -> float:
     Like reference_to_postfix, the walk keeps its own stack, so a long operator
     chain cannot exhaust Python's recursion limit.
     """
-    values: list[float] = []
+    return _fold_infix(ast, lambda node: node.value, apply_op)
+
+
+_EXACT_OPS = {Op.ADD: add, Op.SUB: sub, Op.MUL: mul, Op.DIV: truediv}
+
+
+def exact_eval_infix(ast: InfixAst) -> Fraction:
+    """A question's exact value: each literal is the Fraction of its text
+    and every operation is exact. A zero divisor raises ZeroDivisionError."""
+    return _fold_infix(ast, lambda node: Fraction(node.text), lambda op, a, b: _EXACT_OPS[op](a, b))
+
+
+def round_sig(value: Fraction) -> decimal.Decimal:
+    """value rounded half-even to 12 significant digits, trailing zeros dropped."""
+    with decimal.localcontext(decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN)):
+        return (decimal.Decimal(value.numerator) / value.denominator).normalize()
+
+
+def exact_render(value: Fraction) -> str:
+    """The answer an exact value should print: an integer whole, as render
+    prints an integer-valued float, and anything else rounded half-even to
+    12 significant digits, positional, with no trailing zeros."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    return format(round_sig(value), "f")
+
+
+def _fold_infix(ast: InfixAst, literal, apply):
+    """Post-order fold of a tree: literal(node) for each Number, then
+    apply(op, left, right) for each BinOp, on a stack of its own."""
+    values = []
     # Nodes still to visit, and operators due once both operand values
     # are on the value stack.
     todo: list[InfixAst | Op] = [ast]
@@ -510,10 +546,10 @@ def reference_eval_infix(ast: InfixAst) -> float:
         if isinstance(node, BinOp):
             todo += (node.op, node.right, node.left)
         elif isinstance(node, Number):
-            values.append(node.value)
+            values.append(literal(node))
         else:
             rhs = values.pop()
-            values.append(apply_op(node, values.pop(), rhs))
+            values.append(apply(node, values.pop(), rhs))
     return values[0]
 
 
@@ -528,7 +564,7 @@ def reference_render(x: float) -> str:
     if not math.isfinite(x):
         raise NonFinite(f"cannot render {x!r}")
     nearest = round(x)
-    if abs(x - nearest) <= INTEGER_SNAP_REL * max(1.0, abs(x)):
+    if abs(x - nearest) <= INTEGER_SNAP:
         return str(int(nearest))
     text = f"{x:.{MAX_SIG_DIGITS}g}"
     if "e" in text or "E" in text:
@@ -649,7 +685,7 @@ def softmax_loss_grad(z: list[float], target: int) -> tuple[float, list[float]]:
 def decode_case(case_id: int) -> tuple[int, int, GateDecision]:
     """A case id's token id, decimal flag and rule_gates target."""
     token_id, flag = divmod(case_id, 2)
-    return token_id, flag, rule_gates[token_id][flag]
+    return token_id, flag, rule_gates[case_id]
 
 
 def event_weight(token_id: int, config: TrainConfig) -> float:

@@ -315,12 +315,11 @@ def _folding_table(rng: random.Random):
     """A random table whose digits always fold, by random modes, and whose
     dot opens the fraction, so long digit runs reach the mantissa bound."""
     table = list(random_gate_table(rng))
-    for token_id in range(10):
-        table[token_id] = tuple(
-            GateDecision(0, 0, 0, rng.choice(list(DenseOpMode)), rng.randint(0, 9), Op.NONE)
-            for _ in range(2)
+    for case in range(20):  # each digit under flag 0, then under flag 1
+        table[case] = GateDecision(
+            0, 0, 0, rng.choice(list(DenseOpMode)), rng.randint(0, 9), Op.NONE
         )
-    table[DOT_ID] = (GateDecision(0, 0, 1, DenseOpMode.IGNORE, 0, Op.NONE), table[DOT_ID][1])
+    table[2 * DOT_ID] = GateDecision(0, 0, 1, DenseOpMode.IGNORE, 0, Op.NONE)
     return tuple(table)
 
 
@@ -370,9 +369,7 @@ _DECISIONS = st.builds(
     st.integers(0, 9),
     st.sampled_from(Op),
 )
-_TABLES = st.lists(
-    st.tuples(_DECISIONS, _DECISIONS), min_size=VOCAB_SIZE, max_size=VOCAB_SIZE
-).map(tuple)
+_TABLES = st.lists(_DECISIONS, min_size=2 * VOCAB_SIZE, max_size=2 * VOCAB_SIZE).map(tuple)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -395,13 +392,17 @@ def test_any_table_fills_at_most_capacity_valid_slots(table, ids, capacity):
 # convert_with_trace against the per-token step reference
 
 
-def test_trace_holds_one_flag_per_token_read():
-    program, flags = convert_with_trace(encode("1.5 2"), rule_gates)
+def _cases(text: str, flags: list[int]) -> list[int]:
+    return [2 * t + f for t, f in zip(encode(text), flags)]
+
+
+def test_trace_holds_one_case_per_token_read():
+    program, cases = convert_with_trace(encode("1.5 2"), rule_gates)
     assert program == convert_text("1.5 2")
-    assert list(flags) == [0, 0, 1, 1, 0]
+    assert list(cases) == _cases("1.5 2", [0, 0, 1, 1, 0]) == [2, 20, 11, 31, 4]
     # The terminator is read, under the flag of the number it closes, and
     # nothing after it is.
-    assert list(convert_with_trace(encode("1.2$34"), rule_gates)[1]) == [0, 0, 1, 1]
+    assert list(convert_with_trace(encode("1.2$34"), rule_gates)[1]) == _cases("1.2$", [0, 0, 1, 1])
 
 
 def test_convert_with_trace_rejects_bad_capacity():
@@ -412,10 +413,10 @@ def test_convert_with_trace_rejects_bad_capacity():
 
 def _outcome(fn, ids, table, capacity):
     try:
-        program, flags = fn(ids, table, capacity)
+        program, cases = fn(ids, table, capacity)
     except ConversionError as exc:
         return type(exc), str(exc)
-    return program.to_json_dict(), flags
+    return program.to_json_dict(), cases
 
 
 _SWEEP_ALPHABET = "0123456789. +-*/x$"
@@ -441,16 +442,16 @@ def test_convert_with_trace_matches_step_reference(kind, count, seed):
         ids, capacity = encode(text), rng.randint(1, 20)
         got = _outcome(convert_with_trace, ids, table, capacity)
         assert got == _outcome(reference_convert_with_trace, ids, table, capacity), (text, capacity)
-        # The flags are replayed after convert, which raises every error.
+        # The cases are replayed after convert, which raises every error.
         try:
             assert got[0] == convert(ids, table, capacity).to_json_dict()
         except ConversionError as exc:
             assert got == (type(exc), str(exc))
         if isinstance(got[1], bytes):
             if TERMINATOR_ID in ids:
-                reached[f"terminator under flag {got[1][-1]}"] += 1
-            for token_id, flag in zip(ids, got[1]):
-                d = table[token_id][flag]
+                reached[f"terminator under flag {got[1][-1] & 1}"] += 1
+            for case in got[1]:
+                token_id, flag, d = case >> 1, case & 1, table[case]
                 if not (d.ignore or d.decimal_start or d.move):
                     reached[f"digit in mode {d.dense_mode.name}"] += 1
                 reached["dot or op under flag 1"] += flag == 1 and DOT_ID <= token_id <= SLASH_ID
@@ -477,11 +478,12 @@ def test_rule_table_compiles_to_the_expected_actions():
     want[SPACE_ID] = ((CLOSE, 0),) * 2
     want[OTHER_ID] = ((SKIP, 0),) * 2
     for token_id, actions in want.items():
-        assert tuple(d.action for d in rule_gates[token_id]) == actions, token_id
+        got = rule_gates[2 * token_id : 2 * token_id + 2]
+        assert tuple(d.action for d in got) == actions, token_id
 
 
 def test_action_is_derived_not_a_field():
-    d = rule_gates[7][1]
+    d = rule_gates[2 * 7 + 1]
     same = GateDecision(*d)
     assert same == d and hash(same) == hash(d) and same.action == d.action
     assert len(tuple(d)) == 6
@@ -506,16 +508,17 @@ _FIELD_VALUES = {
 
 def _same_actions(rng: random.Random, table):
     """table with every field its actions leave unread redrawn, and the
-    terminator's rows, which the machine never reads, redrawn whole."""
+    terminator's two cases, which the machine never reads, redrawn whole."""
     def redraw(d):
         unread = _UNREAD_FIELDS.get(d.action[0], ("op",))
         other = dataclasses.replace(d, **{f: rng.choice(_FIELD_VALUES[f]) for f in unread})
         assert other.action == d.action
         return other
 
-    rows = [tuple(redraw(d) for d in row) for row in table]
-    rows[TERMINATOR_ID] = random_gate_table(rng)[TERMINATOR_ID]
-    return tuple(rows)
+    cases = [redraw(d) for d in table]
+    terminator = slice(2 * TERMINATOR_ID, 2 * TERMINATOR_ID + 2)
+    cases[terminator] = random_gate_table(rng)[terminator]
+    return tuple(cases)
 
 
 def test_tables_with_equal_actions_convert_alike():
@@ -526,8 +529,7 @@ def test_tables_with_equal_actions_convert_alike():
     for _ in range(40):
         table = random_gate_table(rng)
         other = _same_actions(rng, table)
-        changed += sum(a != b for row, other_row in zip(table, other)
-                       for a, b in zip(row, other_row))
+        changed += sum(a != b for a, b in zip(table, other))
         for _ in range(500):
             text = "".join(rng.choice(_SWEEP_ALPHABET) for _ in range(rng.randint(0, 24)))
             ids, capacity = encode(text), rng.randint(1, 20)

@@ -3,8 +3,9 @@
 Each digest covers one output of the package, line by line, over inputs
 built here from fixed seeds: convert (program JSON or error class and
 message, under the rule table and seeded random tables), evaluate_with_trace
-JSON, run() JSON, the (token, flag, target) triples of label_events' case ids, and
-the trained params and loss trace of a seeded two-stage train_gates run.
+JSON, run() JSON, the (token, flag, target) triples of label_events' case ids,
+the trained params and loss trace of a seeded two-stage train_gates run, and
+`gatecalc convert --trace` under the rule table and under those params.
 A change that moves any output byte fails here unless it updates the
 digest it moves and says so. `python tests/test_digests.py` prints the
 current digests.
@@ -13,15 +14,29 @@ current digests.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from gatecalc import cli
 from gatecalc.conversion import ConversionError, convert
 from gatecalc.datagen import GenConfig, Stage, gen_dot_place, gen_numbers_ops, gen_questions
 from gatecalc.evaluator import EvalError, evaluate_with_trace
-from gatecalc.gates import TrainConfig, events_from_lines, label_events, rule_gates, train_gates
+from gatecalc.gates import (
+    TrainConfig,
+    events_from_lines,
+    label_events,
+    rule_gates,
+    save_params,
+    train_gates,
+)
 from gatecalc.infix import parse_infix, to_postfix
 from gatecalc.pipeline import run
 from gatecalc.tokenizer import encode
@@ -35,6 +50,7 @@ EXPECTED = {
     "run": "0877f5388fd83ec5740fa18b040e2e84f92ac9d87de153dff1d724d466fb65d5",
     "label": "bf95fbbc1773b25779136f4e04971defff12ee7f519f1b4a11e138dd7a0632c2",
     "train": "163fd27ad1e5d58b90d093a7490daea24224aa53d2f0de3117a25e6380a164e4",
+    "cli_trace": "233a66dbbffd4b1792b47218a04653f25dd568cae3d0cf3b10b87f17bed63eb5",
 }
 
 
@@ -126,25 +142,52 @@ def label_lines():
         yield f"{text!r}\t{out}"
 
 
-def train_lines():
-    """Both stages' trace entries, pass means, agreement counts and head
-    stops, then the final params, every float in hex so that a one-ulp
-    move shows. The first stage stops once its cases agree; the second
-    starts from its params, cuts uneven chunks and runs its whole stream,
-    five heads stopping on the way and the ignore head never."""
+@cache
+def _train_stages():
+    """A seeded two-stage train_gates run, as (params, trace) per stage.
+    The first stage stops once its cases agree; the second starts from
+    its params, cuts uneven chunks and runs its whole stream, five heads
+    stopping on the way and the ignore head never."""
     stages = [
         (gen_dot_place(80, 13), TrainConfig()),
         (gen_numbers_ops(150, 14), TrainConfig(epoch_size=37, repeats=3, lr=0.05)),
     ]
-    params = None
-    for k, (lines, config) in enumerate(stages):
+    params, out = None, []
+    for lines, config in stages:
         params, trace = train_gates(events_from_lines(lines), config, init=params)
+        out.append((params, trace))
+    return out
+
+
+def train_lines():
+    """Both stages' trace entries, pass means, agreement counts and head
+    stops, then the final params, every float in hex so that a one-ulp
+    move shows."""
+    stages = _train_stages()
+    for k, (_, trace) in enumerate(stages):
         for e in trace.events:
             yield f"{k}\t{e.step}\t{e.token_id}\t{e.weight.hex()}\t{e.raw.hex()}\t{e.weighted.hex()}"
         yield f"{k}\t" + " ".join(m.hex() for m in trace.epoch_mean)
         yield f"{k}\t" + " ".join(map(str, trace.agreement))
         yield f"{k}\t" + " ".join(f"{name}:{step}" for name, step in trace.stopped.items())
-    yield from (bits.hex() for bits in param_bits(params))
+    yield from (bits.hex() for bits in param_bits(stages[-1][0]))
+
+
+def cli_trace_lines():
+    """Exit code, stdout and stderr of `gatecalc convert --trace` over every
+    text, under the rule table and under the trained params of
+    _train_stages, read back from the gate file save_params writes. main
+    builds its argument parser on every call; here one parser serves all."""
+    parser = cli.build_parser()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "build_parser", lambda: parser):
+        path = Path(tmp) / "gates.json"
+        save_params(_train_stages()[-1][0], path)
+        for gates in ([], ["--gates", str(path)]):
+            for text in _texts():
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli.main(["convert", "--trace", *gates, "--", text])
+                yield f"{len(gates)}\t{text!r}\t{code}\t{out.getvalue()!r}\t{err.getvalue()!r}"
 
 
 DIGESTS = {
@@ -153,6 +196,7 @@ DIGESTS = {
     "run": run_lines,
     "label": label_lines,
     "train": train_lines,
+    "cli_trace": cli_trace_lines,
 }
 
 

@@ -69,7 +69,7 @@ def tok(ch):
 
 
 def rule(ch, ds):
-    return rule_gates[tok(ch)][ds]
+    return rule_gates[2 * tok(ch) + ds]
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +123,8 @@ def test_rule_terminator_is_quiet():
 
 
 def test_rule_depends_only_on_id_and_flag():
-    assert len(rule_gates) == VOCAB_SIZE
-    assert all(len(row) == 2 for row in rule_gates)
+    assert len(rule_gates) == 2 * VOCAB_SIZE
+    assert all(isinstance(d, GateDecision) for d in rule_gates)
     assert rule("a", 0) == rule("z", 0)
 
 
@@ -145,9 +145,9 @@ def test_zero_params_answer_class_zero_everywhere():
 def test_learned_policy_is_cached_and_consistent():
     params = GateParams.zeros()
     policy = make_learned_policy(params)
-    assert len(policy) == VOCAB_SIZE
+    assert len(policy) == 2 * VOCAB_SIZE
     for ds in (0, 1):
-        assert policy[5][ds] == learned_gates(params, 5, ds)
+        assert policy[2 * 5 + ds] == learned_gates(params, 5, ds)
 
 
 def _random_params(rng: random.Random, draw) -> GateParams:
@@ -201,10 +201,9 @@ def test_heads_follow_decision_fields():
     # reference value must be a class of the head at its position, and
     # only the dense-mode head may read the decimal flag.
     assert len(HEAD_SHAPES) == len(DECISION_FIELDS)
-    for row in rule_gates:
-        for decision in row:
-            for (_, n_out, _), value in zip(HEAD_SHAPES, decision):
-                assert 0 <= value < n_out
+    for decision in rule_gates:
+        for (_, n_out, _), value in zip(HEAD_SHAPES, decision):
+            assert 0 <= value < n_out
     flag_fields = [
         field for field, (_, _, n_in) in zip(DECISION_FIELDS, HEAD_SHAPES)
         if n_in > VOCAB_SIZE
@@ -785,9 +784,9 @@ def test_dot_place_alone_fixes_decimal_machinery():
     policy = make_learned_policy(params)
     for digit in range(10):
         for ds in (0, 1):
-            assert policy[digit][ds].digit == digit
-            assert policy[digit][ds].dense_mode == rule_gates[digit][ds].dense_mode
-    assert policy[DOT_ID][0].decimal_start == 1
+            assert policy[2 * digit + ds].digit == digit
+            assert policy[2 * digit + ds].dense_mode == rule_gates[2 * digit + ds].dense_mode
+    assert policy[2 * DOT_ID].decimal_start == 1
 
 
 def test_learned_policy_rejects_leading_dot(trained_params):

@@ -1,9 +1,16 @@
 import dataclasses
 import random
 import re
+from fractions import Fraction
 
 from gatecalc import evaluator, pipeline
-from gatecalc.conversion import ConversionError, InvalidCapacity, InvalidTable, convert
+from gatecalc.conversion import (
+    ConversionError,
+    InvalidCapacity,
+    InvalidTable,
+    convert,
+    convert_with_trace,
+)
 from gatecalc.datagen import GenConfig, Stage, gen_questions
 from gatecalc.evaluator import stack_oracle
 from gatecalc.gates import GateParams, make_learned_policy, rule_gates
@@ -26,7 +33,7 @@ from gatecalc.tokenizer import encode
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import random_gate_table
+from helpers import exact_eval_infix, exact_render, random_gate_table, reference_parse_infix, round_sig
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +250,19 @@ def test_huge_capacity_is_answered():
     assert result.answer == "8"
 
 
-# rule_gates with one row's decisions as plain tuples of their fields.
-_TUPLE_ROW = rule_gates[:5] + (tuple(tuple(d) for d in rule_gates[5]),) + rule_gates[6:]
+# rule_gates with one decision as a plain tuple of its fields, and as the
+# 18 rows of two decisions a table used to be.
+_TUPLE_CASE = rule_gates[:5] + (tuple(rule_gates[5]),) + rule_gates[6:]
+_ROWS_OF_TWO = tuple(zip(rule_gates[::2], rule_gates[1::2]))
 
 
-@pytest.mark.parametrize("policy", [[], "abc", None, rule_gates[:17], _TUPLE_ROW],
-                         ids=["empty-list", "string", "none", "17-rows", "tuple-row"])
+@pytest.mark.parametrize(
+    "policy", [[], "abc", None, rule_gates[:35], _TUPLE_CASE, _ROWS_OF_TWO],
+    ids=["empty-list", "string", "none", "35-cases", "tuple-case", "rows-of-two"],
+)
 def test_policy_must_be_a_gate_table(policy):
     # Each got past the config and then raised IndexError or TypeError in run().
-    with pytest.raises(InvalidTable, match="^policy must be 18 rows of two GateDecisions$"):
+    with pytest.raises(InvalidTable, match="^policy must be 36 GateDecisions$"):
         PipelineConfig(policy=policy)
 
 
@@ -267,6 +278,22 @@ def test_capacity_below_one_is_refused_when_built(capacity):
     # same error as a diagnostic from convert.
     with pytest.raises(InvalidCapacity, match=rf"^capacity must be at least 1, got {capacity}$"):
         PipelineConfig(capacity=capacity)
+
+
+@pytest.mark.parametrize("capacity, rule", [
+    (None, "an int, got None"), ("3", "an int, got '3'"), (2.5, "an int, got 2.5"),
+    (True, "an int, got True"), (0, "at least 1, got 0"), (-5, "at least 1, got -5"),
+])
+def test_one_capacity_rule_for_every_entry_point(capacity, rule):
+    # convert used to end None and "3" in a bare TypeError, accept 2.5, and
+    # take True for a capacity of 1.
+    tables = (rule_gates, list(rule_gates))  # the piece path and the machine
+    calls = [lambda: PipelineConfig(capacity=capacity)]
+    calls += [lambda fn=fn, table=table: fn(encode("3 5 +"), table, capacity)
+              for fn in (convert, convert_with_trace) for table in tables]
+    for call in calls:
+        with pytest.raises(InvalidCapacity, match=f"^capacity must be {re.escape(rule)}$"):
+            call()
 
 
 def test_capacity_one_answers_a_bare_number():
@@ -507,3 +534,77 @@ def test_run_agrees_with_eval_infix(expression):
         got, want, final, want_final = outcome
         assert got == want
         assert final == want_final
+
+
+# ---------------------------------------------------------------------------
+# Answers against exact arithmetic
+
+
+def _chain(rng: random.Random, literal) -> str:
+    """A 512-operand chain of literal(rng), every operator drawn at random."""
+    text = literal(rng)
+    for _ in range(511):
+        text += f" {rng.choice('+-*/')} {literal(rng)}"
+    return text + " = ?"
+
+
+def _integer_literal(rng: random.Random) -> str:
+    return str(rng.randint(1, 99))
+
+
+def _decimal_literal(rng: random.Random) -> str:
+    return rng.choice([str(rng.randint(1, 999)), f"{rng.randint(0, 99)}.{rng.randint(1, 999)}"])
+
+
+_CHAIN_CONFIG = PipelineConfig(capacity=1023)
+
+
+def _answered(questions, config=None) -> list[tuple[str, str, Fraction]]:
+    """(question, answer, exact value) for each question run() answers."""
+    out = []
+    for question in questions:
+        result = run(question, config=config)
+        if result.injected:
+            out.append((question, result.answer, exact_eval_infix(reference_parse_infix(question))))
+    return out
+
+
+@pytest.mark.parametrize("questions, config", [
+    (gen_questions(GenConfig(4000, 61, Stage.EASY)), None),
+    (gen_questions(GenConfig(4000, 62, Stage.PRIORITY)), None),
+    ([_chain(random.Random(seed), _integer_literal) for seed in range(48)], _CHAIN_CONFIG),
+], ids=["easy", "priority", "integer-chains-512"])
+def test_answers_are_the_exact_value_to_the_digits_they_print(questions, config):
+    # The exact value comes from Fraction arithmetic on each literal's
+    # text, rounded half-even to 12 significant digits; float error never
+    # reaches the 12th digit on these sets.
+    answered = _answered(questions, config)
+    assert len(answered) > 0.9 * len(questions)
+    for question, answer, value in answered:
+        assert answer == exact_render(value), question
+
+
+def test_long_decimal_chains_agree_with_the_exact_value_to_12_digits():
+    # Over 511 folds of decimal literals float error can land a value
+    # above 10**12 on an integer, which prints whole where the exact
+    # value prints 12 significant digits and zeros; the 12 digits agree.
+    answered = _answered([_chain(random.Random(seed), _decimal_literal) for seed in range(48)],
+                         _CHAIN_CONFIG)
+    assert len(answered) > 40
+    for question, answer, value in answered:
+        assert round_sig(Fraction(answer)) == round_sig(value), question
+        if answer != exact_render(value):
+            assert answer.isdigit() and abs(value) >= 10**12, question
+
+
+@pytest.mark.parametrize("question, answer", [
+    # Within relative 1e-9 of an integer, these used to print the integer.
+    ("4000000000.75 - 1 = ?", "3999999999.75"),
+    ("1000000000.5 + 0 = ?", "1000000000.5"),
+    ("3.5 + 75 * 33 * 67.03 * 94.02 = ?", "15597850.985"),
+    # Within 1e-9 of an integer, float error still snaps.
+    ("0.1 + 0.2 + 0.7 = ?", "1"),
+])
+def test_large_values_keep_their_fraction(question, answer):
+    assert run(question).answer == answer
+    assert answer == exact_render(exact_eval_infix(reference_parse_infix(question)))
