@@ -30,11 +30,14 @@ piece at a time. The rule table closes a number at each space and at
 each operator, which claims a slot of its own, and folds a literal's
 digits into the exact float() of its text. So a piece that is one
 operator, or one literal (a digit, then digits and at most one dot)
-of finite value, is exactly the slot the machine would append. Any
-other piece (glued, leading dot, junk), more pieces than the capacity
-or a literal past float range hands the whole stream to the machine,
-which alone raises. Every other table, a learned one at full agreement
-included, runs the machine.
+of finite value, is exactly the slot the machine would append. Each
+operator and each integer literal below 100 reads that slot from one
+dict built at import with float() of its text; any other literal is
+checked and float()-ed as it comes. Any other piece (glued, leading
+dot, junk), more pieces than the capacity or a literal past float
+range hands the whole stream to the machine, which alone raises. Every
+other table, a learned one at full agreement included, runs the
+machine, once check_table has refused one that is not 36 decisions.
 
 convert records no trace. convert_with_trace returns the case ids
 beside the program: once convert has succeeded, a second, short pass
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import repeat
 from math import inf
 from typing import Callable
 
@@ -247,6 +251,13 @@ def check_capacity(capacity) -> None:
         raise InvalidCapacity(f"capacity must be at least 1, got {capacity}")
 
 
+def check_table(table) -> None:
+    """Refuse a gate policy that is not a tuple or list of CASES GateDecisions."""
+    if not (isinstance(table, (tuple, list)) and len(table) == CASES
+            and all(map(isinstance, table, repeat(GateDecision)))):
+        raise InvalidTable(f"policy must be {CASES} GateDecisions")
+
+
 def _past_float_range(slot: int) -> NumberTooLarge:
     return NumberTooLarge(f"number at slot {slot} is past float range")
 
@@ -261,7 +272,8 @@ def convert(ids: bytes, table: GateTable, capacity: int = DEFAULT_CAPACITY) -> D
     its text; one past float range raises NumberTooLarge.
 
     Under rule_gates itself the stream is read a piece at a time first,
-    and the machine runs only where a piece is not whole.
+    and the machine runs only where a piece is not whole. Any other table
+    that is not CASES GateDecisions raises InvalidTable.
     """
     check_capacity(capacity)
     # The terminator stops conversion whatever its decision says, and
@@ -273,13 +285,19 @@ def convert(ids: bytes, table: GateTable, capacity: int = DEFAULT_CAPACITY) -> D
         program = _convert_pieces(ids, capacity)
         if program is not None:
             return program
+    else:
+        check_table(table)
     return _machine(ids, table, capacity)
 
 
 # bytes.translate table from an id back to its character; OTHER and every
 # id past the alphabet become "?", which no whole piece holds.
 _CHARS = bytes(ord(ID_TO_CHAR.get(i, OTHER_PLACEHOLDER)) for i in range(256))
-_PIECE_OPS = {char.encode(): op for char, op in CHAR_TO_OP.items()}
+# The slot of every operator piece and of each integer literal below 100,
+# as float() of its text gives it. Longer literals and decimals take the
+# checked path; a wider table costs more at import than a short run saves.
+_SLOTS = {char.encode(): (0.0, op) for char, op in CHAR_TO_OP.items()}
+_SLOTS.update((piece, (float(piece), _NONE)) for piece in (b"%d" % i for i in range(100)))
 
 
 def _convert_pieces(ids: bytes, capacity: int) -> DenseProgram | None:
@@ -295,23 +313,23 @@ def _convert_pieces(ids: bytes, capacity: int) -> DenseProgram | None:
     dense: list[float] = []
     ops: list[Op] = []
     for piece in pieces:
-        op = _PIECE_OPS.get(piece)
-        if op is not None:
-            dense.append(0.0)
-            ops.append(op)
+        slot = _SLOTS.get(piece)
+        if slot is not None:
+            x, op = slot
         elif b"0" <= piece < b":" and (
             piece.isdigit() or piece.replace(b".", b"", 1).isdigit()
         ) and (x := float(piece)) != inf:
-            dense.append(x)
-            ops.append(_NONE)
+            op = _NONE
         else:
             return None
+        dense.append(x)
+        ops.append(op)
     return DenseProgram([1] * len(dense), dense, ops)
 
 
 def _machine(ids: bytes, table: GateTable, capacity: int) -> DenseProgram:
-    """convert's per-character machine, under any table, over the ids
-    before the terminator."""
+    """convert's per-character machine, under any table check_table
+    accepts, over the ids before the terminator."""
     valid: list[int] = []
     dense: list[float] = []
     ops: list[Op] = []
@@ -319,9 +337,10 @@ def _machine(ids: bytes, table: GateTable, capacity: int) -> DenseProgram:
     scale = 0  # decimal digits of the mantissa after the point
     flag = 0  # 1 once the open number has read its decimal dot
     place = 0  # decimal place of the next BASE_MUL_ADD digit
-    # The table read is the loop's only source of IndexError. The try
-    # spans the whole loop because one around the read alone costs a
-    # jump per token.
+    # The table read is the loop's only source of IndexError, and with a
+    # checked table only an id past the alphabet reaches it. The try spans
+    # the whole loop because one around the read alone costs a jump per
+    # token.
     try:
         for token_id in ids:
             action, arg = table[2 * token_id + flag].action
@@ -385,8 +404,6 @@ def _machine(ids: bytes, table: GateTable, capacity: int) -> DenseProgram:
                 # The first digit always seeds the number, whatever its action.
                 number = arg
     except IndexError:
-        if token_id < VOCAB_SIZE:
-            raise
         raise UnknownId(
             f"id {token_id} at position {ids.index(token_id)} is past the {VOCAB_SIZE}-id alphabet"
         ) from None

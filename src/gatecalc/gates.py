@@ -162,7 +162,9 @@ def learned_gates(params: GateParams, token_id: int, decimal_started: int) -> Ga
 
 
 def make_learned_policy(params: GateParams) -> GateTable:
-    """The 36-case table of learned decisions, computed once up front."""
+    """The 36-case table of learned decisions, computed once up front.
+    Params check_params refuses raise GateError."""
+    check_params(params)
     return _tabulate(lambda token_id, ds: learned_gates(params, token_id, ds))
 
 
@@ -379,7 +381,8 @@ def train_gates(
     stops when no head is left, or at steps_max. At lr 0 every head is
     stopped from step 0: the whole stream is scored and the init comes
     back untouched, bit for bit, which is how a later corpus is scored
-    against fixed gates. A case id outside the 36 cases raises GateError.
+    against fixed gates. A case id outside the 36 cases, and an init that
+    check_params refuses, raise GateError.
     Training stops with a GateError at the first step whose weighted loss
     is not finite, since every later step would run on diverged params.
     See the module docstring for why stopped heads and the head-major
@@ -403,7 +406,11 @@ def train_gates(
         for t in range(VOCAB_SIZE)
     ]
     steps_max = config.steps_max or math.inf
-    params = init.clone() if init is not None else GateParams.zeros()
+    if init is None:
+        params = GateParams.zeros()
+    else:
+        check_params(init)
+        params = init.clone()
     trace = LossTrace()
     # A stopped head's loss depends on the case id alone, so it becomes a
     # table. missed keeps each head's missed cases as last checked; a
@@ -491,9 +498,34 @@ def agreement_table(params: GateParams) -> list[AgreementRow]:
 # Serialization
 
 
-def _check_finite(name: str, w: list[list[float]], b: list[float]) -> None:
-    if not all(map(math.isfinite, chain(b, *w))):
+def _read_head(name: str, n_out: int, n_in: int, w_rows, b
+               ) -> tuple[list[list[float]], list[float]]:
+    """A head's (w, b) as GateParams holds them, read from its weights as
+    n_out rows of n_in numbers and its n_out biases. Raises GateError for
+    arrays that are not numeric, of the wrong shape or not finite."""
+    try:
+        w_flat, w_shape = _read_array(w_rows)
+        b, b_shape = _read_array(b)
+    except (TypeError, ValueError, OverflowError):
+        raise GateError(f"head {name!r} is missing or not numeric") from None
+    if w_shape != (n_out, n_in) or b_shape != (n_out,):
+        raise GateError(f"head {name!r} has wrong shape {w_shape} / {b_shape}")
+    if not all(map(math.isfinite, chain(w_flat, b))):
         raise GateError(f"head {name!r} contains non-finite values")
+    return [w_flat[col::n_in] for col in range(n_in)], b
+
+
+def check_params(params: GateParams) -> None:
+    """Refuse params that load_params would refuse as a file, with its
+    messages: a head missing, not numeric, of the wrong shape or not
+    finite. Shapes read as the file holds them, n_out rows of n_in."""
+    for name, n_out, n_in in HEAD_SHAPES:
+        try:
+            w, b = params.heads[name]
+            rows = list(zip(*w, strict=True))
+        except (KeyError, TypeError, ValueError):
+            raise GateError(f"head {name!r} is missing or not numeric") from None
+        _read_head(name, n_out, n_in, rows, b)
 
 
 def save_params(params: GateParams, path: str | Path) -> None:
@@ -504,10 +536,10 @@ def save_params(params: GateParams, path: str | Path) -> None:
     Params that load_params would reject are refused before any file is
     written.
     """
+    check_params(params)
     payload: dict = {"format_version": FORMAT_VERSION}
     for name, _, _ in HEAD_SHAPES:
         w, b = params.heads[name]
-        _check_finite(name, w, b)
         payload[f"{name}_w"] = [list(row) for row in zip(*w)]
         payload[f"{name}_b"] = list(b)
     Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
@@ -531,21 +563,17 @@ def load_params(path: str | Path) -> GateParams:
     heads = {}
     for name, n_out, n_in in HEAD_SHAPES:
         try:
-            w_flat, w_shape = _read_array(payload[f"{name}_w"])
-            b, b_shape = _read_array(payload[f"{name}_b"])
-        except (KeyError, TypeError, ValueError, OverflowError):
+            w_rows, b = payload[f"{name}_w"], payload[f"{name}_b"]
+        except KeyError:
             raise GateError(f"head {name!r} is missing or not numeric") from None
-        if w_shape != (n_out, n_in) or b_shape != (n_out,):
-            raise GateError(f"head {name!r} has wrong shape {w_shape} / {b_shape}")
-        w = [w_flat[col::n_in] for col in range(n_in)]
-        _check_finite(name, w, b)
-        heads[name] = (w, b)
+        heads[name] = _read_head(name, n_out, n_in, w_rows, b)
     return GateParams(heads)
 
 
 def _read_array(value) -> tuple[list[float], tuple[int, ...]]:
-    """A JSON value read as an array: its numbers in row-major order as
-    floats, and its shape (a number has shape ()).
+    """A JSON value, or nested lists and tuples, read as an array: its
+    numbers in row-major order as floats, and its shape (a number has
+    shape ()).
 
     Raises ValueError for ragged nesting, and TypeError, ValueError or
     OverflowError for an element float() refuses (null, an object, a
@@ -553,7 +581,7 @@ def _read_array(value) -> tuple[list[float], tuple[int, ...]]:
     """
     shape = []
     level = [value]
-    while level and all(isinstance(v, list) for v in level):
+    while level and all(isinstance(v, (list, tuple)) for v in level):
         sizes = {len(v) for v in level}
         if len(sizes) > 1:
             raise ValueError("ragged array")

@@ -8,7 +8,9 @@ Unary minus does not exist; a leading dot does not start a number.
 parse_infix reads a question's tokens left to right, from str.split when
 its text is spaced and from one regex scan when it is glued or wrong,
 and emits its postfix sequence: each literal's text as written
-and operator characters, in the order the machine reads them. to_postfix
+and operator characters, in the order the machine reads them. An
+integer literal below 100, the commonest kind, is found in a set of
+their texts and taken with no further check. to_postfix
 joins that sequence into the text the expression head hands the
 machine, which reads every literal as the float its text names, and
 eval_infix computes it with a plain value stack over float() of each
@@ -39,6 +41,9 @@ class ParseError(ValueError):
 _TOKEN = re.compile(r"[0-9]+(?:\.[0-9]*)?|[^ ]")
 # A character that no question of the grammar contains.
 _OUTSIDE = re.compile(r"[^0-9.+\-*/() ]")
+
+# The commonest literals, integers below 100, as questions write them.
+_SMALL_INTS = frozenset(map(str, range(100)))
 
 # Deepest parenthesis nesting the parser accepts. Open parentheses wait on
 # a list, not in Python frames, so this guards no recursion limit: it is a
@@ -92,11 +97,15 @@ def parse_infix(text: str) -> list[str]:
         rest = iter(tokens)
         for token in rest:
             if operand:
-                # "0" <= token < ":" holds when token starts with an ASCII
-                # digit. A regex token that does is a whole literal; a
-                # split piece is one only if the rest is digits and at
-                # most one dot.
-                if "0" <= token < ":" and (
+                # An integer below 100 is a whole literal as it stands.
+                # Otherwise "0" <= token < ":" holds when token starts
+                # with an ASCII digit. A regex token that does is a whole
+                # literal; a split piece is one only if the rest is
+                # digits and at most one dot.
+                if token in _SMALL_INTS:
+                    out.append(token)
+                    operand = False
+                elif "0" <= token < ":" and (
                     not split or token.isdigit() or token.replace(".", "", 1).isdigit()
                 ):
                     # No literal of at most 308 characters reaches 1.8e308.

@@ -15,13 +15,11 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .conversion import (
-    CASES,
     DEFAULT_CAPACITY,
     ConversionError,
-    GateDecision,
     GateTable,
-    InvalidTable,
     check_capacity,
+    check_table,
     convert,
     rule_gates,
 )
@@ -75,10 +73,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         _check_inject_len(self.inject_len)
         check_capacity(self.capacity)
-        policy = self.policy
-        if not (isinstance(policy, (tuple, list)) and len(policy) == CASES
-                and all(isinstance(d, GateDecision) for d in policy)):
-            raise InvalidTable(f"policy must be {CASES} GateDecisions")
+        check_table(self.policy)
 
 
 _DEFAULT_CONFIG = PipelineConfig()

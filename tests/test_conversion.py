@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gatecalc import conversion
 from gatecalc.conversion import (
     ACTION_NAMES,
+    CASES,
     CLOSE,
     CLOSE_OP,
     DIGIT_BASE_MUL,
@@ -23,6 +24,7 @@ from gatecalc.conversion import (
     ConversionError,
     DenseOpMode,
     InvalidCapacity,
+    InvalidTable,
     MalformedNumber,
     NumberTooLarge,
     UnknownId,
@@ -561,9 +563,24 @@ def test_ids_past_the_alphabet_are_a_typed_error(kind, token_id):
         assert convert(encode("3 5 +$") + bytes([token_id]), rule_gates).dense == [3.0, 5.0, 0.0]
 
 
-def test_a_short_table_still_raises_index_error():
-    with pytest.raises(IndexError):
-        convert(encode("3 5 +"), rule_gates[:3])
+@pytest.mark.parametrize("table", [rule_gates[:30], rule_gates[:3], None, tuple(range(CASES))],
+                         ids=["30-cases", "3-cases", "none", "36-ints"])
+def test_a_malformed_table_is_invalid(table):
+    # These ended in IndexError, TypeError and AttributeError.
+    for fn in (convert, convert_with_trace):
+        with pytest.raises(InvalidTable, match="^policy must be 36 GateDecisions$"):
+            fn(encode("3 + 5"), table)
+
+
+def test_only_the_machine_path_checks_the_table(monkeypatch):
+    checked = []
+    monkeypatch.setattr(conversion, "check_table", checked.append)
+    for text in ("3 + 5", "3+5"):  # the piece path, and rule_gates' machine fallback
+        convert(encode(text), rule_gates)
+        convert_with_trace(encode(text), rule_gates)
+    assert checked == []
+    convert_with_trace(encode("3 + 5"), _MACHINE_RULE_GATES)
+    assert checked == [_MACHINE_RULE_GATES]
 
 
 # Under rule_gates itself convert reads whole pieces; an equal table that
@@ -662,3 +679,42 @@ def test_rule_table_converts_questions_without_the_machine(monkeypatch):
                        (bytes([3, 200]), rule_gates), (encode("3 5 +"), _MACHINE_RULE_GATES)):
         with pytest.raises(AssertionError, match="the machine ran"):
             convert(ids, table)
+
+
+# Pieces just outside the piece path's slot table, which the checked
+# literal path reads.
+_NEAR_MISSES = ["100", "00", "07", "5.", "0.5", "99."]
+
+
+def _slots(program):
+    return [(x.hex(), op) for x, op in zip(program.dense, program.ops)]
+
+
+def _both_paths(text: str, capacity: int = 3):
+    """The slots of text on the piece path (None where it leaves it) and
+    from the machine."""
+    ids = encode(text)
+    program = conversion._convert_pieces(ids, capacity)
+    return program and _slots(program), _slots(convert(ids, _MACHINE_RULE_GATES, capacity))
+
+
+def test_every_table_slot_is_the_one_the_checked_path_and_the_machine_give(monkeypatch):
+    ops, ints = list("+-*/"), [str(i) for i in range(100)]
+    assert set(conversion._SLOTS) == {piece.encode() for piece in ops + ints}
+    for piece in ops + ints:
+        table, machine = _both_paths(piece)
+        assert table == machine, piece
+    # With the integers out of the table, each takes the checked path.
+    ops_only = {op.encode(): conversion._SLOTS[op.encode()] for op in ops}
+    monkeypatch.setattr(conversion, "_SLOTS", ops_only)
+    for piece in ints:
+        checked, machine = _both_paths(piece)
+        assert checked == machine, piece
+
+
+@pytest.mark.parametrize("piece", _NEAR_MISSES)
+def test_near_misses_take_the_checked_path_and_match_the_machine(piece):
+    assert piece.encode() not in conversion._SLOTS
+    for text in (piece, f"3 {piece} *"):
+        checked, machine = _both_paths(text)
+        assert checked is not None and checked == machine, text

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import random
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -734,11 +735,12 @@ def test_steps_max_below_the_last_stop_trains_exactly_steps_max():
 
 
 def test_a_stopped_head_scores_each_case_at_its_own_params():
-    # The digit head's column for '0' holds +inf, so its loss there is NaN;
-    # its other cases still score finite, and the run fails at the step
-    # that reads '0', as the event-major loop does, not at the first step.
+    # The digit head's column for '0' and its bias are finite, but their
+    # sum is +inf, so its loss there is NaN; its other cases still score
+    # finite, and the run fails at the step that reads '0', as the
+    # event-major loop does, not at the first step.
     init = GateParams.zeros()
-    init.heads["digit"][0][0][0] = math.inf
+    init.heads["digit"][0][0][0] = init.heads["digit"][1][0] = 1e308
     events = label_events("5 0")
     config = TrainConfig(lr=0.0, repeats=1)
     with pytest.raises(GateError, match="^training diverged at step 2: weighted loss is nan$"):
@@ -855,6 +857,45 @@ def test_save_refuses_what_load_rejects(tmp_path):
     params.heads["op"][1][1] = float("nan")
     with pytest.raises(GateError, match="head 'op' contains non-finite values"):
         save_params(params, path)
+    assert not path.exists()
+
+
+def _spoil(case: str, params: GateParams) -> None:
+    heads = params.heads
+    if case == "missing-head":
+        del heads["ignore"]
+    elif case == "short-column-list":
+        heads["move"][0].pop()
+    elif case == "short-bias":
+        heads["op"][1].pop()
+    elif case == "short-column":
+        heads["digit"][0][3].pop()
+    else:
+        heads["denseop"][0][VOCAB_SIZE][2] = math.inf
+
+
+@pytest.mark.parametrize("case, message", [
+    ("missing-head", "head 'ignore' is missing or not numeric"),
+    ("short-column-list", f"head 'move' has wrong shape (2, {VOCAB_SIZE - 1}) / (2,)"),
+    ("short-bias", f"head 'op' has wrong shape (5, {VOCAB_SIZE}) / (4,)"),
+    ("short-column", "head 'digit' is missing or not numeric"),
+    ("non-finite-weight", "head 'denseop' contains non-finite values"),
+])
+def test_bad_params_are_refused_with_the_loader_messages(tmp_path, case, message):
+    # The trainer and the policy builder ended in KeyError or IndexError,
+    # or ran on the inf; save_params wrote a file load_params refused.
+    params = GateParams.zeros()
+    _spoil(case, params)
+    path = tmp_path / "gates.json"
+    calls = [
+        lambda: train_gates(label_events("3 + 5"), init=params),
+        lambda: make_learned_policy(params),
+        lambda: agreement_table(params),
+        lambda: save_params(params, path),
+    ]
+    for call in calls:
+        with pytest.raises(GateError, match=f"^{re.escape(message)}$"):
+            call()
     assert not path.exists()
 
 

@@ -368,3 +368,19 @@ def test_glued_questions_parse_as_spaced():
 def test_spaced_text_at_the_split_boundary_matches_reference(text):
     got = _outcome(parse_infix, to_postfix, lambda _: None, text)
     assert got == _outcome(reference_parse_infix, reference_to_postfix, lambda _: None, text)
+
+
+# Every piece of the piece path's slot table, and pieces just outside it.
+_TABLE_PIECES = [str(i) for i in range(100)] + list("+-*/")
+_TABLE_PIECES += ["100", "00", "07", "5.", "0.5", "99."]
+
+
+def test_small_integers_parse_as_the_reference_does():
+    assert infix._SMALL_INTS == {str(i) for i in range(100)}
+    for piece in _TABLE_PIECES:
+        for spaced in (piece, f"{piece} = ?", f"1 + {piece} * 2", f"( {piece} ) / {piece}",
+                       f"{piece} {piece}", f"( {piece} {piece} )"):
+            for text in (spaced, spaced.replace(" ", "")):
+                got = _outcome(parse_infix, to_postfix, lambda _: None, text)
+                want = _outcome(reference_parse_infix, reference_to_postfix, lambda _: None, text)
+                assert got == want, text
