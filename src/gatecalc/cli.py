@@ -150,8 +150,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_train_gates(args: argparse.Namespace) -> int:
     config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
-    # Every file is read and labelled before the first stage trains.
-    stages = [events_from_lines(load_training_lines(path)) for path in args.data]
+    # Every file is read and labelled before the first stage trains. Labeling
+    # reads a file's lines in order, so those left unread name the one it refused.
+    stages = []
+    for path in args.data:
+        lines = load_training_lines(path)
+        unread = iter(lines)
+        try:
+            stages.append(events_from_lines(unread))
+        except ConversionError as exc:
+            raise type(exc)(f"{path}: line {len(lines) - len(list(unread))}: {exc}") from None
     for path, events in zip(args.data, stages):
         if not events:
             raise EmptyCorpus(f"{path}: no training events")

@@ -36,16 +36,15 @@ dict built at import with float() of its text; any other literal is
 checked and float()-ed as it comes. Any other piece (glued, leading
 dot, junk), more pieces than the capacity or a literal past float
 range hands the whole stream to the machine, which alone raises. Every
-other table, a learned one at full agreement included, runs the
-machine, once check_table has refused one that is not 36 decisions.
+other table, a learned one at full agreement included, runs the machine.
 
-convert records no trace. convert_with_trace returns the case ids
-beside the program: once convert has succeeded, a second, short pass
-over the same compiled actions replays the flag alone, which only a dot
-raises and only a close lowers. Under rule_gates that trace is the
-trainer's label stream as it stands. The hand-written table, rule_gates,
-lives here beside the machine that reads it; gates.make_learned_policy
-builds the trained one, and serving never imports the trainer.
+The machine appends each token's case id as it reads it: convert drops
+those cases and convert_with_trace returns them, which under rule_gates
+are the trainer's label stream as it stands. A GateTable is checked
+once, when it is built, and the machine builds one from any other table.
+rule_gates lives here beside the machine that reads it;
+gates.make_learned_policy builds the trained one, and serving never
+imports the trainer.
 """
 
 from __future__ import annotations
@@ -168,8 +167,6 @@ class GateDecision:
         return (getattr(self, name) for name in DECISION_FIELDS)
 
 
-# A gate policy: one decision per case id 2 * token_id + decimal_flag.
-GateTable = tuple[GateDecision, ...]
 CASES = 2 * VOCAB_SIZE
 
 
@@ -177,8 +174,20 @@ class InvalidTable(ConversionError):
     """A gate policy that is not CASES GateDecisions."""
 
 
+class GateTable(tuple):
+    """A gate policy, checked once: a decision per case id 2 * token_id + flag."""
+
+    __slots__ = ()
+
+    def __new__(cls, decisions):
+        if (isinstance(decisions, (tuple, list)) and len(decisions) == CASES
+                and all(map(isinstance, decisions, repeat(GateDecision)))):
+            return super().__new__(cls, decisions)
+        raise InvalidTable(f"policy must be {CASES} GateDecisions")
+
+
 def _tabulate(decide: Callable[[int, int], GateDecision]) -> GateTable:
-    return tuple(decide(case >> 1, case & 1) for case in range(CASES))
+    return GateTable([decide(case >> 1, case & 1) for case in range(CASES)])
 
 
 def _rule_decision(token_id: int, decimal_started: int) -> GateDecision:
@@ -228,6 +237,8 @@ def op_json_name(op: Op) -> str:
 
 
 _NONE = Op.NONE
+# The terminator stops conversion whatever its decision says.
+_STOP = bytes([TERMINATOR_ID])
 
 # Past this mantissa, digits after the decimal dot collapse into its last
 # digit. A double, and each point halfway between two, has at most 767
@@ -251,13 +262,6 @@ def check_capacity(capacity) -> None:
         raise InvalidCapacity(f"capacity must be at least 1, got {capacity}")
 
 
-def check_table(table) -> None:
-    """Refuse a gate policy that is not a tuple or list of CASES GateDecisions."""
-    if not (isinstance(table, (tuple, list)) and len(table) == CASES
-            and all(map(isinstance, table, repeat(GateDecision)))):
-        raise InvalidTable(f"policy must be {CASES} GateDecisions")
-
-
 def _past_float_range(slot: int) -> NumberTooLarge:
     return NumberTooLarge(f"number at slot {slot} is past float range")
 
@@ -272,22 +276,15 @@ def convert(ids: bytes, table: GateTable, capacity: int = DEFAULT_CAPACITY) -> D
     its text; one past float range raises NumberTooLarge.
 
     Under rule_gates itself the stream is read a piece at a time first,
-    and the machine runs only where a piece is not whole. Any other table
-    that is not CASES GateDecisions raises InvalidTable.
+    and the machine runs only where a piece is not whole. Under any other
+    table the machine's program is the result and its cases are dropped.
     """
-    check_capacity(capacity)
-    # The terminator stops conversion whatever its decision says, and
-    # nothing after it is read.
-    stop = ids.find(TERMINATOR_ID)
-    if stop >= 0:
-        ids = ids[:stop]
     if table is rule_gates:
+        check_capacity(capacity)
         program = _convert_pieces(ids, capacity)
         if program is not None:
             return program
-    else:
-        check_table(table)
-    return _machine(ids, table, capacity)
+    return _machine(ids, table, capacity)[0]
 
 
 # bytes.translate table from an id back to its character; OTHER and every
@@ -305,9 +302,9 @@ def _convert_pieces(ids: bytes, capacity: int) -> DenseProgram | None:
     per space-split piece, or None for the machine to run: where a piece
     is neither one operator nor a literal (a digit, then digits and at
     most one dot), where the pieces outnumber capacity, and where a
-    literal is past float range.
+    literal is past float range. Nothing after the terminator is read.
     """
-    pieces = ids.translate(_CHARS).split()
+    pieces = ids.partition(_STOP)[0].translate(_CHARS).split()
     if len(pieces) > capacity:
         return None
     dense: list[float] = []
@@ -327,23 +324,26 @@ def _convert_pieces(ids: bytes, capacity: int) -> DenseProgram | None:
     return DenseProgram([1] * len(dense), dense, ops)
 
 
-def _machine(ids: bytes, table: GateTable, capacity: int) -> DenseProgram:
-    """convert's per-character machine, under any table check_table
-    accepts, over the ids before the terminator."""
-    valid: list[int] = []
+def _machine(ids: bytes, table: GateTable, capacity: int) -> tuple[DenseProgram, bytearray]:
+    """The per-character machine under any table, over the ids up to the
+    terminator: its program, and the case id each token was read in."""
+    check_capacity(capacity)
+    if type(table) is not GateTable:
+        table = GateTable(table)
+    ids, stop, _ = ids.partition(_STOP)
+    cases = bytearray()
     dense: list[float] = []
     ops: list[Op] = []
     number: int | None = None  # the open number's mantissa; None between numbers
     scale = 0  # decimal digits of the mantissa after the point
     flag = 0  # 1 once the open number has read its decimal dot
     place = 0  # decimal place of the next BASE_MUL_ADD digit
-    # The table read is the loop's only source of IndexError, and with a
-    # checked table only an id past the alphabet reaches it. The try spans
-    # the whole loop because one around the read alone costs a jump per
-    # token.
+    # Only an id past the alphabet makes the table read raise IndexError.
+    # The try spans the loop, as one around the read costs a jump per token.
     try:
         for token_id in ids:
-            action, arg = table[2 * token_id + flag].action
+            action, arg = table[case := 2 * token_id + flag].action
+            cases.append(case)
             if action <= DIGIT_BASE_MUL:
                 if number is not None:
                     # A later digit folds in by its action, in integer
@@ -374,7 +374,6 @@ def _machine(ids: bytes, table: GateTable, capacity: int) -> DenseProgram:
                         dense.append(number / 10**scale if scale else float(number))
                     except OverflowError:
                         raise _past_float_range(len(dense)) from None
-                    valid.append(1)
                     ops.append(_NONE)
                     number = None
                     scale = flag = place = 0
@@ -392,12 +391,11 @@ def _machine(ids: bytes, table: GateTable, capacity: int) -> DenseProgram:
                 place = 1
                 continue
             # An operator, or the first digit of a number, claims the next slot.
-            if len(valid) >= capacity:
+            if len(dense) >= capacity:
                 raise CapacityExceeded(
-                    f"stream needs slot {len(valid)} but capacity is {capacity}"
+                    f"stream needs slot {len(dense)} but capacity is {capacity}"
                 )
             if action == CLOSE_OP:
-                valid.append(1)
                 dense.append(0.0)
                 ops.append(arg)
             else:
@@ -407,34 +405,23 @@ def _machine(ids: bytes, table: GateTable, capacity: int) -> DenseProgram:
         raise UnknownId(
             f"id {token_id} at position {ids.index(token_id)} is past the {VOCAB_SIZE}-id alphabet"
         ) from None
+    if stop:
+        cases.append(2 * TERMINATOR_ID + flag)
     if number is not None:
         try:
             dense.append(number / 10**scale if scale else float(number))
         except OverflowError:
             raise _past_float_range(len(dense)) from None
-        valid.append(1)
         ops.append(_NONE)
-    return DenseProgram(valid, dense, ops)
+    return DenseProgram([1] * len(dense), dense, ops), cases
 
 
-def convert_with_trace(
-    ids: bytes,
-    table: GateTable,
-    capacity: int = DEFAULT_CAPACITY,
-) -> tuple[DenseProgram, bytes]:
+def convert_with_trace(ids: bytes, table: GateTable,
+                       capacity: int = DEFAULT_CAPACITY) -> tuple[DenseProgram, bytes]:
     """The program convert fills, and for each token read the case id it
-    was read in, 2 * token_id + the decimal flag. The terminator is read,
-    under the flag of the number it closes, and nothing after it is.
+    was read in, 2 * token_id + the decimal flag, from the machine's one
+    pass under any table. The terminator is read, under the flag of the
+    number it closes, and nothing after it is.
     """
-    program = convert(ids, table, capacity)
-    cases = bytearray()
-    flag = 0
-    for token_id in ids[: ids.find(TERMINATOR_ID) + 1 or len(ids)]:
-        case = 2 * token_id + flag
-        cases.append(case)
-        action = table[case].action[0]
-        if action == DOT:
-            flag = 1
-        elif CLOSE <= action <= CLOSE_OP:
-            flag = 0
+    program, cases = _machine(ids, table, capacity)
     return program, bytes(cases)

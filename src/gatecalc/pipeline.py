@@ -19,7 +19,6 @@ from .conversion import (
     ConversionError,
     GateTable,
     check_capacity,
-    check_table,
     convert,
     rule_gates,
 )
@@ -73,7 +72,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         _check_inject_len(self.inject_len)
         check_capacity(self.capacity)
-        check_table(self.policy)
+        if type(self.policy) is not GateTable:
+            object.__setattr__(self, "policy", GateTable(self.policy))
 
 
 _DEFAULT_CONFIG = PipelineConfig()

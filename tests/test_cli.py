@@ -357,7 +357,7 @@ def test_each_data_file_trains_as_a_stage_from_the_last_ones_params(capsys, tmp_
     ("", "bad.txt: no training events"),
     ("\n\n", "bad.txt: no training events"),
     ('{"input": "1 + 1"}', "bad.txt: record 0 has no swift_express text"),
-    ("1..5 2 +\n", "second decimal dot inside one number"),
+    ("1..5 2 +\n", "bad.txt: line 1: second decimal dot inside one number"),
     (b"1 2 +\xff\n", None),
     (None, None),
 ], ids=["empty", "blank-lines", "records-no-postfix", "malformed-number", "not-utf8", "missing"])
@@ -620,6 +620,26 @@ def test_run_declines_deep_nesting(capsys):
     code, out, _ = run_cli(capsys, "run", _NESTED)
     assert code == 0
     assert json.loads(out)["answer"] == _NESTED
+
+
+@pytest.mark.parametrize("name, content, error", [
+    ("bad.txt", "1 2 +\n3..4 * 5\n", "line 2: second decimal dot inside one number"),
+    ("bad.txt", "1 2 +\n. 5\n7 8 *\n", "line 2: decimal dot with no number in progress"),
+    ("bad.txt", "\n\n1 2\n4 5..5 +\n", "line 4: second decimal dot inside one number"),
+    # A record file counts records, as load_training_lines returns them.
+    ("bad.jsonl", '{"swift_express": "1 2 +"}\n\n{"swift_express": "3..4 *"}\n',
+     "line 2: second decimal dot inside one number"),
+    ("bad.json", '[{"swift_express": ". 5"}]', "line 1: decimal dot with no number in progress"),
+], ids=["second-dot", "leading-dot", "after-blank-lines", "jsonl-records", "json-array"])
+def test_train_gates_names_the_file_and_line_it_cannot_label(
+    capsys, tmp_path, monkeypatch, name, content, error
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "good.txt").write_text("1 2 +\n1.5 3 *\n")
+    (tmp_path / name).write_text(content)
+    code, out, err = run_cli(capsys, "train-gates", "--data", "good.txt", name, "--out", "g.json")
+    assert (code, out, err) == (1, "", f"error: {name}: {error}\n")
+    assert not (tmp_path / "g.json").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -23,6 +23,7 @@ from gatecalc.conversion import (
     CapacityExceeded,
     ConversionError,
     DenseOpMode,
+    GateTable,
     InvalidCapacity,
     InvalidTable,
     MalformedNumber,
@@ -33,7 +34,7 @@ from gatecalc.conversion import (
 )
 from gatecalc.datagen import GenConfig, Stage, gen_dot_place, gen_numbers_ops, gen_questions
 from gatecalc.gates import GateDecision, GateParams, label_events, make_learned_policy, rule_gates
-from gatecalc.pipeline import reference_predictor
+from gatecalc.pipeline import PipelineConfig, reference_predictor, run
 from gatecalc.tokenizer import (
     DOT_ID,
     OP_ID_TO_OP,
@@ -444,7 +445,7 @@ def test_convert_with_trace_matches_step_reference(kind, count, seed):
         ids, capacity = encode(text), rng.randint(1, 20)
         got = _outcome(convert_with_trace, ids, table, capacity)
         assert got == _outcome(reference_convert_with_trace, ids, table, capacity), (text, capacity)
-        # The cases are replayed after convert, which raises every error.
+        # convert runs the same pass, keeps its program and raises its errors.
         try:
             assert got[0] == convert(ids, table, capacity).to_json_dict()
         except ConversionError as exc:
@@ -563,30 +564,88 @@ def test_ids_past_the_alphabet_are_a_typed_error(kind, token_id):
         assert convert(encode("3 5 +$") + bytes([token_id]), rule_gates).dense == [3.0, 5.0, 0.0]
 
 
-@pytest.mark.parametrize("table", [rule_gates[:30], rule_gates[:3], None, tuple(range(CASES))],
-                         ids=["30-cases", "3-cases", "none", "36-ints"])
+@pytest.mark.parametrize("table", [
+    rule_gates[:30], rule_gates[:3], None, tuple(range(CASES)),
+    GateTable, dict(enumerate(rule_gates)), rule_gates + rule_gates[:1],
+], ids=["30-cases", "3-cases", "none", "36-ints", "the-class", "dict", "37-cases"])
 def test_a_malformed_table_is_invalid(table):
-    # These ended in IndexError, TypeError and AttributeError.
+    # The first four ended in IndexError, TypeError and AttributeError.
     for fn in (convert, convert_with_trace):
         with pytest.raises(InvalidTable, match="^policy must be 36 GateDecisions$"):
             fn(encode("3 + 5"), table)
-
-
-def test_only_the_machine_path_checks_the_table(monkeypatch):
-    checked = []
-    monkeypatch.setattr(conversion, "check_table", checked.append)
-    for text in ("3 + 5", "3+5"):  # the piece path, and rule_gates' machine fallback
-        convert(encode(text), rule_gates)
-        convert_with_trace(encode(text), rule_gates)
-    assert checked == []
-    convert_with_trace(encode("3 + 5"), _MACHINE_RULE_GATES)
-    assert checked == [_MACHINE_RULE_GATES]
+    with pytest.raises(InvalidTable, match="^policy must be 36 GateDecisions$"):
+        GateTable(table)
 
 
 # Under rule_gates itself convert reads whole pieces; an equal table that
-# is not rule_gates takes the per-character machine. tuple(rule_gates) and
-# rule_gates[:] are rule_gates itself, so a list stands in for it.
+# is not rule_gates takes the per-character machine. A list stands in for
+# it, and is made a GateTable, checked, on every call.
 _MACHINE_RULE_GATES = list(rule_gates)
+
+
+def test_a_table_is_checked_once_when_built(monkeypatch):
+    built = [make_learned_policy(GateParams.zeros()), GateTable(_MACHINE_RULE_GATES)]
+    checked = []
+    new = GateTable.__new__
+
+    def counting_new(cls, decisions):
+        checked.append(decisions)
+        return new(cls, decisions)
+
+    monkeypatch.setattr(GateTable, "__new__", counting_new)
+    # The piece path, rule_gates' machine fallback, and every GateTable.
+    for table in (rule_gates, *built):
+        for text in ("3 + 5", "3+5"):
+            convert(encode(text), table)
+            convert_with_trace(encode(text), table)
+        run("3 + 5 = ?", config=PipelineConfig(policy=table))
+    assert checked == []
+    # A plain list is checked on every call, and once by the config it is kept in.
+    convert(encode("3 + 5"), _MACHINE_RULE_GATES)
+    convert_with_trace(encode("3 + 5"), _MACHINE_RULE_GATES)
+    config = PipelineConfig(policy=_MACHINE_RULE_GATES)
+    assert run("3 + 5 = ?", config=config).answer == run("3 + 5 = ?", config=config).answer == "8"
+    assert checked == [_MACHINE_RULE_GATES] * 3
+
+
+def test_convert_with_trace_reads_no_piece(monkeypatch):
+    # The trace comes from the machine's one pass under every table,
+    # rule_gates included, and equals the piece path's program.
+    expressions = [(encode(e), len(e) + 1) for e in _question_postfixes()]
+    programs = [convert(ids, rule_gates, capacity) for ids, capacity in expressions]
+
+    def no_pieces(*args):
+        raise AssertionError("the piece path ran")
+
+    monkeypatch.setattr(conversion, "_convert_pieces", no_pieces)
+    for (ids, capacity), program in zip(expressions, programs):
+        got = convert_with_trace(ids, rule_gates, capacity)
+        assert got == (program, reference_convert_with_trace(ids, rule_gates, capacity)[1])
+
+
+def test_one_machine_pass_per_call(monkeypatch):
+    passes = []
+    machine = conversion._machine
+
+    def counting_machine(*args):
+        passes.append(args)
+        return machine(*args)
+
+    monkeypatch.setattr(conversion, "_machine", counting_machine)
+    tables = [rule_gates, _MACHINE_RULE_GATES, random_gate_table(random.Random(7))]
+    # Each text, and whether rule_gates' convert reads it whole at capacity 3.
+    texts = [("3 5 +", True), ("1.5 2 *$ 4", True), ("", True),
+             ("3+5", False), ("1..5", False), ("3 5 + 7", False)]
+    for text, whole in texts:
+        for table in tables:
+            for fn in (convert, convert_with_trace):
+                before = len(passes)
+                try:
+                    fn(encode(text), table, 3)
+                except ConversionError:
+                    pass
+                pieces = whole and fn is convert and table is rule_gates
+                assert len(passes) - before == (0 if pieces else 1), (text, fn, table)
 
 
 def _pieces_and_machine(ids, capacity):

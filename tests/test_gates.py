@@ -18,7 +18,9 @@ from gatecalc.conversion import (
     ConversionError,
     DenseOpMode,
     MalformedNumber,
+    UnknownId,
     convert,
+    convert_with_trace,
 )
 from gatecalc.datagen import gen_dot_place, gen_numbers_ops
 from gatecalc.gates import (
@@ -60,6 +62,8 @@ from helpers import (
     onehot_logits,
     onehot_train_step,
     param_bits,
+    random_gate_table,
+    reference_convert_with_trace,
     reference_train_gates,
     softmax_loss_grad,
 )
@@ -779,6 +783,38 @@ def test_trained_policy_takes_the_machine(trained_params, monkeypatch):
     assert convert(encode("3 5 +"), rule_gates) == want
     with pytest.raises(AssertionError, match="the machine ran"):
         convert(encode("3 5 +"), policy)
+
+
+def _trace_outcome(ids, table):
+    try:
+        program, cases = convert_with_trace(ids, table)
+    except ConversionError as exc:
+        return type(exc), str(exc)
+    assert convert(ids, table) == program
+    return program.to_json_dict(), cases
+
+
+def test_one_pass_traces_alike_under_every_kind_of_table(trained_params):
+    rng = random.Random(27)
+    rule_like = [rule_gates, list(rule_gates), make_learned_policy(trained_params)]
+    tables = rule_like + [random_gate_table(rng) for _ in range(30)]
+    unknown = (UnknownId, "id 200 at position 1 is past the 18-id alphabet")
+    for ids in (encode("1.5$2"), encode("3 5 +$"), encode("$"), bytes([3, 200])):
+        outcomes = [_trace_outcome(ids, table) for table in tables]
+        # A table equal in its actions to rule_gates gives its very cases.
+        assert outcomes[1] == outcomes[2] == outcomes[0], ids
+        for table, got in zip(tables, outcomes):
+            try:
+                want = reference_convert_with_trace(ids, table)
+            except IndexError:  # the step reference reads the table past its end
+                assert got == unknown
+                continue
+            except ConversionError as exc:
+                want = type(exc), str(exc)
+            else:
+                want = want[0].to_json_dict(), want[1]
+            assert got == want, (ids, table)
+    assert _trace_outcome(bytes([3, 200]), rule_gates) == unknown
 
 
 def test_dot_place_alone_fixes_decimal_machinery():

@@ -6,6 +6,7 @@ from fractions import Fraction
 from gatecalc import evaluator, pipeline
 from gatecalc.conversion import (
     ConversionError,
+    GateTable,
     InvalidCapacity,
     InvalidTable,
     convert,
@@ -256,14 +257,24 @@ _TUPLE_CASE = rule_gates[:5] + (tuple(rule_gates[5]),) + rule_gates[6:]
 _ROWS_OF_TWO = tuple(zip(rule_gates[::2], rule_gates[1::2]))
 
 
-@pytest.mark.parametrize(
-    "policy", [[], "abc", None, rule_gates[:35], _TUPLE_CASE, _ROWS_OF_TWO],
-    ids=["empty-list", "string", "none", "35-cases", "tuple-case", "rows-of-two"],
-)
+@pytest.mark.parametrize("policy", [
+    [], "abc", None, rule_gates[:35], _TUPLE_CASE, _ROWS_OF_TWO,
+    GateTable, dict(enumerate(rule_gates)), rule_gates + rule_gates[:1],
+], ids=["empty-list", "string", "none", "35-cases", "tuple-case", "rows-of-two",
+        "the-class", "dict", "37-cases"])
 def test_policy_must_be_a_gate_table(policy):
-    # Each got past the config and then raised IndexError or TypeError in run().
+    # The first six once got past the config and then raised IndexError or
+    # TypeError in run().
     with pytest.raises(InvalidTable, match="^policy must be 36 GateDecisions$"):
         PipelineConfig(policy=policy)
+
+
+def test_config_keeps_its_policy_as_a_checked_table():
+    assert PipelineConfig().policy is rule_gates
+    policy = PipelineConfig(policy=list(rule_gates)).policy
+    assert type(policy) is GateTable and policy == rule_gates and policy is not rule_gates
+    learned = make_learned_policy(GateParams.zeros())
+    assert PipelineConfig(policy=learned).policy is learned
 
 
 @pytest.mark.parametrize("capacity", ["a", None, True, 64.0])
