@@ -154,14 +154,13 @@ def cmd_train_gates(args: argparse.Namespace) -> int:
     # reads a file's lines in order, so those left unread name the one it refused.
     stages = []
     for path in args.data:
-        lines = load_training_lines(path)
+        lines, unit = load_training_lines(path)
         unread = iter(lines)
         try:
             stages.append(events_from_lines(unread))
         except ConversionError as exc:
-            raise type(exc)(f"{path}: line {len(lines) - len(list(unread))}: {exc}") from None
-    for path, events in zip(args.data, stages):
-        if not events:
+            raise type(exc)(f"{path}: {unit} {len(lines) - len(list(unread))}: {exc}") from None
+        if not stages[-1]:
             raise EmptyCorpus(f"{path}: no training events")
     params, out = None, []
     for k, events in enumerate(stages, 1):

@@ -53,7 +53,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import repeat
 from math import inf
-from typing import Callable
 
 from .tokenizer import (
     CHAR_TO_OP,
@@ -186,10 +185,6 @@ class GateTable(tuple):
         raise InvalidTable(f"policy must be {CASES} GateDecisions")
 
 
-def _tabulate(decide: Callable[[int, int], GateDecision]) -> GateTable:
-    return GateTable([decide(case >> 1, case & 1) for case in range(CASES)])
-
-
 def _rule_decision(token_id: int, decimal_started: int) -> GateDecision:
     """Reference decision for one (token id, decimal flag) case."""
     if token_id == OTHER_ID:
@@ -209,7 +204,7 @@ def _rule_decision(token_id: int, decimal_started: int) -> GateDecision:
     return GateDecision(0, 0, 0, DenseOpMode.IGNORE, 0, Op.NONE)
 
 
-rule_gates: GateTable = _tabulate(_rule_decision)
+rule_gates = GateTable([_rule_decision(case >> 1, case & 1) for case in range(CASES)])
 
 
 @dataclass

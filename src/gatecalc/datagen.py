@@ -33,8 +33,8 @@ _JUNK_CHARS = "abcxyz#?"
 
 
 class DataError(ValueError):
-    """A negative count, a mixing fraction out of range, or a record file
-    of the wrong shape."""
+    """A negative count, a mixing fraction out of range, a dot place off a
+    digit string's interior, or a record file of the wrong shape."""
 
 
 class EmptyInput(DataError):
@@ -85,9 +85,9 @@ def _rng(count: int, seed: int) -> random.Random:
 def dot_place_line(digits: str, dot_pos: int) -> str:
     """Insert a decimal dot at an interior position of a digit string."""
     if not digits.isdigit():
-        raise ValueError(f"not a digit string: {digits!r}")
+        raise DataError(f"not a digit string: {digits!r}")
     if not 1 <= dot_pos <= len(digits) - 1:
-        raise ValueError(f"dot position {dot_pos} not interior to {digits!r}")
+        raise DataError(f"dot position {dot_pos} not interior to {digits!r}")
     return digits[:dot_pos] + "." + digits[dot_pos:]
 
 
@@ -278,20 +278,21 @@ def _parse_records(text: str, path: str | Path) -> list[dict]:
         raise DataError(f"{path}: JSON nested too deeply") from None
     except ValueError:  # int() refuses a literal past Python's digit limit
         raise DataError(f"{path}: JSON integer has too many digits") from None
-    for i, row in enumerate(rows):
+    for i, row in enumerate(rows, 1):
         if not isinstance(row, dict):
             raise DataError(f"{path}: record {i} is not a JSON object")
     return rows
 
 
-def load_training_lines(path: str | Path) -> list[str]:
-    """Trainer input from a file: plain text lines, or the swift_express
-    field when the file holds question records."""
+def load_training_lines(path: str | Path) -> tuple[list[str], str]:
+    """Trainer input from a file and the name of one of its items, as
+    error messages number them from 1: its text lines ("line"), or each
+    question record's swift_express field ("record")."""
     text = Path(path).read_text(encoding="utf-8")
     if not text.lstrip().startswith(("[", "{")):
-        return text.splitlines()
+        return text.splitlines(), "line"
     records = _parse_records(text, path)
-    for i, record in enumerate(records):
+    for i, record in enumerate(records, 1):
         if not isinstance(record.get("swift_express"), str):
             raise DataError(f"{path}: record {i} has no swift_express text")
-    return [r["swift_express"] for r in records]
+    return [r["swift_express"] for r in records], "record"

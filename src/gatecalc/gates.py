@@ -13,7 +13,8 @@ input only selects a column, so a head keeps its weights as a list of
 input columns, and its outputs are the token's column plus the flag
 column (dense-mode head, flag on) plus the bias. Prediction always
 takes the argmax of a head's outputs, ties breaking toward the lowest
-class.
+class. One reader, one argmax per token column of a head (two for the
+dense-mode head), serves both the learned table and the stop check.
 
 Training is plain per-event gradient descent in scalar Python: the
 heads are at most 10 x 19, too small for array calls to pay for
@@ -38,10 +39,9 @@ params are fixed, so its loss depends on the case id alone: it becomes a
 table, computed once by the head's own training code at scale zero, and
 each later step reads it. The stage stops when no head is left training,
 since from there on it converts any input made of those cases exactly as
-rule_gates does; steps_max is only an upper bound. The check takes one
-argmax per token column of each head still training (two for the
-dense-mode head, which reads the flag), not 36 full decisions, and the
-loss trace keeps, at every boundary, the count of cases no head misses
+rule_gates does; steps_max is only an upper bound. The check reads each
+head still training over only the token columns the stream holds, and
+the loss trace keeps, at every boundary, the count of cases no head misses
 (the agreement curve), and the step at which each head stopped. A run
 at a learning rate of zero stops every head at step 0: it scores the
 whole corpus from the tables and returns the init untouched.
@@ -74,7 +74,6 @@ from .conversion import (
     DenseOpMode,
     GateDecision,
     GateTable,
-    _tabulate,
     convert_with_trace,
     rule_gates,
 )
@@ -151,21 +150,29 @@ def _argmax(z: list[float]) -> int:
     return z.index(max(z))
 
 
-def learned_gates(params: GateParams, token_id: int, decimal_started: int) -> GateDecision:
-    """Argmax of every head. All-zero params answer class 0 everywhere."""
-
-    ignore, move, decimal_start, dense_mode, digit, op = (
-        _argmax(_logits(params, name, token_id, decimal_started))
-        for name, _, _ in HEAD_SHAPES
-    )
-    return GateDecision(ignore, move, decimal_start, DenseOpMode(dense_mode), digit, Op(op))
+def _classes(params: GateParams, name: str, n_in: int, tokens: Iterable[int]) -> dict[int, int]:
+    """The head's class for each case id of the given token ids. It takes
+    one argmax per token column, which serves both flags, and the
+    dense-mode head a second one with its flag column added."""
+    got = {}
+    for t in tokens:
+        got[2 * t] = got[2 * t + 1] = _argmax(_logits(params, name, t, 0))
+        if n_in > VOCAB_SIZE:
+            got[2 * t + 1] = _argmax(_logits(params, name, t, 1))
+    return got
 
 
 def make_learned_policy(params: GateParams) -> GateTable:
-    """The 36-case table of learned decisions, computed once up front.
-    Params check_params refuses raise GateError."""
+    """The 36-case table of learned decisions, computed once up front in
+    126 argmaxes. Params check_params refuses raise GateError."""
     check_params(params)
-    return _tabulate(lambda token_id, ds: learned_gates(params, token_id, ds))
+    ignore, move, decimal, mode, digit, op = (
+        _classes(params, name, n_in, range(VOCAB_SIZE)) for name, _, n_in in HEAD_SHAPES
+    )
+    return GateTable([
+        GateDecision(ignore[c], move[c], decimal[c], DenseOpMode(mode[c]), digit[c], Op(op[c]))
+        for c in range(CASES)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -354,19 +361,6 @@ def _loss_table(w, b, n_out, targets, cases: set[int]) -> dict[int, float]:
     return dict(zip(block, losses))
 
 
-def _misses(params: GateParams, name: str, n_in: int, targets: bytes, cases: set[int]) -> set[int]:
-    """The case ids in cases that the head decides otherwise than
-    rule_gates. It takes one argmax per token column, which serves both
-    flags, and the dense-mode head a second one with its flag column
-    added: the logits learned_gates reads, without building decisions."""
-    got = {}
-    for t in {case >> 1 for case in cases}:
-        got[2 * t] = got[2 * t + 1] = _argmax(_logits(params, name, t, 0))
-        if n_in > VOCAB_SIZE:
-            got[2 * t + 1] = _argmax(_logits(params, name, t, 1))
-    return {case for case in cases if got[case] != targets[case]}
-
-
 def train_gates(
     events: Iterable[int],
     config: TrainConfig | None = None,
@@ -422,7 +416,8 @@ def train_gates(
         for (name, n_out, n_in), targets in zip(HEAD_SHAPES, _CASE_TARGETS):
             if name in tables:
                 continue
-            missed[name] = _misses(params, name, n_in, targets, cases)
+            got = _classes(params, name, n_in, {case >> 1 for case in cases})
+            missed[name] = {case for case in cases if got[case] != targets[case]}
             if stop_all or not missed[name]:
                 tables[name] = _loss_table(*params.heads[name], n_out, targets, cases)
                 trace.stopped[name] = step

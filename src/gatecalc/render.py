@@ -31,7 +31,7 @@ def render(x: float) -> str:
     if abs(x - nearest) <= INTEGER_SNAP:
         return str(int(nearest))
     text = f"{x:.{MAX_SIG_DIGITS}g}"
-    if "e" in text or "E" in text:
+    if "e" in text:
         # Only exponent-form values need decimal, so serving loads it late.
         import decimal
 

@@ -46,6 +46,7 @@ from typing import Union
 import numpy as np
 
 from gatecalc.conversion import (
+    CASES,
     DECISION_FIELDS,
     DEFAULT_CAPACITY,
     CapacityExceeded,
@@ -68,7 +69,6 @@ from gatecalc.gates import (
     LossTrace,
     TrainConfig,
     _logits,
-    _tabulate,
     agreement_table,
     rule_gates,
 )
@@ -867,7 +867,7 @@ def numpy_learned_gates(params: GateParams, token_id: int, decimal_started: int)
 
 def numpy_learned_policy(params: GateParams) -> GateTable:
     """The 36-case table of learned decisions, computed once up front."""
-    return _tabulate(lambda token_id, ds: numpy_learned_gates(params, token_id, ds))
+    return GateTable([numpy_learned_gates(params, case >> 1, case & 1) for case in range(CASES)])
 
 
 def numpy_sigmoid(z: np.ndarray) -> np.ndarray:

@@ -356,11 +356,17 @@ def test_each_data_file_trains_as_a_stage_from_the_last_ones_params(capsys, tmp_
 @pytest.mark.parametrize("content, error", [
     ("", "bad.txt: no training events"),
     ("\n\n", "bad.txt: no training events"),
-    ('{"input": "1 + 1"}', "bad.txt: record 0 has no swift_express text"),
+    ('{"input": "1 + 1"}', "bad.txt: record 1 has no swift_express text"),
+    ('{"swift_express": "1 2 +"}\n{"input": "1 + 1"}\n',
+     "bad.txt: record 2 has no swift_express text"),
+    ('[{"swift_express": "1 2 +"}, 5]', "bad.txt: record 2 is not a JSON object"),
     ("1..5 2 +\n", "bad.txt: line 1: second decimal dot inside one number"),
+    ('{"swift_express": "1 2 +"}\n{"swift_express": "1..5 2 +"}\n',
+     "bad.txt: record 2: second decimal dot inside one number"),
     (b"1 2 +\xff\n", None),
     (None, None),
-], ids=["empty", "blank-lines", "records-no-postfix", "malformed-number", "not-utf8", "missing"])
+], ids=["empty", "blank-lines", "records-no-postfix", "jsonl-no-postfix", "record-not-object",
+        "malformed-number", "jsonl-malformed-number", "not-utf8", "missing"])
 def test_every_data_file_is_refused_before_any_stage_trains(
     capsys, tmp_path, monkeypatch, position, content, error
 ):
@@ -626,10 +632,10 @@ def test_run_declines_deep_nesting(capsys):
     ("bad.txt", "1 2 +\n3..4 * 5\n", "line 2: second decimal dot inside one number"),
     ("bad.txt", "1 2 +\n. 5\n7 8 *\n", "line 2: decimal dot with no number in progress"),
     ("bad.txt", "\n\n1 2\n4 5..5 +\n", "line 4: second decimal dot inside one number"),
-    # A record file counts records, as load_training_lines returns them.
+    # A record file counts records from 1, as load_training_lines returns them.
     ("bad.jsonl", '{"swift_express": "1 2 +"}\n\n{"swift_express": "3..4 *"}\n',
-     "line 2: second decimal dot inside one number"),
-    ("bad.json", '[{"swift_express": ". 5"}]', "line 1: decimal dot with no number in progress"),
+     "record 2: second decimal dot inside one number"),
+    ("bad.json", '[{"swift_express": ". 5"}]', "record 1: decimal dot with no number in progress"),
 ], ids=["second-dot", "leading-dot", "after-blank-lines", "jsonl-records", "json-array"])
 def test_train_gates_names_the_file_and_line_it_cannot_label(
     capsys, tmp_path, monkeypatch, name, content, error

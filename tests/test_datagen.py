@@ -46,12 +46,11 @@ def test_dot_place_line_positions():
 
 
 def test_dot_place_line_rejects_edges():
-    with pytest.raises(ValueError):
-        dot_place_line("11111", 0)
-    with pytest.raises(ValueError):
-        dot_place_line("11111", 5)
-    with pytest.raises(ValueError):
-        dot_place_line("1a111", 2)
+    # A DataError, which is a ValueError as callers catch it.
+    for digits, dot_pos in (("11111", 0), ("11111", 5), ("1a111", 2)):
+        with pytest.raises(DataError) as info:
+            dot_place_line(digits, dot_pos)
+        assert isinstance(info.value, ValueError)
 
 
 def test_gen_dot_place_shape():
@@ -306,7 +305,7 @@ def test_write_is_byte_identical_across_runs(tmp_path):
 def test_load_training_lines_from_text(tmp_path):
     path = tmp_path / "corpus.txt"
     write_lines(path, ["1.5 2 +", "3 4 *"])
-    assert load_training_lines(path) == ["1.5 2 +", "3 4 *"]
+    assert load_training_lines(path) == (["1.5 2 +", "3 4 *"], "line")
 
 
 def test_load_training_lines_from_records(tmp_path):
@@ -316,8 +315,8 @@ def test_load_training_lines_from_records(tmp_path):
     write_jsonl(jsonl, records)
     write_json_array(array, records)
     want = [r.swift_express for r in records]
-    assert load_training_lines(jsonl) == want
-    assert load_training_lines(array) == want
+    assert load_training_lines(jsonl) == (want, "record")
+    assert load_training_lines(array) == (want, "record")
 
 
 @pytest.mark.parametrize("kind", ["text", "jsonl", "array"])
@@ -336,7 +335,7 @@ def test_load_training_lines_reads_its_file_once(tmp_path, monkeypatch, kind):
 
     monkeypatch.setattr(io, "open", counting_open)
     monkeypatch.setattr(builtins, "open", counting_open)
-    assert load_training_lines(path) == want
+    assert load_training_lines(path) == (want, "line" if kind == "text" else "record")
     assert opened == [path]
 
 

@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,11 +30,11 @@ from gatecalc.gates import (
     GateDecision,
     GateError,
     GateParams,
+    GateTable,
     TrainConfig,
     agreement_table,
     events_from_lines,
     label_events,
-    learned_gates,
     load_params,
     make_learned_policy,
     rule_gates,
@@ -138,9 +139,7 @@ def test_rule_depends_only_on_id_and_flag():
 
 
 def test_zero_params_answer_class_zero_everywhere():
-    params = GateParams.zeros()
-    for token_id in (0, 7, DOT_ID, SPACE_ID, TERMINATOR_ID):
-        d = learned_gates(params, token_id, 0)
+    for d in make_learned_policy(GateParams.zeros()):
         assert (d.ignore, d.move, d.decimal_start) == (0, 0, 0)
         assert d.dense_mode == DenseOpMode.IGNORE
         assert d.digit == 0
@@ -148,11 +147,50 @@ def test_zero_params_answer_class_zero_everywhere():
 
 
 def test_learned_policy_is_cached_and_consistent():
-    params = GateParams.zeros()
+    # Each case holds every head's first-maximum class over that case's
+    # logits, read here one case at a time.
+    params = _random_params(random.Random(3), lambda rng: rng.gauss(0.0, 1.0))
     policy = make_learned_policy(params)
-    assert len(policy) == 2 * VOCAB_SIZE
-    for ds in (0, 1):
-        assert policy[2 * 5 + ds] == learned_gates(params, 5, ds)
+    assert type(policy) is GateTable and len(policy) == 2 * VOCAB_SIZE
+    for case, decision in enumerate(policy):
+        for (name, _, _), value in zip(HEAD_SHAPES, decision):
+            z = gates._logits(params, name, case >> 1, case & 1)
+            assert value == z.index(max(z))
+
+
+def test_a_learned_policy_takes_one_argmax_per_token_column(monkeypatch):
+    # Six heads over 18 token columns, and the dense-mode head once more
+    # with its flag column added: 6 * 18 + 18, not 6 per case.
+    calls = []
+    argmax = gates._argmax
+    monkeypatch.setattr(gates, "_argmax", lambda z: calls.append(z) or argmax(z))
+    make_learned_policy(GateParams.zeros())
+    assert len(calls) == 126
+
+
+def test_the_stop_check_reads_only_the_token_columns_the_stream_holds(monkeypatch):
+    events = events_from_lines(gen_dot_place(100, 0))
+    columns = {case >> 1 for case in events}
+    assert len(columns) == 11
+    reads = Counter()
+    logits = gates._logits
+
+    def recording_logits(params, name, token_id, decimal_started):
+        reads[name, token_id, decimal_started] += 1
+        return logits(params, name, token_id, decimal_started)
+
+    monkeypatch.setattr(gates, "_logits", recording_logits)
+    # Two blocks, so two checks; a head stopped at the first is not read
+    # at the second.
+    config = TrainConfig()
+    block = config.epoch_size * config.repeats
+    _, trace = train_gates(events, dataclasses.replace(config, steps_max=2 * block))
+    assert block in trace.stopped.values()
+    for name, _, n_in in HEAD_SHAPES:
+        checks = 1 if trace.stopped.get(name) == block else 2
+        flags = (0, 1) if n_in > VOCAB_SIZE else (0,)
+        want = {(name, t, flag): checks for t in columns for flag in flags}
+        assert {key: n for key, n in reads.items() if key[0] == name} == want
 
 
 def _random_params(rng: random.Random, draw) -> GateParams:
@@ -177,7 +215,7 @@ def test_logits_read_the_one_hot_column():
                 assert gates._logits(params, name, token_id, ds) == onehot_logits(w, b, x)
 
 
-def test_learned_gates_match_numpy_argmax():
+def test_learned_policy_matches_numpy_argmax():
     # Weights from a five-value grid (with both signed zeros) make exact
     # ties common; both sides must answer the first maximum.
     grid = (-1.0, -0.5, -0.0, 0.0, 0.5)
