@@ -80,10 +80,7 @@ _ERRORS = (
 
 
 def _policy_from_args(args: argparse.Namespace):
-    gates_path = getattr(args, "gates", None)
-    if gates_path:
-        return make_learned_policy(load_params(gates_path))
-    return rule_gates
+    return make_learned_policy(load_params(args.gates)) if args.gates else rule_gates
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

@@ -362,11 +362,11 @@ def _loss_table(w, b, n_out, targets, cases: set[int]) -> dict[int, float]:
 
 
 def train_gates(
-    events: Iterable[int],
+    events: bytes,
     config: TrainConfig | None = None,
     init: GateParams | None = None,
 ) -> tuple[GateParams, LossTrace]:
-    """Fit the gate heads to a stream of case ids, as label_events makes.
+    """Fit the gate heads to a bytes stream of case ids, as label_events makes.
 
     The stream is cut into chunks of epoch_size events; each chunk runs
     repeats times before the next chunk starts, one gradient step per
@@ -375,24 +375,20 @@ def train_gates(
     stops when no head is left, or at steps_max. At lr 0 every head is
     stopped from step 0: the whole stream is scored and the init comes
     back untouched, bit for bit, which is how a later corpus is scored
-    against fixed gates. A case id outside the 36 cases, and an init that
-    check_params refuses, raise GateError.
+    against fixed gates. A stream that is not bytes, a case id outside the
+    36 cases and an init that check_params refuses raise GateError.
     Training stops with a GateError at the first step whose weighted loss
     is not finite, since every later step would run on diverged params.
     See the module docstring for why stopped heads and the head-major
     blocks leave params and trace as the event-major loop gives them.
     """
-    ids = events if isinstance(events, bytes) else list(events)
-    if not ids:
+    if not events:
         raise EmptyCorpus("no training events")
-    try:
-        events = bytes(ids)
-        refused = max(events) >= CASES
-    except (TypeError, ValueError):  # not an int, or outside a byte
-        refused = True
-    if refused:
-        bad = next(i for i in ids if not (isinstance(i, int) and 0 <= i < CASES))
-        raise GateError(f"case id {bad!r} is outside 0-{CASES - 1}")
+    if not isinstance(events, bytes):
+        raise GateError(f"events must be bytes of case ids, got {type(events).__name__}")
+    if max(events) >= CASES:
+        bad = next(i for i in events if i >= CASES)
+        raise GateError(f"case id {bad} is outside 0-{CASES - 1}")
     cases = set(events)
     config = config or TrainConfig()
     weight_of = [

@@ -73,9 +73,10 @@ def parse_infix(text: str) -> list[str]:
     Text with spaces and only grammar characters is read first from
     str.split, far cheaper than the regex scan. The reader takes a piece
     only whole, as one literal, operator or parenthesis, so a glued piece
-    such as "3+5" or "5.5.5" stops it as an error does. The regex tokens
-    are then read instead, as they are for every other text, and only
-    that pass raises.
+    such as "3+5" or "5.5.5" stops it as an error does, and the regex
+    tokens are then read instead, as they are for every other text. A
+    question of whole pieces that ends too soon ("3 +", "( 3") raises at
+    its end without the regex pass.
     """
     source = _strip_answer_suffix(text)
     # A character outside the grammar ends the question in an error when
@@ -146,10 +147,9 @@ def parse_infix(text: str) -> list[str]:
             if not (operand or depth):
                 out.extend(pending[:0:-1])
                 return out
-            if not split:
-                raise ParseError(
-                    "expected a number or '('" if operand else "expected ')'", len(source)
-                )
+            raise ParseError(
+                "expected a number or '('" if operand else "expected ')'", len(source)
+            )
         if not split:
             break
         # A glued piece or an error: the regex tokens decide.

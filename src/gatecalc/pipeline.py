@@ -133,9 +133,7 @@ def extract_segment_payload(prompt: str, inject_len: int = DEFAULT_INJECT_LEN) -
     payload, terminator, pad = tail.partition(TERMINATOR_CHAR)
     if terminator != TERMINATOR_CHAR:
         return None
-    if not payload or " " in payload or TERMINATOR_CHAR in pad:
-        return None
-    if pad != " " * len(pad):
+    if not payload or " " in payload or pad != " " * len(pad):
         return None
     return payload
 

@@ -337,11 +337,19 @@ def _spaced_questions() -> list[str]:
     return questions
 
 
+# Spaced questions of whole pieces that end too soon.
+_ENDS_EARLY = ["3 +", "( 3", "( 3 + 5", "3 * ( 4 - = ?"]
+
+
 def test_spaced_questions_never_scan(monkeypatch):
     questions = _spaced_questions()
     want = [parse_infix(text) for text in questions]
+    early = [_outcome(reference_parse_infix, reference_to_postfix, lambda _: None, text)
+             for text in _ENDS_EARLY]
     monkeypatch.setattr(infix, "_TOKEN", _NoScan())
     assert [parse_infix(text) for text in questions] == want
+    assert [_outcome(parse_infix, to_postfix, lambda _: None, text)
+            for text in _ENDS_EARLY] == early
     with pytest.raises(AssertionError, match="the regex scan ran"):
         parse_infix("3 +5")
 

@@ -619,3 +619,14 @@ def test_long_decimal_chains_agree_with_the_exact_value_to_12_digits():
 def test_large_values_keep_their_fraction(question, answer):
     assert run(question).answer == answer
     assert answer == exact_render(exact_eval_infix(reference_parse_infix(question)))
+
+
+# Two answers the float machine gets wrong: each literal is off by up to
+# half an ulp, and the subtraction cancels every digit that was right.
+@pytest.mark.xfail(strict=True, reason="float literals lose the digits the subtraction keeps")
+@pytest.mark.parametrize("question, exact", [
+    ("100000000000000.1 - 100000000000000 = ?", "0.1"),
+    ("9007199254740993 - 9007199254740992 = ?", "1"),
+])
+def test_cancelling_subtraction_answers_exactly(question, exact):
+    assert run(question).answer == exact

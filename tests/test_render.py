@@ -108,3 +108,16 @@ def test_matches_reference_render_on_any_finite_float(x):
 @given(st.integers(min_value=-(10**12), max_value=10**12))
 def test_integers_render_exactly(n):
     assert render(float(n)) == str(n)
+
+
+@pytest.mark.xfail(strict=True, reason="a 15-digit value is rounded to 12 significant digits")
+def test_a_value_past_12_digits_keeps_its_integer_part():
+    # render(370238922141543.0) is already "370238922141543".
+    assert render(370238922141543.2) == "370238922141543"
+
+
+@pytest.mark.xfail(strict=True, reason="12-digit rounding can land inside the 1e-9 integer snap")
+def test_idempotent_inside_the_snap_window():
+    # A window about 1e-13 wide that the hypothesis draw of test_idempotent
+    # could hit: render gives "999.000000001", which renders back as "999".
+    assert render(float(render(999.0000000010001))) == render(999.0000000010001)
