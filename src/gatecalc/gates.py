@@ -382,10 +382,10 @@ def train_gates(
     See the module docstring for why stopped heads and the head-major
     blocks leave params and trace as the event-major loop gives them.
     """
-    if not events:
-        raise EmptyCorpus("no training events")
     if not isinstance(events, bytes):
         raise GateError(f"events must be bytes of case ids, got {type(events).__name__}")
+    if not events:
+        raise EmptyCorpus("no training events")
     if max(events) >= CASES:
         bad = next(i for i in events if i >= CASES)
         raise GateError(f"case id {bad} is outside 0-{CASES - 1}")

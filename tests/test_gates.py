@@ -307,9 +307,8 @@ def test_events_from_lines_concatenates():
 
 
 def test_empty_corpus_rejected():
-    for events in ([], b""):
-        with pytest.raises(EmptyCorpus):
-            train_gates(events)
+    with pytest.raises(EmptyCorpus, match="^no training events$"):
+        train_gates(b"")
 
 
 @pytest.mark.parametrize("case_id", [36, 255])
@@ -322,7 +321,8 @@ def test_case_ids_past_the_36_cases_are_rejected(case_id):
         train_gates(label_events("1.5 +") + bytes([case_id]))
 
 
-@pytest.mark.parametrize("events", [[3], [300], [1.5], ["a"], (3,), bytearray(b"\x03")])
+@pytest.mark.parametrize("events", [[3], [300], [1.5], ["a"], (3,), bytearray(b"\x03"),
+                                    [], None, 0, ""])
 def test_streams_that_are_not_bytes_are_refused(events):
     # Every caller hands the trainer the bytes that label_events makes.
     name = type(events).__name__

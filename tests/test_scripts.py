@@ -1,7 +1,6 @@
-"""Smoke tests: the walkthrough scripts still run against the package."""
+"""Smoke tests: the walkthrough script still runs against the package."""
 
 import importlib.util
-import json
 import re
 import runpy
 import sys
@@ -20,24 +19,6 @@ def run_script(monkeypatch, name, *args):
     with pytest.raises(SystemExit) as info:
         runpy.run_path(str(SCRIPTS / name), run_name="__main__")
     return info.value.code
-
-
-@pytest.mark.parametrize("with_other", [False, True], ids=["alone", "mixed"])
-def test_make_datasets_writes_every_corpus(monkeypatch, capsys, tmp_path, with_other):
-    args = ["--out-dir", str(tmp_path), "--dot-place-count", "8", "--numbers-ops-count", "20",
-            "--qa-easy-count", "6", "--qa-priority-count", "4"]
-    if with_other:
-        other = tmp_path / "other.jsonl"
-        other.write_text("\n".join(
-            json.dumps({"instruction": f"q{i}", "input": "", "output": "a"}) for i in range(10)
-        ) + "\n")
-        args += ["--other", str(other)]
-    assert run_script(monkeypatch, "make_datasets.py", *args) == 0
-    assert len((tmp_path / "dot_place.txt").read_text().splitlines()) == 8
-    assert len((tmp_path / "numbers_ops.txt").read_text().splitlines()) == 20
-    assert len((tmp_path / "arith_qa.jsonl").read_text().splitlines()) == 10
-    assert (tmp_path / "mixed.jsonl").exists() == with_other
-    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_train_gates_demo_runs(monkeypatch, capsys, tmp_path):
