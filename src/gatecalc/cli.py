@@ -101,11 +101,10 @@ def cmd_convert(args: argparse.Namespace) -> int:
         return 0
     tokens = []
     for char, case in zip(args.expression, cases):
-        decision = table[case]
-        action, arg = decision.action
+        action, arg = table.actions[case]
         tokens.append({
             "char": char, "flag": case & 1,
-            "decision": dict(zip(DECISION_FIELDS, map(int, decision))),
+            "decision": dict(zip(DECISION_FIELDS, map(int, table[case]))),
             "action": ACTION_NAMES[action], "arg": int(arg),
         })
     print(json.dumps({"program": program.to_json_dict(), "tokens": tokens}))

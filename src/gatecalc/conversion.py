@@ -11,14 +11,14 @@ starts the decimal part of the number, how a digit folds into the
 number, and which operator an operator character carries.
 
 The machine reads at most four of a decision's six fields, in a fixed
-order (ignore, decimal_start, move with op, digit by dense_mode), so
-each decision compiles, once, when it is built, into one of eight
-actions with one argument: skip, dot, close, close-op (its operator),
-or a digit (its value) folded by times-ten, base-mul or direct add, or
-not folded. The first digit of a number seeds it whatever its action,
-and the terminator stops the machine by its id before the table is
-read, so two tables whose actions agree on the other 34 cases convert
-every input identically.
+order (ignore, decimal_start, move with op, digit by dense_mode), so a
+GateTable compiles each decision, once, when it is built, into one of
+eight actions with one argument, which is all the machine reads: skip,
+dot, close, close-op (its operator), or a digit (its value) folded by
+times-ten, base-mul or direct add, or not folded. The first digit of a
+number seeds it whatever its action, and the terminator stops the
+machine by its id before the table is read, so two tables whose
+actions agree on the other 34 cases convert every input identically.
 
 Decisions depend on nothing but the token id and the decimal flag, so a
 gate policy is a GateTable of 36 decisions, one per case id
@@ -40,19 +40,20 @@ other table, a learned one at full agreement included, runs the machine.
 
 The machine appends each token's case id as it reads it: convert drops
 those cases and convert_with_trace returns them, which under rule_gates
-are the trainer's label stream as it stands. A GateTable is checked
-once, when it is built, and the machine builds one from any other table.
-rule_gates lives here beside the machine that reads it;
+are the trainer's label stream as it stands. A GateTable is checked and
+compiled once, when it is built, and the machine builds one from any
+other table. rule_gates lives here beside the machine that reads it;
 gates.make_learned_policy builds the trained one, and serving never
 imports the trainer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from itertools import repeat
 from math import inf
+from typing import NamedTuple
 
 from .tokenizer import (
     CHAR_TO_OP,
@@ -122,22 +123,8 @@ ACTION_NAMES = (
     "close", "close-op", "skip", "dot",
 )
 
-# A decision's fields, in declaration order, which is gates.HEAD_SHAPES
-# order. The compiled action is derived from them and is not one.
-DECISION_FIELDS = ("ignore", "move", "decimal_start", "dense_mode", "digit", "op")
-
-
-# A slots dataclass, not a NamedTuple: CPython specializes loads of slot
-# attributes but not of NamedTuple fields, and the machine reads one
-# field per token.
-@dataclass(frozen=True, slots=True)
-class GateDecision:
-    """Everything the conversion machine needs to know about one token.
-
-    action is the (action, argument) pair the machine runs, compiled from
-    the other fields when the decision is built. It takes no part in
-    equality, repr or iteration.
-    """
+class GateDecision(NamedTuple):
+    """Everything the conversion machine needs to know about one token."""
 
     ignore: int
     move: int
@@ -145,25 +132,24 @@ class GateDecision:
     dense_mode: DenseOpMode
     digit: int
     op: Op
-    action: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.ignore:
-            action = SKIP, 0
-        elif self.decimal_start:
-            action = DOT, 0
-        elif self.move:
-            action = (CLOSE, 0) if self.op == Op.NONE else (CLOSE_OP, self.op)
-        else:
-            mode = self.dense_mode
-            if mode not in (DIGIT_DIRECT_ADD, DIGIT_TIMES_TEN, DIGIT_BASE_MUL):
-                mode = DIGIT_NO_FOLD
-            action = int(mode), self.digit
-        object.__setattr__(self, "action", action)
 
-    def __iter__(self):
-        """Field values in DECISION_FIELDS order."""
-        return (getattr(self, name) for name in DECISION_FIELDS)
+# A decision's fields, in declaration order, which is gates.HEAD_SHAPES order.
+DECISION_FIELDS = GateDecision._fields
+
+
+def _action(decision: GateDecision) -> tuple[int, int]:
+    """The (action, argument) pair the machine runs for decision."""
+    ignore, move, decimal_start, mode, digit, op = decision
+    if ignore:
+        return SKIP, 0
+    if decimal_start:
+        return DOT, 0
+    if move:
+        return (CLOSE, 0) if op == Op.NONE else (CLOSE_OP, op)
+    if mode not in (DIGIT_DIRECT_ADD, DIGIT_TIMES_TEN, DIGIT_BASE_MUL):
+        mode = DIGIT_NO_FOLD
+    return int(mode), digit
 
 
 CASES = 2 * VOCAB_SIZE
@@ -174,14 +160,15 @@ class InvalidTable(ConversionError):
 
 
 class GateTable(tuple):
-    """A gate policy, checked once: a decision per case id 2 * token_id + flag."""
-
-    __slots__ = ()
+    """A gate policy, checked and compiled once: a decision per case id
+    2 * token_id + flag, and in actions the (action, argument) each compiles to."""
 
     def __new__(cls, decisions):
         if (isinstance(decisions, (tuple, list)) and len(decisions) == CASES
                 and all(map(isinstance, decisions, repeat(GateDecision)))):
-            return super().__new__(cls, decisions)
+            table = super().__new__(cls, decisions)
+            table.actions = tuple(map(_action, decisions))
+            return table
         raise InvalidTable(f"policy must be {CASES} GateDecisions")
 
 
@@ -325,6 +312,7 @@ def _machine(ids: bytes, table: GateTable, capacity: int) -> tuple[DenseProgram,
     check_capacity(capacity)
     if type(table) is not GateTable:
         table = GateTable(table)
+    actions = table.actions
     ids, stop, _ = ids.partition(_STOP)
     cases = bytearray()
     dense: list[float] = []
@@ -337,7 +325,7 @@ def _machine(ids: bytes, table: GateTable, capacity: int) -> tuple[DenseProgram,
     # The try spans the loop, as one around the read costs a jump per token.
     try:
         for token_id in ids:
-            action, arg = table[case := 2 * token_id + flag].action
+            action, arg = actions[case := 2 * token_id + flag]
             cases.append(case)
             if action <= DIGIT_BASE_MUL:
                 if number is not None:

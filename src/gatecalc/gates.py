@@ -476,10 +476,11 @@ class AgreementRow:
 def agreement_table(params: GateParams) -> list[AgreementRow]:
     """Learned versus reference decisions across all 36 (token, flag) cases."""
     rows: list[AgreementRow] = []
-    for case, (want, got) in enumerate(zip(rule_gates, make_learned_policy(params))):
+    learned = make_learned_policy(params)
+    for case, (want, got) in enumerate(zip(rule_gates, learned)):
         token_id = case >> 1
         matches = {f: x == y for f, x, y in zip(DECISION_FIELDS, want, got)}
-        action_ok = token_id == TERMINATOR_ID or want.action == got.action
+        action_ok = token_id == TERMINATOR_ID or rule_gates.actions[case] == learned.actions[case]
         char = ID_TO_CHAR.get(token_id, OTHER_PLACEHOLDER)
         rows.append(AgreementRow(token_id, char, case & 1, matches, all(matches.values()), action_ok))
     return rows

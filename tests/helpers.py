@@ -356,6 +356,15 @@ def random_gate_table(rng: random.Random) -> GateTable:
     return tuple(decision() for _ in range(2 * VOCAB_SIZE))
 
 
+def random_params(rng: random.Random, draw) -> GateParams:
+    """Params with every weight and bias drawn as draw(rng)."""
+    return GateParams({
+        name: ([[draw(rng) for _ in range(n_out)] for _ in range(n_in)],
+               [draw(rng) for _ in range(n_out)])
+        for name, n_out, n_in in HEAD_SHAPES
+    })
+
+
 def reference_convert_with_trace(
     ids: bytes, table: GateTable, capacity: int = DEFAULT_CAPACITY
 ) -> tuple[DenseProgram, bytes]:
@@ -514,9 +523,11 @@ _EXACT_OPS = {Op.ADD: add, Op.SUB: sub, Op.MUL: mul, Op.DIV: truediv}
 
 
 def exact_eval_infix(ast: InfixAst) -> Fraction:
-    """A question's exact value: each literal is the Fraction of its text
-    and every operation is exact. A zero divisor raises ZeroDivisionError."""
-    return _fold_infix(ast, lambda node: Fraction(node.text), lambda op, a, b: _EXACT_OPS[op](a, b))
+    """A question's exact value: each literal is the Fraction of its text,
+    read through Decimal, which has no digit limit, and every operation is
+    exact. A zero divisor raises ZeroDivisionError."""
+    return _fold_infix(ast, lambda node: Fraction(decimal.Decimal(node.text)),
+                       lambda op, a, b: _EXACT_OPS[op](a, b))
 
 
 def round_sig(value: Fraction) -> decimal.Decimal:

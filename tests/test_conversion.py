@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import decimal
 import math
 import random
@@ -16,6 +15,7 @@ from gatecalc.conversion import (
     CASES,
     CLOSE,
     CLOSE_OP,
+    DECISION_FIELDS,
     DIGIT_BASE_MUL,
     DIGIT_TIMES_TEN,
     DOT,
@@ -29,6 +29,7 @@ from gatecalc.conversion import (
     MalformedNumber,
     NumberTooLarge,
     UnknownId,
+    _action,
     convert,
     convert_with_trace,
 )
@@ -49,6 +50,7 @@ from gatecalc.tokenizer import (
 from helpers import (
     init_state,
     random_gate_table,
+    random_params,
     reference_convert_with_trace,
     reference_label_events,
     step,
@@ -438,9 +440,10 @@ def test_convert_with_trace_matches_step_reference(kind, count, seed):
         tables = [make_learned_policy(GateParams.zeros())]
     else:
         tables = [random_gate_table(rng) for _ in range(50)]
+    compiled = [GateTable(table).actions for table in tables]
     reached = Counter()
     for i in range(count):
-        table = tables[i % len(tables)]
+        table, actions = tables[i % len(tables)], compiled[i % len(tables)]
         text = "".join(rng.choice(_SWEEP_ALPHABET) for _ in range(rng.randint(0, 24)))
         ids, capacity = encode(text), rng.randint(1, 20)
         got = _outcome(convert_with_trace, ids, table, capacity)
@@ -459,7 +462,7 @@ def test_convert_with_trace_matches_step_reference(kind, count, seed):
                     reached[f"digit in mode {d.dense_mode.name}"] += 1
                 reached["dot or op under flag 1"] += flag == 1 and DOT_ID <= token_id <= SLASH_ID
                 if token_id != TERMINATOR_ID:
-                    reached[ACTION_NAMES[d.action[0]]] += 1
+                    reached[ACTION_NAMES[actions[case][0]]] += 1
         else:
             reached[got[0].__name__] += 1
     if kind == "random":
@@ -481,17 +484,44 @@ def test_rule_table_compiles_to_the_expected_actions():
     want[SPACE_ID] = ((CLOSE, 0),) * 2
     want[OTHER_ID] = ((SKIP, 0),) * 2
     for token_id, actions in want.items():
-        got = rule_gates[2 * token_id : 2 * token_id + 2]
-        assert tuple(d.action for d in got) == actions, token_id
+        assert rule_gates.actions[2 * token_id : 2 * token_id + 2] == actions, token_id
 
 
-def test_action_is_derived_not_a_field():
-    d = rule_gates[2 * 7 + 1]
+@pytest.mark.parametrize("kind", ["rule", "learned", "random"])
+def test_action_is_derived_not_a_field(kind):
+    rng = random.Random(11)
+    if kind == "rule":
+        decisions = rule_gates
+    elif kind == "learned":
+        decisions = make_learned_policy(random_params(rng, lambda r: r.gauss(0.0, 1.0)))
+    else:
+        decisions = random_gate_table(rng)
+    assert not any(hasattr(d, "action") for d in decisions)
+    assert DECISION_FIELDS == GateDecision._fields
+    assert GateTable(decisions).actions == tuple(map(_action, decisions))
+    d = decisions[2 * 7 + 1]
     same = GateDecision(*d)
-    assert same == d and hash(same) == hash(d) and same.action == d.action
+    assert same == d and hash(same) == hash(d) and _action(same) == _action(d)
     assert len(tuple(d)) == 6
     assert "action" not in repr(d)
-    assert dataclasses.replace(d, move=1).action == (CLOSE, 0)
+    assert _action(d._replace(ignore=0, decimal_start=0, move=1, op=Op.NONE)) == (CLOSE, 0)
+
+
+def test_a_prebuilt_table_compiles_no_decision(monkeypatch):
+    table = make_learned_policy(random_params(random.Random(12), lambda r: r.gauss(0.0, 1.0)))
+    calls = []
+    action = conversion._action
+    monkeypatch.setattr(conversion, "_action", lambda d: calls.append(d) or action(d))
+    for text in ("3 + 5", "3.25 * 10 - 7", "12 / 4 $ 9"):
+        for fn in (convert, convert_with_trace):
+            try:
+                fn(encode(text), table)
+            except ConversionError:
+                pass
+    assert calls == []
+    # Only building a table compiles, one decision per case.
+    GateTable(list(table))
+    assert len(calls) == CASES
 
 
 # The decision fields each action leaves unread: the machine reads ignore,
@@ -512,13 +542,14 @@ _FIELD_VALUES = {
 def _same_actions(rng: random.Random, table):
     """table with every field its actions leave unread redrawn, and the
     terminator's two cases, which the machine never reads, redrawn whole."""
-    def redraw(d):
-        unread = _UNREAD_FIELDS.get(d.action[0], ("op",))
-        other = dataclasses.replace(d, **{f: rng.choice(_FIELD_VALUES[f]) for f in unread})
-        assert other.action == d.action
-        return other
+    def redraw(d, action):
+        unread = _UNREAD_FIELDS.get(action[0], ("op",))
+        return d._replace(**{f: rng.choice(_FIELD_VALUES[f]) for f in unread})
 
-    cases = [redraw(d) for d in table]
+    actions = GateTable(table).actions
+    cases = GateTable(list(map(redraw, table, actions)))
+    assert cases.actions == actions
+    cases = list(cases)
     terminator = slice(2 * TERMINATOR_ID, 2 * TERMINATOR_ID + 2)
     cases[terminator] = random_gate_table(rng)[terminator]
     return tuple(cases)

@@ -64,6 +64,7 @@ from helpers import (
     onehot_train_step,
     param_bits,
     random_gate_table,
+    random_params,
     reference_convert_with_trace,
     reference_train_gates,
     softmax_loss_grad,
@@ -149,7 +150,7 @@ def test_zero_params_answer_class_zero_everywhere():
 def test_learned_policy_is_cached_and_consistent():
     # Each case holds every head's first-maximum class over that case's
     # logits, read here one case at a time.
-    params = _random_params(random.Random(3), lambda rng: rng.gauss(0.0, 1.0))
+    params = random_params(random.Random(3), lambda rng: rng.gauss(0.0, 1.0))
     policy = make_learned_policy(params)
     assert type(policy) is GateTable and len(policy) == 2 * VOCAB_SIZE
     for case, decision in enumerate(policy):
@@ -193,18 +194,10 @@ def test_the_stop_check_reads_only_the_token_columns_the_stream_holds(monkeypatc
         assert {key: n for key, n in reads.items() if key[0] == name} == want
 
 
-def _random_params(rng: random.Random, draw) -> GateParams:
-    return GateParams({
-        name: ([[draw(rng) for _ in range(n_out)] for _ in range(n_in)],
-               [draw(rng) for _ in range(n_out)])
-        for name, n_out, n_in in HEAD_SHAPES
-    })
-
-
 def test_logits_read_the_one_hot_column():
     # w @ onehot(token) + b, with the flag appended for the dense-mode
     # head, is exactly the token's column of w plus b.
-    params = _random_params(random.Random(7), lambda rng: rng.gauss(0.0, 1.0))
+    params = random_params(random.Random(7), lambda rng: rng.gauss(0.0, 1.0))
     for name, _, n_in in HEAD_SHAPES:
         w, b = params.heads[name]
         for token_id in range(VOCAB_SIZE):
@@ -222,7 +215,7 @@ def test_learned_policy_matches_numpy_argmax():
     rng = random.Random(11)
     ties = 0
     for _ in range(500):
-        params = _random_params(rng, lambda rng: rng.choice(grid))
+        params = random_params(rng, lambda rng: rng.choice(grid))
         assert make_learned_policy(params) == numpy_learned_policy(numpy_params(params))
         for name, _, _ in HEAD_SHAPES:
             for token_id in range(VOCAB_SIZE):
@@ -964,7 +957,7 @@ def test_bad_params_are_refused_with_the_loader_messages(tmp_path, case, message
 
 
 def test_saved_rows_are_the_transposed_columns(tmp_path):
-    params = _random_params(random.Random(3), lambda rng: rng.gauss(0.0, 1.0))
+    params = random_params(random.Random(3), lambda rng: rng.gauss(0.0, 1.0))
     path = tmp_path / "gates.json"
     save_params(params, path)
     payload = json.loads(path.read_text())

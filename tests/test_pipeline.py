@@ -621,12 +621,60 @@ def test_large_values_keep_their_fraction(question, answer):
     assert answer == exact_render(exact_eval_infix(reference_parse_infix(question)))
 
 
-# Two answers the float machine gets wrong: each literal is off by up to
-# half an ulp, and the subtraction cancels every digit that was right.
-@pytest.mark.xfail(strict=True, reason="float literals lose the digits the subtraction keeps")
-@pytest.mark.parametrize("question, exact", [
+def test_exact_value_reads_literals_past_the_digit_limit():
+    # int() and Fraction() refuse text past 4,300 digits; run() takes it.
+    question = "0." + "0" * 5000 + "1 * 10 = ?"
+    assert exact_eval_infix(reference_parse_infix(question)) == Fraction(1, 10**5000)
+    assert run(question).injected
+
+
+# Answers the float machine gets wrong, each pinned by the kind of error.
+# Cancellation: each literal is off by up to half an ulp, and the
+# subtraction cancels every digit that was right. Snap: render's absolute
+# 1e-9 snap hides exact digits below it. Underflow: a literal below float
+# range reads as 0.
+_SNAP = pytest.mark.xfail(strict=True, raises=AssertionError,
+                          reason="snap: the absolute 1e-9 snap drops exact digits")
+_UNDERFLOW = pytest.mark.xfail(strict=True, raises=AssertionError,
+                               reason="underflow: a literal below float range reads as 0")
+_WRONG_ANSWERS = [
     ("100000000000000.1 - 100000000000000 = ?", "0.1"),
     ("9007199254740993 - 9007199254740992 = ?", "1"),
-])
+    ("55 + 53 * 29 / 50.51 - 85.34 = ?", "0.0896178974461"),
+    ("5 + 1 / 2000000000 = ?", "5.0000000005"),
+    ("1 / 10000000000 = ?", "0.0000000001"),
+    ("1 / 3000000000 = ?", "0.000000000333333333333"),
+    ("0." + "0" * 4000 + "1 * 10 = ?", "0." + "0" * 3999 + "1"),
+]
+
+
+def _short_id(text):
+    return text if len(text) <= 40 else f"{text[:12]}...{len(text)}-chars"
+
+
+@pytest.mark.parametrize("question, exact", _WRONG_ANSWERS, ids=_short_id)
+def test_the_pinned_wrong_answers_have_these_exact_texts(question, exact):
+    assert exact_render(exact_eval_infix(reference_parse_infix(question))) == exact
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="cancellation: float literals lose the digits the subtraction keeps")
+@pytest.mark.parametrize("question, exact", _WRONG_ANSWERS[:3])
 def test_cancelling_subtraction_answers_exactly(question, exact):
     assert run(question).answer == exact
+
+
+@_SNAP
+@pytest.mark.parametrize("question, exact", _WRONG_ANSWERS[3:5])
+def test_a_value_below_the_snap_answers_exactly(question, exact):
+    assert run(question).answer == exact
+
+
+@pytest.mark.parametrize("question", [
+    pytest.param(_WRONG_ANSWERS[5][0], marks=_SNAP),
+    pytest.param(_WRONG_ANSWERS[6][0], marks=_UNDERFLOW),
+], ids=_short_id)
+def test_an_exact_text_past_the_segment_is_payload_too_long(question):
+    # Neither exact text fits a 16-character segment.
+    result = run(question)
+    assert not result.injected and result.diagnostic.startswith("PayloadTooLong: "), result
