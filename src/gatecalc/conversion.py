@@ -13,12 +13,13 @@ number, and which operator an operator character carries.
 The machine reads at most four of a decision's six fields, in a fixed
 order (ignore, decimal_start, move with op, digit by dense_mode), so a
 GateTable compiles each decision, once, when it is built, into one of
-eight actions with one argument, which is all the machine reads: skip,
-dot, close, close-op (its operator), or a digit (its value) folded by
-times-ten, base-mul or direct add, or not folded. The first digit of a
-number seeds it whatever its action, and the terminator stops the
-machine by its id before the table is read, so two tables whose
-actions agree on the other 34 cases convert every input identically.
+nine actions with one argument, which is all the machine reads: skip,
+dot, close, close-op (its operator), a digit (its value) folded by
+times-ten, base-mul or direct add, or not folded, or stop. The
+terminator's two cases compile to stop whatever they decide, so the
+machine reads the terminator as it reads any token and stops there. The
+first digit of a number seeds it whatever its action, and two tables
+with equal actions convert every input identically.
 
 Decisions depend on nothing but the token id and the decimal flag, so a
 gate policy is a GateTable of 36 decisions, one per case id
@@ -34,9 +35,10 @@ of finite value, is exactly the slot the machine would append. Each
 operator and each integer literal below 100 reads that slot from one
 dict built at import with float() of its text; any other literal is
 checked and float()-ed as it comes. Any other piece (glued, leading
-dot, junk), more pieces than the capacity or a literal past float
-range hands the whole stream to the machine, which alone raises. Every
-other table, a learned one at full agreement included, runs the machine.
+dot, junk, a terminator), more pieces than the capacity or a literal
+past float range hands the whole stream to the machine, which alone
+raises or stops. Every other table, a learned one at full agreement
+included, runs the machine.
 
 The machine appends each token's case id as it reads it: convert drops
 those cases and convert_with_trace returns them, which under rule_gates
@@ -115,12 +117,11 @@ class DenseOpMode(IntEnum):
 # The machine's actions, numbered in the order the loop tests them, most
 # frequent first: a digit action shares its DenseOpMode's value, and one
 # compare tells a digit, another a close.
-(
-    DIGIT_NO_FOLD, DIGIT_DIRECT_ADD, DIGIT_TIMES_TEN, DIGIT_BASE_MUL, CLOSE, CLOSE_OP, SKIP, DOT
-) = range(8)
+(DIGIT_NO_FOLD, DIGIT_DIRECT_ADD, DIGIT_TIMES_TEN, DIGIT_BASE_MUL,
+ CLOSE, CLOSE_OP, SKIP, DOT, STOP) = range(9)
 ACTION_NAMES = (
     "digit-no-fold", "digit-direct-add", "digit-times-ten", "digit-base-mul",
-    "close", "close-op", "skip", "dot",
+    "close", "close-op", "skip", "dot", "stop",
 )
 
 class GateDecision(NamedTuple):
@@ -161,13 +162,16 @@ class InvalidTable(ConversionError):
 
 class GateTable(tuple):
     """A gate policy, checked and compiled once: a decision per case id
-    2 * token_id + flag, and in actions the (action, argument) each compiles to."""
+    2 * token_id + flag, and in actions the (action, argument) each compiles
+    to. The terminator's two cases compile to stop, whatever they decide."""
 
     def __new__(cls, decisions):
         if (isinstance(decisions, (tuple, list)) and len(decisions) == CASES
                 and all(map(isinstance, decisions, repeat(GateDecision)))):
             table = super().__new__(cls, decisions)
-            table.actions = tuple(map(_action, decisions))
+            actions = list(map(_action, decisions))
+            actions[2 * TERMINATOR_ID : 2 * TERMINATOR_ID + 2] = (STOP, 0), (STOP, 0)
+            table.actions = tuple(actions)
             return table
         raise InvalidTable(f"policy must be {CASES} GateDecisions")
 
@@ -187,7 +191,7 @@ def _rule_decision(token_id: int, decimal_started: int) -> GateDecision:
         return GateDecision(0, 1, 0, DenseOpMode.IGNORE, 0, Op.NONE)
     if token_id in OP_ID_TO_OP:
         return GateDecision(0, 1, 0, DenseOpMode.IGNORE, 0, OP_ID_TO_OP[token_id])
-    # Terminator: every gate stays quiet, the machine stops on the token itself.
+    # Terminator: every gate stays quiet; GateTable compiles it to stop.
     return GateDecision(0, 0, 0, DenseOpMode.IGNORE, 0, Op.NONE)
 
 
@@ -219,8 +223,6 @@ def op_json_name(op: Op) -> str:
 
 
 _NONE = Op.NONE
-# The terminator stops conversion whatever its decision says.
-_STOP = bytes([TERMINATOR_ID])
 
 # Past this mantissa, digits after the decimal dot collapse into its last
 # digit. A double, and each point halfway between two, has at most 767
@@ -269,8 +271,8 @@ def convert(ids: bytes, table: GateTable, capacity: int = DEFAULT_CAPACITY) -> D
     return _machine(ids, table, capacity)[0]
 
 
-# bytes.translate table from an id back to its character; OTHER and every
-# id past the alphabet become "?", which no whole piece holds.
+# bytes.translate table from an id back to its character: OTHER and every
+# id past the alphabet become "?". No whole piece holds "?" or "$".
 _CHARS = bytes(ord(ID_TO_CHAR.get(i, OTHER_PLACEHOLDER)) for i in range(256))
 # The slot of every operator piece and of each integer literal below 100,
 # as float() of its text gives it. Longer literals and decimals take the
@@ -283,10 +285,10 @@ def _convert_pieces(ids: bytes, capacity: int) -> DenseProgram | None:
     """The program the machine makes of ids under rule_gates, one slot
     per space-split piece, or None for the machine to run: where a piece
     is neither one operator nor a literal (a digit, then digits and at
-    most one dot), where the pieces outnumber capacity, and where a
-    literal is past float range. Nothing after the terminator is read.
+    most one dot, so never the terminator), where the pieces outnumber
+    capacity, and where a literal is past float range.
     """
-    pieces = ids.partition(_STOP)[0].translate(_CHARS).split()
+    pieces = ids.translate(_CHARS).split()
     if len(pieces) > capacity:
         return None
     dense: list[float] = []
@@ -307,13 +309,12 @@ def _convert_pieces(ids: bytes, capacity: int) -> DenseProgram | None:
 
 
 def _machine(ids: bytes, table: GateTable, capacity: int) -> tuple[DenseProgram, bytearray]:
-    """The per-character machine under any table, over the ids up to the
-    terminator: its program, and the case id each token was read in."""
+    """The per-character machine under any table, up to the first stop
+    action: its program, and the case id each token was read in."""
     check_capacity(capacity)
     if type(table) is not GateTable:
         table = GateTable(table)
     actions = table.actions
-    ids, stop, _ = ids.partition(_STOP)
     cases = bytearray()
     dense: list[float] = []
     ops: list[Op] = []
@@ -364,7 +365,7 @@ def _machine(ids: bytes, table: GateTable, capacity: int) -> tuple[DenseProgram,
                     continue
             elif action == SKIP:
                 continue
-            else:
+            elif action == DOT:
                 # A dot starts the open number's fraction.
                 if flag:
                     raise MalformedNumber("second decimal dot inside one number")
@@ -373,6 +374,8 @@ def _machine(ids: bytes, table: GateTable, capacity: int) -> tuple[DenseProgram,
                 flag = 1
                 place = 1
                 continue
+            else:
+                break
             # An operator, or the first digit of a number, claims the next slot.
             if len(dense) >= capacity:
                 raise CapacityExceeded(
@@ -388,8 +391,6 @@ def _machine(ids: bytes, table: GateTable, capacity: int) -> tuple[DenseProgram,
         raise UnknownId(
             f"id {token_id} at position {ids.index(token_id)} is past the {VOCAB_SIZE}-id alphabet"
         ) from None
-    if stop:
-        cases.append(2 * TERMINATOR_ID + flag)
     if number is not None:
         try:
             dense.append(number / 10**scale if scale else float(number))

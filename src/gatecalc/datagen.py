@@ -33,12 +33,8 @@ _JUNK_CHARS = "abcxyz#?"
 
 
 class DataError(ValueError):
-    """A negative count, a mixing fraction out of range, a dot place off a
-    digit string's interior, or a record file of the wrong shape."""
-
-
-class EmptyInput(DataError):
-    pass
+    """A negative count, a mixing fraction out of range, an empty record
+    list to mix, or a record file of the wrong shape."""
 
 
 class Stage(str, Enum):
@@ -82,15 +78,6 @@ def _rng(count: int, seed: int) -> random.Random:
 # Dot place
 
 
-def dot_place_line(digits: str, dot_pos: int) -> str:
-    """Insert a decimal dot at an interior position of a digit string."""
-    if not digits.isdigit():
-        raise DataError(f"not a digit string: {digits!r}")
-    if not 1 <= dot_pos <= len(digits) - 1:
-        raise DataError(f"dot position {dot_pos} not interior to {digits!r}")
-    return digits[:dot_pos] + "." + digits[dot_pos:]
-
-
 def gen_dot_place(count: int, seed: int = 0) -> list[str]:
     """Five-digit decimal literals, the dot cycling through positions 1 to 4."""
     rng = _rng(count, seed)
@@ -99,7 +86,8 @@ def gen_dot_place(count: int, seed: int = 0) -> list[str]:
         digits = str(rng.randint(1, 9)) + "".join(
             str(rng.randint(0, 9)) for _ in range(4)
         )
-        lines.append(dot_place_line(digits, 1 + i % 4))
+        dot = 1 + i % 4
+        lines.append(digits[:dot] + "." + digits[dot:])
     return lines
 
 
@@ -227,7 +215,7 @@ def mix_datasets(
     if not 0.0 < arith_fraction < 1.0:
         raise DataError(f"fraction must be strictly between 0 and 1, got {arith_fraction}")
     if not arith or not other:
-        raise EmptyInput("both record lists must be non-empty")
+        raise DataError("both record lists must be non-empty")
     # The minimum is taken before int(), as one quotient may be infinite.
     n_total = int(
         min(len(arith) / arith_fraction, len(other) / (1.0 - arith_fraction)) + 1e-9

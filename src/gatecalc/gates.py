@@ -82,7 +82,6 @@ from .tokenizer import (
     ID_TO_CHAR,
     OP_ID_TO_OP,
     OTHER_PLACEHOLDER,
-    TERMINATOR_ID,
     VOCAB_SIZE,
     Op,
     encode,
@@ -462,8 +461,7 @@ def train_gates(
 class AgreementRow:
     """One (token, flag) case: which decision fields match the reference,
     whether all do, and whether the compiled action does. Equal actions
-    are what conversion needs; the terminator's row never acts, since the
-    machine stops on its id, so its action always agrees."""
+    are what conversion needs."""
 
     token_id: int
     char: str
@@ -480,7 +478,7 @@ def agreement_table(params: GateParams) -> list[AgreementRow]:
     for case, (want, got) in enumerate(zip(rule_gates, learned)):
         token_id = case >> 1
         matches = {f: x == y for f, x, y in zip(DECISION_FIELDS, want, got)}
-        action_ok = token_id == TERMINATOR_ID or rule_gates.actions[case] == learned.actions[case]
+        action_ok = rule_gates.actions[case] == learned.actions[case]
         char = ID_TO_CHAR.get(token_id, OTHER_PLACEHOLDER)
         rows.append(AgreementRow(token_id, char, case & 1, matches, all(matches.values()), action_ok))
     return rows

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from gatecalc import cli
 from gatecalc.cli import main
+from gatecalc.conversion import DenseOpMode, GateDecision, GateTable, rule_gates
 from gatecalc.datagen import GenConfig, gen_arith_qa, gen_dot_place, gen_numbers_ops, read_records
 from gatecalc.gates import (
     HEAD_SHAPES,
@@ -24,7 +26,8 @@ from gatecalc.gates import (
     save_params,
     train_gates,
 )
-from gatecalc.tokenizer import Op
+from gatecalc.tokenizer import TERMINATOR_ID, Op
+from helpers import random_params
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +131,27 @@ def test_convert_trace_names_each_action_and_its_argument(capsys):
         ("+", 0, "close-op", int(Op.ADD)),
     ]
     assert tokens[2]["decision"]["dense_mode"] == 3
+
+
+@pytest.mark.parametrize("kind", ["rule", "learned", "close-op row"])
+def test_convert_trace_prints_stop_for_the_terminator(capsys, tmp_path, monkeypatch, kind):
+    argv = ["convert", "3 5$7", "--trace"]
+    if kind == "learned":
+        # These params read "3 5" and decide a times-ten digit 1 for the terminator.
+        save_params(random_params(random.Random(8), lambda r: r.gauss(0.0, 1.0)), tmp_path / "g.json")
+        argv += ["--gates", str(tmp_path / "g.json")]
+    elif kind == "close-op row":
+        # A flag-0 terminator row that would move with +, and still stops.
+        rows = list(rule_gates)
+        rows[2 * TERMINATOR_ID] = GateDecision(0, 1, 0, DenseOpMode.IGNORE, 0, Op.ADD)
+        monkeypatch.setattr(cli, "_policy_from_args", lambda args: GateTable(rows))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert [t["char"] for t in payload["tokens"]] == list("3 5$")
+    assert payload["tokens"][-1]["action"] == "stop" and payload["tokens"][-1]["arg"] == 0
+    if kind != "learned":
+        assert payload["program"]["dense"] == [3.0, 5.0]
 
 
 def test_to_postfix(capsys):
@@ -406,7 +430,7 @@ def test_verify_gates_reports_mismatches_for_undertrained(capsys, tmp_path):
     assert "MISMATCH" in out
     assert "agreement 2/36" in out
     # All-zero heads agree with the rule only on the terminator's two rows,
-    # in fields and in actions; the machine never reads those rows.
+    # in fields and in actions; both tables compile those rows to stop.
     assert out.endswith("agreement 2/36\nactions 2/36\n")
 
 

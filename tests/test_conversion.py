@@ -20,6 +20,7 @@ from gatecalc.conversion import (
     DIGIT_TIMES_TEN,
     DOT,
     SKIP,
+    STOP,
     CapacityExceeded,
     ConversionError,
     DenseOpMode,
@@ -461,13 +462,12 @@ def test_convert_with_trace_matches_step_reference(kind, count, seed):
                 if not (d.ignore or d.decimal_start or d.move):
                     reached[f"digit in mode {d.dense_mode.name}"] += 1
                 reached["dot or op under flag 1"] += flag == 1 and DOT_ID <= token_id <= SLASH_ID
-                if token_id != TERMINATOR_ID:
-                    reached[ACTION_NAMES[actions[case][0]]] += 1
+                reached[ACTION_NAMES[actions[case][0]]] += 1
         else:
             reached[got[0].__name__] += 1
     if kind == "random":
         # The random tables reach the decisions the rule table never makes,
-        # and every one of the machine's eight actions.
+        # and every one of the machine's nine actions, stop at a terminator.
         for case in ("digit in mode DIRECT_ADD", "digit in mode IGNORE",
                      "dot or op under flag 1", "MalformedNumber", "CapacityExceeded",
                      "terminator under flag 0", "terminator under flag 1", *ACTION_NAMES):
@@ -498,13 +498,33 @@ def test_action_is_derived_not_a_field(kind):
         decisions = random_gate_table(rng)
     assert not any(hasattr(d, "action") for d in decisions)
     assert DECISION_FIELDS == GateDecision._fields
-    assert GateTable(decisions).actions == tuple(map(_action, decisions))
+    terminator = (2 * TERMINATOR_ID, 2 * TERMINATOR_ID + 1)
+    assert GateTable(decisions).actions == tuple(
+        (STOP, 0) if case in terminator else _action(d) for case, d in enumerate(decisions)
+    )
     d = decisions[2 * 7 + 1]
     same = GateDecision(*d)
     assert same == d and hash(same) == hash(d) and _action(same) == _action(d)
     assert len(tuple(d)) == 6
     assert "action" not in repr(d)
     assert _action(d._replace(ignore=0, decimal_start=0, move=1, op=Op.NONE)) == (CLOSE, 0)
+
+
+def test_the_terminator_compiles_to_stop_whatever_it_decides():
+    rng = random.Random(14)
+    tables = [rule_gates, make_learned_policy(random_params(rng, lambda r: r.gauss(0.0, 1.0)))]
+    tables += [GateTable(random_gate_table(rng)) for _ in range(50)]
+    terminator = (2 * TERMINATOR_ID, 2 * TERMINATOR_ID + 1)
+    decided = set()
+    for table in tables:
+        for case, (decision, action) in enumerate(zip(table, table.actions)):
+            if case in terminator:
+                assert action == (STOP, 0), case
+                decided.add(_action(decision)[0])
+            else:
+                assert action == _action(decision), case
+    # The terminator's decisions would compile to every other action.
+    assert decided == set(range(STOP))
 
 
 def test_a_prebuilt_table_compiles_no_decision(monkeypatch):
@@ -541,17 +561,17 @@ _FIELD_VALUES = {
 
 def _same_actions(rng: random.Random, table):
     """table with every field its actions leave unread redrawn, and the
-    terminator's two cases, which the machine never reads, redrawn whole."""
+    terminator's two cases, which compile to stop whatever they decide,
+    redrawn whole."""
     def redraw(d, action):
         unread = _UNREAD_FIELDS.get(action[0], ("op",))
         return d._replace(**{f: rng.choice(_FIELD_VALUES[f]) for f in unread})
 
     actions = GateTable(table).actions
-    cases = GateTable(list(map(redraw, table, actions)))
-    assert cases.actions == actions
-    cases = list(cases)
+    cases = list(map(redraw, table, actions))
     terminator = slice(2 * TERMINATOR_ID, 2 * TERMINATOR_ID + 2)
     cases[terminator] = random_gate_table(rng)[terminator]
+    assert GateTable(cases).actions == actions
     return tuple(cases)
 
 
@@ -665,7 +685,8 @@ def test_one_machine_pass_per_call(monkeypatch):
     monkeypatch.setattr(conversion, "_machine", counting_machine)
     tables = [rule_gates, _MACHINE_RULE_GATES, random_gate_table(random.Random(7))]
     # Each text, and whether rule_gates' convert reads it whole at capacity 3.
-    texts = [("3 5 +", True), ("1.5 2 *$ 4", True), ("", True),
+    # No piece holding the terminator is whole: the machine stops at it.
+    texts = [("3 5 +", True), ("1.5 2 *$ 4", False), ("", True),
              ("3+5", False), ("1..5", False), ("3 5 + 7", False)]
     for text, whole in texts:
         for table in tables:

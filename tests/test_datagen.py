@@ -8,11 +8,9 @@ import pytest
 from gatecalc.conversion import convert
 from gatecalc.datagen import (
     DataError,
-    EmptyInput,
     GenConfig,
     INSTRUCTION_TEXT,
     Stage,
-    dot_place_line,
     gen_arith_qa,
     gen_dot_place,
     gen_numbers_ops,
@@ -36,21 +34,6 @@ from helpers import rel_close
 
 # ---------------------------------------------------------------------------
 # Dot place
-
-
-def test_dot_place_line_positions():
-    assert dot_place_line("11111", 1) == "1.1111"
-    assert dot_place_line("11111", 2) == "11.111"
-    assert dot_place_line("11111", 3) == "111.11"
-    assert dot_place_line("11111", 4) == "1111.1"
-
-
-def test_dot_place_line_rejects_edges():
-    # A DataError, which is a ValueError as callers catch it.
-    for digits, dot_pos in (("11111", 0), ("11111", 5), ("1a111", 2)):
-        with pytest.raises(DataError) as info:
-            dot_place_line(digits, dot_pos)
-        assert isinstance(info.value, ValueError)
 
 
 def test_gen_dot_place_shape():
@@ -259,10 +242,9 @@ def test_mix_is_shuffled_but_deterministic():
 
 def test_mix_rejects_bad_input():
     arith = [r.to_dict() for r in gen_arith_qa(GenConfig(count=5, seed=1))]
-    with pytest.raises(EmptyInput):
-        mix_datasets([], other_records(5), 0.6)
-    with pytest.raises(EmptyInput):
-        mix_datasets(arith, [], 0.6)
+    for a, o in (([], other_records(5)), (arith, [])):
+        with pytest.raises(DataError, match="^both record lists must be non-empty$"):
+            mix_datasets(a, o, 0.6)
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
             mix_datasets(arith, other_records(5), bad)

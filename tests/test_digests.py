@@ -50,7 +50,7 @@ EXPECTED = {
     "run": "0877f5388fd83ec5740fa18b040e2e84f92ac9d87de153dff1d724d466fb65d5",
     "label": "bf95fbbc1773b25779136f4e04971defff12ee7f519f1b4a11e138dd7a0632c2",
     "train": "163fd27ad1e5d58b90d093a7490daea24224aa53d2f0de3117a25e6380a164e4",
-    "cli_trace": "233a66dbbffd4b1792b47218a04653f25dd568cae3d0cf3b10b87f17bed63eb5",
+    "cli_trace": "5ea640b9037c68af73f72df099b0fc59e2456be3be42d0f7e6d9e3a061e64018",
 }
 
 

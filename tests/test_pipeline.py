@@ -632,7 +632,9 @@ def test_exact_value_reads_literals_past_the_digit_limit():
 # Cancellation: each literal is off by up to half an ulp, and the
 # subtraction cancels every digit that was right. Snap: render's absolute
 # 1e-9 snap hides exact digits below it. Underflow: a literal below float
-# range reads as 0.
+# range reads as 0. Tie: the exact value sits halfway between two 12-digit
+# texts and rounds to the even one, but the float lies just past it, away
+# from zero, and rounds to the odd one.
 _SNAP = pytest.mark.xfail(strict=True, raises=AssertionError,
                           reason="snap: the absolute 1e-9 snap drops exact digits")
 _UNDERFLOW = pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -645,6 +647,8 @@ _WRONG_ANSWERS = [
     ("1 / 10000000000 = ?", "0.0000000001"),
     ("1 / 3000000000 = ?", "0.000000000333333333333"),
     ("0." + "0" * 4000 + "1 * 10 = ?", "0." + "0" * 3999 + "1"),
+    ("66.03 * 49.5 / 64 * 15.7 = ?", "801.800226562"),
+    ("37.89 / 32 / 48 * 57 - 29 = ?", "-27.5939257812"),
 ]
 
 
@@ -678,3 +682,10 @@ def test_an_exact_text_past_the_segment_is_payload_too_long(question):
     # Neither exact text fits a 16-character segment.
     result = run(question)
     assert not result.injected and result.diagnostic.startswith("PayloadTooLong: "), result
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="tie: the float lies just past a half-even tie and rounds the other way")
+@pytest.mark.parametrize("question, exact", _WRONG_ANSWERS[7:9])
+def test_a_half_even_tie_answers_exactly(question, exact):
+    assert run(question).answer == exact

@@ -177,8 +177,7 @@ TRAIN = TrainConfig()
      (DOT_ID, PLUS_ID, SLASH_ID, SPACE_ID, TERMINATOR_ID, OTHER_ID), (10, 11, 14, 15, 16, 17)),
     ("A `GateDecision` has six fields", len(DECISION_FIELDS), 6),
     ("a `GateTable` of 36 decisions", CASES, 36),
-    ("one of eight actions", len(ACTION_NAMES), 8),
-    ("agree on the 34 other cases", CASES - 2, 34),
+    ("one of nine actions", len(ACTION_NAMES), 9),
     ("`convert(ids, table, capacity=64)`", DEFAULT_CAPACITY, 64),
     ("Past 800 significant digits", _MANTISSA_CAP, 10**800),
     ("within 1e-9 of an integer", INTEGER_SNAP, 1e-9),
