@@ -2,71 +2,61 @@
 
 A decision depends on nothing but the token id and the decimal flag,
 18 x 2 = 36 cases, so a policy is a GateTable of 36 decisions indexed
-by the case id 2 * token_id + decimal_flag. Two interchangeable tables
-drive the converter. rule_gates, the exact hand-written reference, lives
-in conversion beside the machine, so serving never loads this module; it
-is imported back here for the trainer and for callers that compare the
-two tables. The learned table comes from one small linear head per gate
-over the one-hot token; the decimal flag joins the input only for the
-dense-mode head, the one gate whose answer depends on it. A one-hot
-input only selects a column, so a head keeps its weights as a list of
-input columns, and its outputs are the token's column plus the flag
-column (dense-mode head, flag on) plus the bias. Prediction always
-takes the argmax of a head's outputs, ties breaking toward the lowest
-class. One reader, one argmax per token column of a head (two for the
-dense-mode head), serves both the learned table and the stop check.
+by the case id 2 * token_id + decimal_flag. rule_gates, the exact
+hand-written table, lives in conversion beside the machine, so serving
+never loads this module. The learned table comes from one linear head
+per gate over the one-hot token; the decimal flag joins the input only
+for the dense-mode head, the one gate whose answer depends on it. A
+one-hot input only selects a column, so a head keeps its weights as a
+list of input columns. A head predicts the first argmax of its outputs,
+and one reader, an argmax per token column (two for the dense-mode
+head), serves both the learned table and the stop check.
 
-Training is plain per-event gradient descent in scalar Python: the
-heads are at most 10 x 19, too small for array calls to pay for
-themselves. The two-way gates use a sigmoid unit per class with binary
-cross entropy; the wider heads use softmax cross entropy. Supervision
-comes from the reference policy's conversion trace over corpus text, so
-the trainer needs nothing but lines of characters. An event is the case
-id a token was read in, as that trace records it, and a stream of
-events is bytes; the trainer reads each case's token, flag and
-reference targets from tables indexed by case id. Events step through
-the corpus in small chunks, each chunk repeated several times before
-the next one starts, which keeps early material fresh while later
-material arrives. Decimal dots and operator characters carry extra loss
-weight because a miss there corrupts a whole number rather than one
-digit.
+Training is per-event gradient descent in scalar Python, since the heads
+are at most 10 x 19: a sigmoid unit per class with binary cross entropy
+for the two-way gates, softmax cross entropy for the wider ones. An
+event is the case id a token was read in under rule_gates, so the
+trainer needs only lines of text, and a stream of events is bytes; it
+reads each case's token, flag and targets from tables by case id. The
+stream runs in chunks, each repeated several times before the next,
+which keeps early material fresh. Dots and operators carry extra loss
+weight, since a miss there corrupts a whole number, not one digit.
 
-Each head trains to its own agreement, not to a step budget. A head's
-weights and bias move only under its own loss, so the heads are
-independent, and each stops at the first chunk boundary where it decides
-every case the stream holds as rule_gates decides it. From there on its
-params are fixed, so its loss depends on the case id alone: it becomes a
-table, computed once by the head's own training code at scale zero, and
-each later step reads it. The stage stops when no head is left training,
-since from there on it converts any input made of those cases exactly as
-rule_gates does; steps_max is only an upper bound. The check reads each
-head still training over only the token columns the stream holds, and
-the loss trace keeps, at every boundary, the count of cases no head misses
-(the agreement curve), and the step at which each head stopped. A run
-at a learning rate of zero stops every head at step 0: it scores the
-whole corpus from the tables and returns the init untouched.
+Each head trains to its own agreement, not to a step budget. A head
+moves only under its own loss, so the heads are independent, and each
+stops at the first chunk boundary where it decides every case the
+stream holds as rule_gates does. Its loss then depends on the case id
+alone, so it becomes a table, computed once by the head's own training
+code at scale zero. The stage stops when no head is left training;
+steps_max is only an upper bound. At a learning rate of zero every head
+stops at step 0: the stream is scored and the init comes back untouched.
 
-The trainer runs head-major over blocks: a block is one chunk's
-repeated passes, clipped to the step budget, and each head still
-training takes all of the block's steps before the next head starts.
-This is exact, not an approximation: since the heads are independent,
-each sees the same sequence of updates as it would one event at a time,
-and each step's raw loss still sums the heads' losses in HEAD_SHAPES
-order. Params and loss trace match the event-major loop bit for bit.
-The block boundary is where the trace is recorded, a non-finite loss is
-reported and the heads are checked.
+The trainer runs head-major over blocks: a block is one chunk's repeated
+passes, clipped to the step budget, and each head still training takes
+all of its steps before the next head starts. Since the heads are
+independent, this is exact: params and trace match the event-major loop
+bit for bit, each step's raw loss summing the heads' losses in
+HEAD_SHAPES order. The block boundary is where the trace is recorded, a
+non-finite loss is reported and the heads are checked.
+
+The loss trace keeps per step only the token id, one byte, and the raw
+loss, one double; the stage's 18 token weights are kept once, and its
+events are a read-only view whose EventLoss rows are built on read. It
+also keeps each pass's mean loss, the agreement curve (the cases no
+head misses at each boundary) and the step at which each head stopped.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
 from math import exp, log, log1p
 from operator import add, mul, sub
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .conversion import (
     CASES,
@@ -112,12 +102,9 @@ class EmptyCorpus(GateError):
 
 @dataclass
 class GateParams:
-    """One (weights, bias) pair per gate head, by head name.
-
-    The weights are a list of n_in input columns, each a list of n_out
-    floats, because a one-hot input reads and moves only whole columns;
-    the bias is a list of n_out floats.
-    """
+    """One (weights, bias) pair per gate head, by head name. The weights
+    are a list of n_in input columns of n_out floats each, since a one-hot
+    input reads and moves only whole columns; the bias is n_out floats."""
 
     heads: dict[str, tuple[list[list[float]], list[float]]]
 
@@ -189,9 +176,8 @@ _CASE_TOKEN, _CASE_FLAG, *_CASE_TARGETS = (
 
 def label_events(text: str) -> bytes:
     """The rule_gates conversion trace of one line: per token read, its
-    case id, exactly the context a policy sees. A terminator is recorded
-    and ends the line, as it stops the converter; a malformed number
-    raises as it does there."""
+    case id, the context a policy sees. A terminator is recorded and ends
+    the line; a malformed number raises as it does in the converter."""
     return convert_with_trace(encode(text), rule_gates, len(text) + 1)[1]
 
 
@@ -226,6 +212,9 @@ class TrainConfig:
 
 
 class EventLoss(NamedTuple):
+    """A gradient step as LossTrace.events reads it: raw sums the heads'
+    losses in HEAD_SHAPES order, and weighted is the token's weight * raw."""
+
     step: int
     token_id: int
     weight: float
@@ -233,17 +222,44 @@ class EventLoss(NamedTuple):
     weighted: float
 
 
+class _EventView(Sequence):
+    """A trace's steps as read-only EventLoss rows, each built on read."""
+
+    def __init__(self, trace: LossTrace) -> None:
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.raws)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        trace = self._trace
+        step = range(len(trace.raws))[i]
+        token_id = trace.token_ids[step]
+        weight, raw = trace.weight_of[token_id], trace.raws[step]
+        return EventLoss(step, token_id, weight, raw, weight * raw)
+
+
 @dataclass
 class LossTrace:
-    """One entry per gradient step, the mean weighted loss of every chunk
-    pass, at the end of every block the number of the stream's cases that
-    the params then decide as rule_gates does, and the step at which each
-    head stopped, by head name."""
+    """A stage's loss trace. Per gradient step it keeps the token id, one
+    byte of token_ids, and the raw loss, one double of raws; the loss
+    weight of each token id is kept once, in weight_of, and events reads
+    the three as EventLoss rows. epoch_mean holds each chunk pass's mean
+    weighted loss, agreement the count of the stream's cases decided as
+    rule_gates does at each block's end, stopped each head's stop step."""
 
-    events: list[EventLoss] = field(default_factory=list)
+    token_ids: bytearray = field(default_factory=bytearray)
+    raws: array = field(default_factory=lambda: array("d"))
+    weight_of: tuple[float, ...] = ()
     epoch_mean: list[float] = field(default_factory=list)
     agreement: list[int] = field(default_factory=list)
     stopped: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def events(self) -> Sequence[EventLoss]:
+        return _EventView(self)
 
 
 def stop_report(trace: LossTrace, events: bytes, config: TrainConfig) -> str:
@@ -257,15 +273,12 @@ def stop_report(trace: LossTrace, events: bytes, config: TrainConfig) -> str:
 
 
 # Each head below runs over a whole block of steps and returns its loss at
-# every step. Every exp takes an argument of at most zero (or NaN), so
-# none can overflow and raise; a diverged logit gives an infinite or NaN
-# loss, and training goes on to the end of the block on whatever the
-# params hold.
-#
-# The gradient of a loss with respect to a one-hot input's weights is dz
-# in the token's column (and the flag column when the flag is on) and zero
-# everywhere else, so a step moves only those columns and the bias, each
-# by delta = scale * dz.
+# every step. Every exp takes an argument of at most zero (or NaN), so none
+# can overflow; a diverged logit gives an infinite or NaN loss, and training
+# goes on to the block's end on whatever the params hold. The gradient with
+# respect to a one-hot input's weights is dz in the token's column (and the
+# flag column when the flag is on) and zero elsewhere, so a step moves only
+# those columns and the bias, each by delta = scale * dz.
 
 
 def _train_binary_head(w, b, tokens, targets, scales) -> list[float]:
@@ -367,19 +380,14 @@ def train_gates(
 ) -> tuple[GateParams, LossTrace]:
     """Fit the gate heads to a bytes stream of case ids, as label_events makes.
 
-    The stream is cut into chunks of epoch_size events; each chunk runs
-    repeats times before the next chunk starts, one gradient step per
-    event. Each head stops at the end of the first chunk after which it
-    decides every case the stream holds as rule_gates does, and training
-    stops when no head is left, or at steps_max. At lr 0 every head is
-    stopped from step 0: the whole stream is scored and the init comes
-    back untouched, bit for bit, which is how a later corpus is scored
-    against fixed gates. A stream that is not bytes, a case id outside the
-    36 cases and an init that check_params refuses raise GateError.
-    Training stops with a GateError at the first step whose weighted loss
-    is not finite, since every later step would run on diverged params.
-    See the module docstring for why stopped heads and the head-major
-    blocks leave params and trace as the event-major loop gives them.
+    Chunks of epoch_size events each run repeats times, one gradient step
+    per event, until no head is left training (see the module docstring)
+    or at steps_max. At lr 0 the stream is scored and the init comes back
+    bit for bit, which is how a later corpus is scored against fixed
+    gates. A stream that is not bytes, a case id outside the 36 cases and
+    an init that check_params refuses raise GateError, and so does the
+    first step whose weighted loss is not finite, since every later step
+    would run on diverged params.
     """
     if not isinstance(events, bytes):
         raise GateError(f"events must be bytes of case ids, got {type(events).__name__}")
@@ -390,20 +398,17 @@ def train_gates(
         raise GateError(f"case id {bad} is outside 0-{CASES - 1}")
     cases = set(events)
     config = config or TrainConfig()
-    weight_of = [
+    weight_of = tuple(
         config.dot_weight if t == DOT_ID else config.op_weight if t in OP_ID_TO_OP else 1.0
         for t in range(VOCAB_SIZE)
-    ]
+    )
     steps_max = config.steps_max or math.inf
-    if init is None:
-        params = GateParams.zeros()
-    else:
+    if init is not None:
         check_params(init)
-        params = init.clone()
-    trace = LossTrace()
-    # A stopped head's loss depends on the case id alone, so it becomes a
-    # table. missed keeps each head's missed cases as last checked; a
-    # stopped head is never checked again.
+    params = GateParams.zeros() if init is None else init.clone()
+    trace = LossTrace(weight_of=weight_of)
+    # A stopped head's loss is a table by case id. missed keeps each head's
+    # missed cases as last checked; a stopped head is never checked again.
     tables: dict[str, dict[int, float]] = {}
     missed: dict[str, set[int]] = {}
 
@@ -441,7 +446,8 @@ def train_gates(
         for i, loss in enumerate(weighted):
             if not math.isfinite(loss):
                 raise GateError(f"training diverged at step {step + i}: weighted loss is {loss}")
-        trace.events += map(EventLoss, range(step, step + size), tokens, weights, raws, weighted)
+        trace.token_ids += tokens
+        trace.raws.extend(raws)
         for p in range(0, size, len(chunk)):
             pass_losses = weighted[p : p + len(chunk)]
             trace.epoch_mean.append(sum(pass_losses) / len(pass_losses))
@@ -500,7 +506,7 @@ def _read_head(name: str, n_out: int, n_in: int, w_rows, b
         raise GateError(f"head {name!r} is missing or not numeric") from None
     if w_shape != (n_out, n_in) or b_shape != (n_out,):
         raise GateError(f"head {name!r} has wrong shape {w_shape} / {b_shape}")
-    if not all(map(math.isfinite, chain(w_flat, b))):
+    if not all(map(math.isfinite, w_flat + b)):
         raise GateError(f"head {name!r} contains non-finite values")
     return [w_flat[col::n_in] for col in range(n_in)], b
 
@@ -521,11 +527,8 @@ def check_params(params: GateParams) -> None:
 def save_params(params: GateParams, path: str | Path) -> None:
     """Flat JSON, each head's weights as n_out rows of n_in numbers (the
     columns transposed back) and its bias as a list. Round trips bit
-    exactly.
-
-    Params that load_params would reject are refused before any file is
-    written.
-    """
+    exactly. Params that load_params would reject are refused before any
+    file is written."""
     check_params(params)
     payload: dict = {"format_version": FORMAT_VERSION}
     for name, _, _ in HEAD_SHAPES:
@@ -563,12 +566,9 @@ def load_params(path: str | Path) -> GateParams:
 def _read_array(value) -> tuple[list[float], tuple[int, ...]]:
     """A JSON value, or nested lists and tuples, read as an array: its
     numbers in row-major order as floats, and its shape (a number has
-    shape ()).
-
-    Raises ValueError for ragged nesting, and TypeError, ValueError or
-    OverflowError for an element float() refuses (null, an object, a
-    non-numeric string, an int past float range).
-    """
+    shape ()). Raises ValueError for ragged nesting, and TypeError,
+    ValueError or OverflowError for an element float() refuses (null, an
+    object, a non-numeric string, an int past float range)."""
     shape = []
     level = [value]
     while level and all(isinstance(v, (list, tuple)) for v in level):

@@ -65,7 +65,6 @@ from gatecalc.gates import (
     GateParams,
     GateTable,
     EmptyCorpus,
-    EventLoss,
     LossTrace,
     TrainConfig,
     _logits,
@@ -768,7 +767,7 @@ def reference_train_gates(
         raise GateError(f"repeats must be positive, got {config.repeats}")
 
     params = init.clone() if init is not None else GateParams.zeros()
-    trace = LossTrace()
+    trace = LossTrace(weight_of=tuple(event_weight(t, config) for t in range(VOCAB_SIZE)))
     cases = set(events)
     step_idx = 0
     budget_spent = False
@@ -787,10 +786,8 @@ def reference_train_gates(
                     raise GateError(
                         f"training diverged at step {step_idx}: weighted loss is {weighted}"
                     )
-                token_id = event >> 1
-                trace.events.append(
-                    EventLoss(step_idx, token_id, event_weight(token_id, config), raw, weighted)
-                )
+                trace.token_ids.append(event >> 1)
+                trace.raws.append(raw)
                 pass_losses.append(weighted)
                 step_idx += 1
                 budget_spent = step_idx == config.steps_max

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import importlib.util
 import json
@@ -7,7 +8,9 @@ import re
 import sys
 import tracemalloc
 from collections import Counter
+from collections.abc import Sequence
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +34,7 @@ from gatecalc.gates import (
     GateError,
     GateParams,
     GateTable,
+    LossTrace,
     TrainConfig,
     agreement_table,
     events_from_lines,
@@ -459,6 +463,65 @@ def test_weighted_loss_is_exact_multiple():
             assert e.weight == 1.0
 
 
+
+def test_the_trace_keeps_under_32_bytes_a_step():
+    # One EventLoss tuple a step kept about 180 bytes; the columns keep a
+    # byte and a double a step, plus their slack for growth.
+    events = events_from_lines(gen_numbers_ops(500, 1))
+    tracemalloc.start()
+    try:
+        _, trace = train_gates(events)
+        with_trace = tracemalloc.get_traced_memory()[0]
+        steps = len(trace.events)
+        del trace
+        retained = with_trace - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert steps >= 3000
+    assert retained / steps < 32
+
+
+def test_training_and_the_length_and_truth_of_events_build_no_rows(monkeypatch):
+    built = mock.Mock(wraps=gates.EventLoss)
+    monkeypatch.setattr(gates, "EventLoss", built)
+    _, trace = train_gates(label_events("1.5 + 20"), TrainConfig(repeats=2))
+    assert len(trace.events) == 16
+    assert trace.events
+    assert built.call_count == 0
+    assert trace.events[-1].step == 15
+    assert built.call_count == 1
+
+
+def test_events_read_as_the_list_of_rows_did():
+    events = label_events("1.5 + 20 3.25 /")
+    _, trace = train_gates(events, TrainConfig(epoch_size=4, repeats=2))
+    view = trace.events
+    rows = list(view)
+    n = len(rows)
+    assert n == len(view) == 2 * len(events)
+    assert isinstance(view, Sequence)
+    assert [e.step for e in rows] == list(range(n))
+    assert [view[i] for i in range(n)] == [view[i - n] for i in range(n)] == rows
+    for cut in (slice(8), slice(None), slice(3, -2), slice(None, None, -3), slice(n, n + 5),
+                slice(-n - 5, 2)):
+        assert view[cut] == rows[cut]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    with pytest.raises(TypeError):
+        view[0] = rows[0]
+    assert not hasattr(view, "append")
+    assert view and not LossTrace().events and not LossTrace(agreement=[0]).events
+
+
+def test_trace_equality_sees_one_raw_loss_move():
+    _, trace = train_gates(label_events("1.5 + 20"), TrainConfig(repeats=1))
+    other = copy.deepcopy(trace)
+    assert other == trace
+    other.raws[3] = math.nextafter(other.raws[3], math.inf)
+    assert other != trace
+    assert dataclasses.replace(trace, weight_of=(1.0,) * VOCAB_SIZE) != trace
+
 @pytest.mark.parametrize("field", ["lr", "dot_weight", "op_weight"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_settings(field, value):
@@ -615,9 +678,13 @@ def _train_outcome(train, events, config, init=None):
         params, trace = train(events, config, init)
     except GateError as exc:
         return f"{type(exc).__name__}: {exc}"
-    steps = [(e.step, e.token_id, e.weight.hex(), e.raw.hex(), e.weighted.hex())
-             for e in trace.events]
-    return param_bits(params), steps, [m.hex() for m in trace.epoch_mean]
+    return param_bits(params), _row_bits(trace), [m.hex() for m in trace.epoch_mean]
+
+
+def _row_bits(trace):
+    """Every field of every EventLoss row, each float in hex."""
+    return [(e.step, e.token_id, e.weight.hex(), e.raw.hex(), e.weighted.hex())
+            for e in trace.events]
 
 
 def test_head_major_training_matches_event_major_on_default_corpora(trained):
@@ -625,6 +692,7 @@ def test_head_major_training_matches_event_major_on_default_corpora(trained):
     ref_params, ref_trace = reference_train_gates(events_from_lines(_TRAINING_LINES))
     assert param_bits(params) == param_bits(ref_params)
     assert trace == ref_trace
+    assert _row_bits(trace) == _row_bits(ref_trace)
 
 
 _SMALL_EVENTS = events_from_lines(gen_dot_place(12, 7) + gen_numbers_ops(12, 7))

@@ -689,3 +689,14 @@ def test_an_exact_text_past_the_segment_is_payload_too_long(question):
 @pytest.mark.parametrize("question, exact", _WRONG_ANSWERS[7:9])
 def test_a_half_even_tie_answers_exactly(question, exact):
     assert run(question).answer == exact
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="criterion 8: a declined prompt that ends in a segment-shaped tail "
+                          "is answered from that tail, not echoed byte for byte")
+def test_a_declined_prompt_with_a_segment_shaped_tail_echoes_byte_for_byte():
+    prompts = ["what is 7$" + " " * 14, "3 + 4 = ?" + " 9$" + " " * 14]
+    results = [run(prompt) for prompt in prompts]
+    if any(r.injected or r.diagnostic for r in results):
+        pytest.fail(f"the prompts are no longer declined: {results}")
+    assert [r.answer for r in results] == prompts

@@ -21,7 +21,7 @@ import pytest
 
 from gatecalc.cli import build_parser, main
 from gatecalc.conversion import _MANTISSA_CAP, ACTION_NAMES, CASES, DECISION_FIELDS, DEFAULT_CAPACITY
-from gatecalc.gates import TrainConfig
+from gatecalc.gates import TrainConfig, train_gates
 from gatecalc.infix import MAX_NESTING
 from gatecalc.pipeline import DEFAULT_INJECT_LEN, MAX_INJECT_LEN
 from gatecalc.render import INTEGER_SNAP, MAX_SIG_DIGITS
@@ -168,6 +168,7 @@ def test_the_layout_names_no_file_that_is_missing():
 
 PROSE = " ".join(README.split())
 TRAIN = TrainConfig()
+_, TRACE = train_gates(bytes([2]), TrainConfig(lr=0.0))
 
 
 @pytest.mark.parametrize("phrase, value, stated", [
@@ -187,6 +188,8 @@ TRAIN = TrainConfig()
     ("chunks of 50, each chunk repeated 5 times", (TRAIN.epoch_size, TRAIN.repeats), (50, 5)),
     ("a learning rate of 0.1", TRAIN.lr, 0.1),
     ("carry loss weight 5.0", (TRAIN.dot_weight, TRAIN.op_weight), (5.0, 5.0)),
+    ("the stage's 18 token weights once", len(TRACE.weight_of), 18),
+    ("the raw loss, one 8-byte double", TRACE.raws.itemsize, 8),
 ])
 def test_each_figure_the_readme_states_is_the_packages(phrase, value, stated):
     assert phrase in PROSE
